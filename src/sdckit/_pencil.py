@@ -1,8 +1,8 @@
 """Internal helpers for real symmetric pencils.
 
 Shared by the canonical-form, SDC, ASDC and RSDC modules: certified
-invertibility, eigenvalue clustering/classification, invariant subspace
-extraction, and congruence diagonalization of pencils with real spectra.
+invertibility, the pairwise commutation test, eigenvalue clustering and
+invariant subspace extraction.
 """
 
 from __future__ import annotations
@@ -11,25 +11,34 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .matcore import Tolerances, asmat
+from .matcore import Tolerances, asmat, commutator, numeric_rank
 
 __all__ = [
     "certify_invertible",
+    "noncommuting_pair",
     "spectral_scale",
     "cluster_values",
-    "classify_eigenvalues",
     "invariant_subspace",
-    "diagonalize_real_pencil",
 ]
 
 
 def certify_invertible(M, tol: Tolerances) -> bool:
     """True when smin > rank_tol * smax."""
     a = asmat(M)
-    if a.size == 0:
-        return False
-    s = np.linalg.svd(a, compute_uv=False)
-    return bool(s[-1] > tol.rank_tol * s[0] and s[0] > 0)
+    return a.shape[0] > 0 and numeric_rank(a, tol) == a.shape[0]
+
+
+def noncommuting_pair(mats, tol: Tolerances, factor: float = 1.0):
+    """First pair (i, j, |[M_i, M_j]|_2), i < j in lexicographic order,
+    whose commutator exceeds factor * resid_tol * max(1, |M_i|_2 |M_j|_2);
+    None when every pair commutes."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            val = np.linalg.norm(commutator(mats[i], mats[j]), 2)
+            scale = max(1.0, np.linalg.norm(mats[i], 2) * np.linalg.norm(mats[j], 2))
+            if val > tol.resid_tol * scale * factor:
+                return i, j, val
+    return None
 
 
 def spectral_scale(w: np.ndarray) -> float:
@@ -56,31 +65,6 @@ def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
-def classify_eigenvalues(w: np.ndarray, tol: Tolerances, refuse_band: bool = True):
-    """Split eigenvalues of a real matrix into real values and Im>0 pairs.
-
-    An eigenvalue with |Im| <= eig_real_tol * scale is real; with
-    |Im| >= 10x that it is complex; in between we refuse when
-    refuse_band is set, otherwise round toward real.
-    """
-    scale = spectral_scale(w)
-    thr = tol.eig_real_tol * scale
-    reals = []
-    complexes = []
-    for lam in w:
-        im = abs(lam.imag)
-        if im <= thr:
-            reals.append(lam.real)
-        elif refuse_band and im < 10.0 * thr:
-            raise errors.ClassificationAmbiguous(
-                f"eigenvalue {lam} has |Im| inside the refusal band "
-                f"({thr:.3e}, {10 * thr:.3e})"
-            )
-        elif lam.imag > 0:
-            complexes.append(complex(lam))
-    return np.array(sorted(reals)), sorted(complexes, key=lambda z: (z.real, z.imag))
-
-
 def invariant_subspace(M: np.ndarray, center: float, radius: float) -> np.ndarray:
     """Orthonormal basis of the invariant subspace for eigenvalues within
     radius of center, via a sorted real Schur form."""
@@ -94,78 +78,3 @@ def invariant_subspace(M: np.ndarray, center: float, radius: float) -> np.ndarra
             f"no eigenvalues within {radius:.3e} of {center}"
         )
     return Z[:, :sdim]
-
-
-def _fix_column_signs(P: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: largest-|entry| component positive."""
-    Q = P.copy()
-    for j in range(Q.shape[1]):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
-    return Q
-
-
-def diagonalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances):
-    """Congruence diagonalization of a pencil with real diagonalizable
-    A^{-1}B and invertible A.
-
-    Returns (P, dA, dB) with P^T A P = Diag(dA) and P^T B P = Diag(dB).
-    Repeated eigenvalues are allowed: each eigenvalue cluster's local
-    A-Gram is diagonalized by a symmetric eigendecomposition.  Raises
-    NotDiagonalizable when a cluster's restriction is not scalar.
-    """
-    n = A.shape[0]
-    M = np.linalg.solve(A, B)
-    w = np.linalg.eigvals(M)
-    scale = spectral_scale(w)
-    if np.max(np.abs(w.imag)) > tol.eig_real_tol * scale:
-        raise errors.NotDiagonalizable("pencil spectrum is not real")
-    wr = w.real
-    diam = max(float(wr.max() - wr.min()), 1.0)
-    clusters = cluster_values(wr, tol.cluster_tol * diam)
-
-    cols = []
-    diag_a = []
-    diag_b = []
-    for idx in clusters:
-        lam = float(np.mean(wr[idx]))
-        g = len(idx)
-        spread = float(np.max(np.abs(wr[idx] - lam)))
-        U = invariant_subspace(M, lam, spread + tol.cluster_tol * diam)
-        if U.shape[1] != g:
-            raise errors.NotDiagonalizable(
-                f"invariant subspace at {lam} has dimension {U.shape[1]}, "
-                f"expected {g}"
-            )
-        Mloc = U.T @ M @ U
-        if np.linalg.norm(Mloc - lam * np.eye(g), 2) > 100 * tol.cluster_tol * diam:
-            raise errors.NotDiagonalizable(
-                f"restriction at eigenvalue {lam} is not scalar"
-            )
-        Aloc = U.T @ A @ U
-        Aloc = 0.5 * (Aloc + Aloc.T)
-        vals, vecs = np.linalg.eigh(Aloc)
-        if np.min(np.abs(vals)) <= tol.rank_tol * max(1.0, np.max(np.abs(vals))):
-            raise errors.NotDiagonalizable(
-                f"degenerate local Gram at eigenvalue {lam}"
-            )
-        X = vecs / np.sqrt(np.abs(vals))
-        cols.append(U @ X)
-        diag_a.extend(np.sign(vals))
-        diag_b.extend(lam * np.sign(vals))
-
-    P = _fix_column_signs(np.hstack(cols))
-    da = np.array(diag_a)
-    db = np.array(diag_b)
-    # exact per-column rescaling is already done; certify the residual
-    for mat, d in ((A, da), (B, db)):
-        resid = P.T @ mat @ P - np.diag(d)
-        kappa = np.linalg.cond(P)
-        bound = tol.resid_tol * kappa**2 * max(1.0, np.linalg.norm(mat, 2))
-        if np.linalg.norm(resid, 2) > bound:
-            raise errors.CertificationFailed(
-                f"pencil diagonalization residual {np.linalg.norm(resid, 2):.3e} "
-                f"exceeds {bound:.3e}"
-            )
-    return P, da, db

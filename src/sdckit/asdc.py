@@ -14,7 +14,7 @@ import numpy as np
 
 from . import errors
 from ._chains import canonicalize_real_pencil, splitting_perturbation
-from ._pencil import spectral_scale
+from ._pencil import noncommuting_pair, spectral_scale
 from .canonical import BlockSpec, assemble_blocks, pencil_canonical
 from .matcore import (
     DEFAULT_TOL,
@@ -25,14 +25,8 @@ from .matcore import (
     h_mat,
     numeric_rank,
 )
-from .rsdc import choose_xi_points, recover_alpha_beta, solve_border_system
+from .rsdc import alpha_beta_recover, choose_xi_points, solve_border_system
 from .sdc import find_max_rank_element, sdc_check
-from .toeplitz import (
-    ToeplitzPartition,
-    is_block_toeplitz,
-    jordan_nilpotent,
-    pi_map,
-)
 
 __all__ = [
     "AsdcVerdict",
@@ -41,19 +35,7 @@ __all__ = [
     "asdc_triple_check",
     "perturb_pair",
     "perturb_blocks",
-    "perturb_triple_blocks",
-    "ToeplitzPartition",
-    "is_block_toeplitz",
-    "jordan_nilpotent",
-    "pi_map",
 ]
-
-
-def perturb_triple_blocks(*args, **kwargs):
-    """Structured triple perturbation; see the triples module."""
-    from .triples import perturb_triple_blocks as impl
-
-    return impl(*args, **kwargs)
 
 # |Im| above which an eigenvalue is unambiguously complex; below this the
 # imaginary part may be roundoff splitting of a defective real eigenvalue
@@ -155,9 +137,7 @@ def asdc_triple_check(A, B, C, tol: Tolerances = DEFAULT_TOL) -> AsdcVerdict:
     drop = int(np.argmax(np.abs(coeffs)))
     rest = [m for i, m in enumerate([a, b, c]) if i != drop]
     Ms = [np.linalg.solve(S.a, m) for m in rest]
-    comm = Ms[0] @ Ms[1] - Ms[1] @ Ms[0]
-    scale = max(1.0, np.linalg.norm(Ms[0], 2) * np.linalg.norm(Ms[1], 2))
-    if np.linalg.norm(comm, 2) > tol.resid_tol * scale:
+    if noncommuting_pair(Ms, tol) is not None:
         return AsdcVerdict("NotASDC", reason="noncommuting")
     for m in rest:
         if not _spectrum_is_real(S.a, m, tol):
@@ -212,22 +192,27 @@ def perturb_pair(A, B, epsilon: float, tol: Tolerances = DEFAULT_TOL) -> Perturb
     rank = numeric_rank(S, tol)
 
     if rank == n:
-        return _perturb_nonsingular(a, b, coeffs, S.a, epsilon, tol)
+        T = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
+        return _split_pair(a, b, coeffs, _unit_splitting(S.a, T, tol), epsilon, tol)
     return _perturb_singular(a, b, coeffs, S.a, rank, epsilon, tol)
 
 
-def _perturb_nonsingular(a, b, coeffs, S, epsilon, tol) -> PerturbedPair:
-    """Eigenvalue splitting for a nonsingular real-spectrum pair.
-
-    The perturbation lands on the span element complementary to the
-    max-rank combination S = c0 A + c1 B, which stays fixed; both
-    originals then move by at most the budget.
-    """
-    t_is_b = abs(coeffs[0]) >= abs(coeffs[1])
-    T = b if t_is_b else a
+def _unit_splitting(S, T, tol) -> np.ndarray:
+    """Unit eigenvalue-splitting perturbation of T in the pencil's
+    real-Jordan coordinates, mapped back to the original ones."""
     W, blocks = canonicalize_real_pencil(S, T, tol)
     Winv = np.linalg.inv(W)
-    delta_unit = Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
+    return Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
+
+
+def _split_pair(a, b, coeffs, delta_unit, epsilon, tol) -> PerturbedPair:
+    """Eigenvalue splitting for a real-spectrum pair.
+
+    The perturbation lands on the span element complementary to the
+    max-rank combination S = c0 A + c1 B, which stays fixed; it is
+    scaled so both originals move by at most the budget.
+    """
+    t_is_b = abs(coeffs[0]) >= abs(coeffs[1])
     ratio = abs(coeffs[1] / coeffs[0]) if t_is_b else abs(coeffs[0] / coeffs[1])
     amp = float(np.linalg.norm(delta_unit, 2)) * max(1.0, ratio)
     eps_eff = min(1.0, (1 - 1e-9) * epsilon / amp) if amp > 0 else epsilon
@@ -264,21 +249,8 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
     if np.max(np.abs(w.imag)) <= tol.eig_real_tol * scale:
         # all-real restricted spectrum: padding with zeros preserves SDC,
         # so the nonsingular splitting suffices
-        Wc, blocks = canonicalize_real_pencil(Sbar, Tbar, tol)
-        Winv = np.linalg.inv(Wc)
-        delta_r = Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
-        delta = Ur @ delta_r @ Ur.T
-        amp = float(np.linalg.norm(delta, 2))
-        ratio = abs(coeffs[0] / coeffs[1]) if T is a else abs(coeffs[1] / coeffs[0])
-        eps_eff = min(1.0, (1 - 1e-9) * epsilon / max(amp, amp * ratio)) if amp > 0 else epsilon
-        delta *= eps_eff
-        if T is b:
-            Bt = b + delta
-            At = a - (coeffs[1] / coeffs[0]) * delta
-        else:
-            At = a + delta
-            Bt = b - (coeffs[0] / coeffs[1]) * delta
-        return _certified_pair(a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon, tol)
+        delta_unit = Ur @ _unit_splitting(Sbar, Tbar, tol) @ Ur.T
+        return _split_pair(a, b, coeffs, delta_unit, epsilon, tol)
 
     # complex eigenvalues present: bordered construction through a zero
     # coordinate (the generic singular path)
@@ -299,7 +271,7 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
     x, y, z, _ = solve_border_system(lams, xi)
     gamma_can = np.zeros(r + 2 * k)
     for i in range(k):
-        al, be = recover_alpha_beta(x[i], y[i], lams[i])
+        al, be = alpha_beta_recover(x[i], y[i], lams[i])
         gamma_can[r + 2 * i] = al
         gamma_can[r + 2 * i + 1] = be
     g = Ur @ (form.P.inv().T @ gamma_can)
@@ -471,7 +443,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
     x, y, z, _ = solve_border_system(lams, xi)
     gamma_can = np.zeros(2 * k)
     for i in range(k):
-        al, be = recover_alpha_beta(x[i], y[i], lams[i])
+        al, be = alpha_beta_recover(x[i], y[i], lams[i])
         gamma_can[2 * i] = al
         gamma_can[2 * i + 1] = be
     g = form.P.inv().T @ gamma_can
@@ -498,9 +470,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
     At = a + dA
     Bt = 0.5 * ((b + dB) + (b + dB).T)
     if host[0] == "t3":
-        W, blocks2 = canonicalize_real_pencil(At, Bt, tol)
-        Winv = np.linalg.inv(W)
-        du = Winv.T @ splitting_perturbation(blocks2, 1.0) @ Winv
+        du = _unit_splitting(At, Bt, tol)
         amp = float(np.linalg.norm(du, 2))
         if amp > 0:
             Bt = Bt + sign * min(1.0, budget / amp) * du

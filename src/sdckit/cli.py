@@ -22,6 +22,7 @@ from .obstruct import builtin_counterexamples, not_asdc_certificate
 from .qcqp import (
     BenchConfig,
     QcqpInstance,
+    Reformulation,
     bench,
     generate_instance,
     reformulate,
@@ -147,8 +148,7 @@ def _cmd_reformulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.input)
-    ref_data = json.loads(Path(args.reformulation).read_text())
-    ref = reformulate(inst, ref_data["method"], _tol(args))
+    ref = Reformulation.from_json(Path(args.reformulation).read_text())
     dev = verify_reformulation(inst, ref, samples=args.samples, seed=args.seed)
     print(f"max deviation {dev:.6e}")
     return EXIT_OK if dev <= 1e-6 else EXIT_NEGATIVE

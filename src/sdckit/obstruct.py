@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, commutator, f_mat
+from ._pencil import certify_invertible
+from .matcore import (
+    DEFAULT_TOL,
+    SymMat,
+    Tolerances,
+    asmat,
+    commutator,
+    f_mat,
+    numeric_rank,
+)
 from .sdc import find_max_rank_element
 
 __all__ = [
@@ -45,11 +54,7 @@ def commutator_obstruction(B, C, tol: Tolerances = DEFAULT_TOL) -> tuple[int, in
     b, c = asmat(B), asmat(C)
     if b.shape != c.shape:
         raise errors.OrderMismatch("pair must share an order")
-    K = commutator(b, c)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, 0
-    rank = int(np.sum(s > tol.rank_tol * s[0]))
+    rank = numeric_rank(commutator(b, c), tol)
     return rank, math.ceil(rank / 2)
 
 
@@ -192,8 +197,7 @@ def not_asdc_certificate(
         raise errors.EmptyFamily("need at least one matrix")
     n = mats[0].shape[0]
     coeffs, S = find_max_rank_element(mats, seed=seed, tol=tol)
-    s = np.linalg.svd(S.a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.rank_tol * s[0]:
+    if not certify_invertible(S, tol):
         raise errors.NoInvertibleElement(
             "no certified-invertible element in the span"
         )

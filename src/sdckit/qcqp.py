@@ -120,6 +120,54 @@ class Reformulation:
             }
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> "Reformulation":
+        """Inverse of to_json; P is re-certified invertible by Congruence.
+
+        The rsdc certificate in aux is not serialized and does not come
+        back; verification does not use it.
+        """
+        d = json.loads(text)
+        if d["method"] not in METHODS:
+            raise ValueError(f"unknown method {d['method']!r}")
+
+        def vec(key):
+            return np.asarray(d[key], dtype=float)
+
+        return cls(
+            method=d["method"],
+            dim=int(d["dim"]),
+            quad_obj=vec("quad_obj"),
+            quad_con=vec("quad_con"),
+            lin_obj=vec("lin_obj"),
+            lin_con=vec("lin_con"),
+            poly=vec("poly"),
+            equalities=tuple(np.asarray(r, dtype=float) for r in d["equalities"]),
+            P=Congruence(vec("P")),
+            kappa=float(d["kappa"]),
+            aux={k: d["aux"][k] for k in ("P1", "P2") if k in d["aux"]},
+        )
+
+
+def _coordinate_lps(L: np.ndarray, rhs: float, bounds: tuple, what: str):
+    """Maximize +-x_i over {x : Lx <= rhs} within per-coordinate bounds.
+
+    Yields (i, sign, result) lazily in the order (0, +), (0, -), (1, +),
+    ..., so a caller that stops early solves no further LP.
+    """
+    m, n = L.shape
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[i] = -sign  # linprog minimizes
+            res = scipy.optimize.linprog(
+                c, A_ub=L, b_ub=np.full(m, rhs), bounds=[bounds] * n,
+                method="highs",
+            )
+            if not res.success:
+                raise errors.SdckitError(f"{what} LP failed: {res.message}")
+            yield i, sign, res
+
 
 def recession_witness(L) -> np.ndarray | None:
     """A nonzero direction of the recession cone {d : Ld <= 0}, or None.
@@ -129,19 +177,9 @@ def recession_witness(L) -> np.ndarray | None:
     trivial and the polytope {Lx <= 1} is bounded.
     """
     L = np.asarray(L, dtype=float)
-    m, n = L.shape
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sign  # linprog minimizes
-            res = scipy.optimize.linprog(
-                c, A_ub=L, b_ub=np.zeros(m), bounds=[(-1, 1)] * n,
-                method="highs",
-            )
-            if not res.success:
-                raise errors.SdckitError(f"recession LP failed: {res.message}")
-            if -res.fun > 1e-9:
-                return np.asarray(res.x, dtype=float)
+    for _, _, res in _coordinate_lps(L, 0.0, (-1, 1), "recession"):
+        if -res.fun > 1e-9:
+            return np.asarray(res.x, dtype=float)
     return None
 
 
@@ -273,20 +311,10 @@ def reformulate(
 
 def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate bounds of the polytope {Lx <= 1}."""
-    m, n = L.shape
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        for sign, out in ((1.0, hi), (-1.0, lo)):
-            c = np.zeros(n)
-            c[i] = -sign
-            res = scipy.optimize.linprog(
-                c, A_ub=L, b_ub=np.ones(m), bounds=[(None, None)] * n,
-                method="highs",
-            )
-            if not res.success:
-                raise errors.SdckitError(f"box LP failed: {res.message}")
-            out[i] = sign * (-res.fun)
+    lo = np.empty(L.shape[1])
+    hi = np.empty(L.shape[1])
+    for i, sign, res in _coordinate_lps(L, 1.0, (None, None), "box"):
+        (hi if sign > 0 else lo)[i] = sign * (-res.fun)
     return lo, hi
 
 
@@ -410,15 +438,16 @@ class BenchConfig:
     methods: tuple = METHODS
     m: int = 100
     samples: int = 100
-    n_jobs: int = 1
 
 
-def _bench_cell(args):
-    n, k, seed, methods, m, samples, tol = args
+def _bench_cell(n, k, seed, methods, m, samples, tol):
     rows = []
     t0 = time.perf_counter()
     try:
         inst = generate_instance(n, k, m, seed)
+        gen_ms = 1000.0 * (time.perf_counter() - t0)
+        # one bounding box serves every method's verification
+        box = _polytope_box(inst.L)
     except errors.SdckitError as exc:
         return [
             {
@@ -428,7 +457,6 @@ def _bench_cell(args):
             }
             for meth in methods
         ]
-    gen_ms = 1000.0 * (time.perf_counter() - t0)
     for meth in methods:
         row = {
             "n": n, "k": k, "seed": seed, "method": meth,
@@ -442,7 +470,7 @@ def _bench_cell(args):
             row["reform_ms"] = round(1000.0 * (time.perf_counter() - t1), 3)
             row["dim"] = ref.dim
             row["kappa"] = ref.kappa
-            row["deviation"] = verify_reformulation(inst, ref, samples, seed)
+            row["deviation"] = verify_reformulation(inst, ref, samples, seed, box)
             cert = ref.aux.get("certificate")
             row["eig_residual"] = cert.eig_residual if cert is not None else 0.0
         except errors.SdckitError as exc:
@@ -455,9 +483,8 @@ def bench(config: BenchConfig, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Grid run: per-cell generation, reformulation and verification.
 
     Returns {"rows": [...], "medians": [...], "csv": text}; per-cell
-    failures are recorded in their rows and the run continues.  Cells
-    own independent seeds, so any execution order gives identical
-    output; rows are ordered by (n, k, seed, method).
+    failures are recorded in their rows and the run continues; rows are
+    ordered by (n, k, seed, method).
     """
     cells = [
         (n, k, seed, tuple(config.methods), config.m, config.samples, tol)
@@ -466,17 +493,8 @@ def bench(config: BenchConfig, tol: Tolerances = DEFAULT_TOL) -> dict:
         for seed in range(config.seeds)
     ]
     rows = []
-    if config.n_jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(config.n_jobs) as pool:
-            # map preserves cell order, so reports are identical under
-            # any parallelism
-            for cell_rows in pool.map(_bench_cell, cells):
-                rows.extend(cell_rows)
-    else:
-        for cell in cells:
-            rows.extend(_bench_cell(cell))
+    for cell in cells:
+        rows.extend(_bench_cell(*cell))
 
     medians = []
     for n in config.n_values:

@@ -36,7 +36,6 @@ __all__ = [
     "choose_xi",
     "choose_xi_points",
     "alpha_beta_recover",
-    "recover_alpha_beta",
     "solve_border_system",
     "solve_border_system2",
     "rsdc1_construct",
@@ -234,7 +233,7 @@ def solve_border_system2(lams, xi) -> tuple[np.ndarray, float]:
     return z, cond
 
 
-def recover_alpha_beta(x: float, y: float, lam: complex) -> tuple[float, float]:
+def alpha_beta_recover(x: float, y: float, lam: complex) -> tuple[float, float]:
     """Border parameters (alpha, beta) from the planted system values.
 
     Solves Im(lam)(beta^2 - alpha^2) - 2 Re(lam) alpha beta = x and
@@ -269,9 +268,6 @@ def recover_alpha_beta(x: float, y: float, lam: complex) -> tuple[float, float]:
             f"alpha-beta residual {max(res1, res2):.3e} exceeds {bound:.3e}"
         )
     return alpha, beta
-
-
-alpha_beta_recover = recover_alpha_beta
 
 
 def _eig_placement_residual(At, Bt, expected, tol) -> float:
@@ -389,7 +385,7 @@ def rsdc1_construct(A, B, strategy: str = "chebyshev",
         x, y, z, cond = solve_border_system(lams, xi)
         gamma = np.zeros(n)
         for i in range(k):
-            al, be = recover_alpha_beta(x[i], y[i], lams[i])
+            al, be = alpha_beta_recover(x[i], y[i], lams[i])
             gamma[form.r + 2 * i] = al
             gamma[form.r + 2 * i + 1] = be
         border = form.P.inv().T @ gamma

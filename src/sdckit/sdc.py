@@ -12,8 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from ._pencil import cluster_values, invariant_subspace, spectral_scale
-from .matcore import DEFAULT_TOL, Congruence, SymMat, Tolerances, asmat
+from ._pencil import (
+    cluster_values,
+    invariant_subspace,
+    noncommuting_pair,
+    spectral_scale,
+)
+from .matcore import DEFAULT_TOL, Congruence, SymMat, Tolerances, asmat, numeric_rank
 
 __all__ = [
     "Witness",
@@ -70,11 +75,7 @@ def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
     rng = np.random.default_rng(seed)
 
     def rank_of(c):
-        S = sum(ci * Ai for ci, Ai in zip(c, mats))
-        s = np.linalg.svd(S, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > tol.rank_tol * s[0]))
+        return numeric_rank(sum(ci * Ai for ci, Ai in zip(c, mats)), tol)
 
     best_c = np.zeros(m)
     best_c[0] = 1.0
@@ -111,14 +112,9 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     for i, (Mi) in enumerate(mats):
         if Mi.shape[0] != n:
             raise errors.OrderMismatch(f"member {i} has order {Mi.shape[0]} != {n}")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            scale = max(
-                1.0, np.linalg.norm(mats[i], 2) * np.linalg.norm(mats[j], 2)
-            )
-            if np.linalg.norm(comm, 2) > tol.resid_tol * scale:
-                raise errors.NotCommuting(f"members {i} and {j} do not commute")
+    pair = noncommuting_pair(mats, tol)
+    if pair is not None:
+        raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
 
     def refine(basis: np.ndarray, depth: int) -> list[np.ndarray]:
         d = basis.shape[1]
@@ -194,6 +190,28 @@ def _joint_eigenvalue_groups(diags: np.ndarray, tol: Tolerances) -> list[np.ndar
     return groups
 
 
+def _certified(P: np.ndarray, mats, tol: Tolerances) -> SdcResult:
+    """SDC result for the congruence P, certified before return.
+
+    Every P^T A_i P must be diagonal up to an off-diagonal residual of
+    resid_tol * kappa(P)^2 * max(1, |A_i|_2); otherwise raises
+    CertificationFailed.
+    """
+    cong = Congruence(P)
+    diagonals = []
+    for i, A in enumerate(mats):
+        D = P.T @ A @ P
+        d = np.diag(D).copy()
+        resid = np.linalg.norm(D - np.diag(d), 2)
+        bound = tol.resid_tol * cong.kappa**2 * max(1.0, np.linalg.norm(A, 2))
+        if resid > bound:
+            raise errors.CertificationFailed(
+                f"off-diagonal residual {resid:.3e} for member {i} exceeds {bound:.3e}"
+            )
+        diagonals.append(d)
+    return SdcResult("SDC", congruence=cong, diagonals=tuple(diagonals))
+
+
 def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     """SDC decision when S in the span is certified invertible."""
     n = S.shape[0]
@@ -201,15 +219,9 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
 
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
-    for i in range(len(Ms)):
-        for j in range(i + 1, len(Ms)):
-            comm = Ms[i] @ Ms[j] - Ms[j] @ Ms[i]
-            scale = max(1.0, np.linalg.norm(Ms[i], 2) * np.linalg.norm(Ms[j], 2))
-            val = np.linalg.norm(comm, 2)
-            if val > tol.resid_tol * scale:
-                return SdcResult(
-                    "NotSDC", witness=Witness("non-commuting", i, j, val)
-                )
+    pair = noncommuting_pair(Ms, tol)
+    if pair is not None:
+        return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     for i, M in enumerate(Ms):
         w = np.linalg.eigvals(M)
         scale = spectral_scale(w)
@@ -265,20 +277,7 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
         if P[i, j] < 0:
             P[:, j] = -P[:, j]
 
-    cong = Congruence(P)
-    diagonals = []
-    for i, A in enumerate(mats):
-        D = P.T @ A @ P
-        d = np.diag(D).copy()
-        off = D - np.diag(d)
-        bound = tol.resid_tol * cong.kappa**2 * max(1.0, np.linalg.norm(A, 2))
-        if np.linalg.norm(off, 2) > bound:
-            raise errors.CertificationFailed(
-                f"off-diagonal residual {np.linalg.norm(off, 2):.3e} for member "
-                f"{i} exceeds {bound:.3e}"
-            )
-        diagonals.append(d)
-    return SdcResult("SDC", congruence=cong, diagonals=tuple(diagonals))
+    return _certified(P, mats, tol)
 
 
 def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult:
@@ -313,24 +312,10 @@ def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult
             inner = sdc_check([D @ A @ D for A in mats], tol, seed)
             if not inner.is_sdc:
                 return inner
-            P = D @ inner.congruence.P
-            cong = Congruence(P)
-            diagonals = []
-            for i, A in enumerate(mats):
-                M = P.T @ A @ P
-                dd = np.diag(M).copy()
-                off = M - np.diag(dd)
-                bound = tol.resid_tol * cong.kappa**2 * max(1.0, np.linalg.norm(A, 2))
-                if np.linalg.norm(off, 2) > bound:
-                    raise errors.CertificationFailed(
-                        "equilibrated certificate failed at the original scale"
-                    )
-                diagonals.append(dd)
-            return SdcResult("SDC", congruence=cong, diagonals=tuple(diagonals))
+            return _certified(D @ inner.congruence.P, mats, tol)
 
     _, S = find_max_rank_element(mats, seed=seed, tol=tol)
-    s = np.linalg.svd(S.a, compute_uv=False)
-    rank = int(np.sum(s > tol.rank_tol * s[0])) if s[0] > 0 else 0
+    rank = numeric_rank(S, tol)
 
     if rank == n:
         return _sdc_nonsingular(mats, S.a, tol)
@@ -393,31 +378,11 @@ def sdc_check_pd(family, pd_coefficients, tol: Tolerances = DEFAULT_TOL) -> SdcR
     S_isqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     Ns = [S_isqrt @ A @ S_isqrt for A in mats]
     Ns = [0.5 * (N + N.T) for N in Ns]
-    for i in range(len(Ns)):
-        for j in range(i + 1, len(Ns)):
-            comm = Ns[i] @ Ns[j] - Ns[j] @ Ns[i]
-            scale = max(1.0, np.linalg.norm(Ns[i], 2) * np.linalg.norm(Ns[j], 2))
-            val = np.linalg.norm(comm, 2)
-            if val > tol.resid_tol * scale:
-                return SdcResult(
-                    "NotSDC", witness=Witness("non-commuting", i, j, val)
-                )
+    pair = noncommuting_pair(Ns, tol)
+    if pair is not None:
+        return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     # joint orthogonal eigenbasis of commuting symmetric matrices
-    Q = _joint_orthobasis(Ns, tol)
-    P = S_isqrt @ Q
-    cong = Congruence(P)
-    diagonals = []
-    for i, A in enumerate(mats):
-        D = P.T @ A @ P
-        d = np.diag(D).copy()
-        off = D - np.diag(d)
-        bound = tol.resid_tol * cong.kappa**2 * max(1.0, np.linalg.norm(A, 2))
-        if np.linalg.norm(off, 2) > bound:
-            raise errors.CertificationFailed(
-                f"off-diagonal residual for member {i} exceeds {bound:.3e}"
-            )
-        diagonals.append(d)
-    return SdcResult("SDC", congruence=cong, diagonals=tuple(diagonals))
+    return _certified(S_isqrt @ _joint_orthobasis(Ns, tol), mats, tol)
 
 
 def _joint_orthobasis(sym_mats, tol: Tolerances) -> np.ndarray:

@@ -21,7 +21,7 @@ from ._chains import (
     canonicalize_real_pencil,
     splitting_perturbation,
 )
-from ._pencil import invariant_subspace, spectral_scale
+from ._pencil import invariant_subspace, noncommuting_pair, spectral_scale
 from .asdc import DEFECT_CAP, _spectrum_is_real
 from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, f_mat, g_mat
 from .sdc import sdc_check
@@ -139,14 +139,12 @@ def triple_case4(sigma: int, n: int, C, eps: float):
 
 
 def _validate_structured_triple(A, B, C, tol: Tolerances):
-    MB = np.linalg.solve(A, B)
-    MC = np.linalg.solve(A, C)
-    comm = MB @ MC - MC @ MB
-    scale = max(1.0, np.linalg.norm(MB, 2) * np.linalg.norm(MC, 2))
-    if np.linalg.norm(comm, 2) > tol.resid_tol * scale * 10:
+    pair = noncommuting_pair(
+        [np.linalg.solve(A, B), np.linalg.solve(A, C)], tol, factor=10
+    )
+    if pair is not None:
         raise errors.StructureMismatch(
-            f"A^-1 B and A^-1 C do not commute (residual "
-            f"{np.linalg.norm(comm, 2):.3e})"
+            f"A^-1 B and A^-1 C do not commute (residual {pair[2]:.3e})"
         )
     if not _spectrum_is_real(A, C, tol):
         raise errors.StructureMismatch("A^-1 C has non-real spectrum")

@@ -69,6 +69,20 @@ def test_reformulate_and_verify(tmp_path):
                 "30"]) == 0
 
 
+def test_verify_checks_the_file(tmp_path):
+    inst = tmp_path / "inst.json"
+    ref = tmp_path / "ref.json"
+    run(["gen", "--n", "6", "--k", "1", "--m", "40", "--seed", "2", "-o", str(inst)])
+    assert run(["reformulate", "-i", str(inst), "--method", "rsdc2",
+                "-o", str(ref)]) == 0
+    data = json.loads(ref.read_text())
+    data["P"] = (1.5 * np.asarray(data["P"])).tolist()
+    data["quad_obj"] = [0.0] * len(data["quad_obj"])
+    ref.write_text(json.dumps(data))
+    assert run(["verify", "-i", str(inst), "-r", str(ref), "--samples",
+                "30"]) == 10
+
+
 def test_precondition_exit_code(tmp_path):
     pair = tmp_path / "sing.json"
     write_matrices(pair, [np.diag([1.0, 0.0]), np.eye(2)])

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.optimize
 from dataclasses import replace
 
 from sdckit import errors
@@ -7,6 +10,7 @@ from sdckit.matcore import Congruence
 from sdckit.qcqp import (
     BenchConfig,
     QcqpInstance,
+    Reformulation,
     bench,
     check_bounded,
     generate_instance,
@@ -121,6 +125,22 @@ class TestReformulations:
         bad = replace(ref, P=Congruence(bad_P))
         assert verify_reformulation(inst, bad, samples=60) > 1e-4
 
+    @pytest.mark.parametrize("method", ["rsdc1", "rsdc2", "eig"])
+    def test_json_round_trip(self, inst, method):
+        ref = reformulate(inst, method)
+        text = ref.to_json()
+        back = Reformulation.from_json(text)
+        assert back.to_json() == text
+        assert verify_reformulation(inst, back, samples=30) == verify_reformulation(
+            inst, ref, samples=30
+        )
+
+    def test_from_json_rejects_singular_p(self, inst):
+        data = json.loads(reformulate(inst, "rsdc2").to_json())
+        data["P"][0] = [0.0] * len(data["P"][0])
+        with pytest.raises(errors.SingularCongruence):
+            Reformulation.from_json(json.dumps(data))
+
 
 class TestIdentityInstance:
     def test_sdc_deviation_is_roundoff(self):
@@ -189,6 +209,23 @@ class TestBench:
             if r["method"] in ("rsdc1", "rsdc2", "eig"):
                 assert r["kappa"] is not None
         assert "n,k,seed,method,dim,kappa,deviation" in report["csv"]
+
+    def test_box_lps_solved_once_per_instance(self, monkeypatch):
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        generate_instance(6, 1, 30, 0)
+        gen_calls = len(calls)
+        calls.clear()
+        cfg = BenchConfig((6,), (1,), 1, ("rsdc1", "rsdc2", "eig"), m=30, samples=10)
+        bench(cfg)
+        # the generator's recession LPs plus one box of 2n LPs
+        assert len(calls) == gen_calls + 2 * 6
 
     def test_failures_recorded_not_raised(self):
         cfg = BenchConfig(n_values=(5,), k_values=(1,), seeds=1, methods=("sdc",), m=30)
