@@ -1,8 +1,8 @@
 """Internal helpers for real symmetric pencils.
 
 Shared by the canonical-form, SDC, ASDC and RSDC modules: certified
-invertibility, the pairwise commutation test, eigenvalue clustering and
-invariant subspace extraction.
+invertibility, the pairwise commutation test, eigenvalue clustering,
+invariant subspace extraction and the column-sign convention.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "spectral_scale",
     "cluster_values",
     "invariant_subspace",
+    "fix_column_signs",
 ]
 
 
@@ -78,3 +79,10 @@ def invariant_subspace(M: np.ndarray, center: float, radius: float) -> np.ndarra
             f"no eigenvalues within {radius:.3e} of {center}"
         )
     return Z[:, :sdim]
+
+
+def fix_column_signs(P: np.ndarray) -> np.ndarray:
+    """P with every column negated whose largest-magnitude entry (the
+    first, on ties) is negative."""
+    rows = np.argmax(np.abs(P), axis=0)
+    return np.where(P[rows, np.arange(P.shape[1])] < 0, -P, P)

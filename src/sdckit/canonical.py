@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from ._pencil import certify_invertible, spectral_scale
+from ._pencil import certify_invertible, fix_column_signs, spectral_scale
 from .matcore import (
     DEFAULT_TOL,
     Congruence,
@@ -185,20 +185,17 @@ class BlockSpec:
         return cls(tuple(blocks))
 
 
-def _normalize_real_vector(A: np.ndarray, v: np.ndarray, tol: Tolerances):
-    """Scale v so v^T A v = +-1; returns (v, sigma)."""
+def _normalize_real_vector(A: np.ndarray, anorm: float, v: np.ndarray, tol: Tolerances):
+    """Scale v so v^T A v = +-1, where anorm = |A|_2; returns (v, sigma)."""
     t = float(v @ A @ v)
-    if abs(t) <= tol.rank_tol * max(1.0, np.linalg.norm(A, 2)) * float(v @ v):
+    if abs(t) <= tol.rank_tol * max(1.0, anorm) * float(v @ v):
         raise errors.CertificationFailed("degenerate A-norm of a real eigenvector")
-    v = v / np.sqrt(abs(t))
-    i = int(np.argmax(np.abs(v)))
-    if v[i] < 0:
-        v = -v
-    return v, int(np.sign(t))
+    return v / np.sqrt(abs(t)), int(np.sign(t))
 
 
-def _normalize_complex_pair(A: np.ndarray, u: np.ndarray, tol: Tolerances):
-    """Real 2-column basis W with W^T A W = F_2 for eigenvector u of lam.
+def _normalize_complex_pair(A: np.ndarray, anorm: float, u: np.ndarray, tol: Tolerances):
+    """Real 2-column basis W with W^T A W = F_2 for eigenvector u of lam,
+    where anorm = |A|_2.
 
     Works in the commutant of the rotation block so the B-side lands on
     T(lam) automatically.
@@ -213,7 +210,7 @@ def _normalize_complex_pair(A: np.ndarray, u: np.ndarray, tol: Tolerances):
     v = aloc[0, 1]
     w = 0.5 * (aloc[0, 0] - aloc[1, 1])
     zeta = complex(v, w)
-    scale = max(1.0, np.linalg.norm(A, 2)) * float(np.linalg.norm(W, 2) ** 2)
+    scale = max(1.0, anorm) * float(np.linalg.norm(W, 2) ** 2)
     if abs(zeta) <= tol.rank_tol * scale:
         raise errors.CertificationFailed("degenerate local Gram of a complex pair")
     c = 1.0 / np.sqrt(zeta)
@@ -254,31 +251,31 @@ def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
         elif lam.imag > 0:
             complex_cols.append((complex(lam), i))
 
-    # simple-eigenvalue precondition: all pairwise gaps above threshold
+    # simple-eigenvalue precondition: all pairwise gaps above threshold;
+    # the message names the first offending pair in (real, imag) order
     gap_thr = tol.cluster_tol * scale
-    ws = sorted(w, key=lambda z: (z.real, z.imag))
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            if abs(ws[i] - ws[j]) <= gap_thr:
-                raise errors.RepeatedEigenvalues(
-                    f"eigenvalues {ws[i]} and {ws[j]} are closer than "
-                    f"{gap_thr:.3e}"
-                )
+    ws = w[np.lexsort((w.imag, w.real))]
+    near = np.triu(np.abs(ws[:, None] - ws[None, :]) <= gap_thr, 1)
+    if near.any():
+        i, j = np.argwhere(near)[0]
+        raise errors.RepeatedEigenvalues(
+            f"eigenvalues {ws[i]} and {ws[j]} are closer than {gap_thr:.3e}"
+        )
 
     real_cols.sort(key=lambda t: t[0])
     complex_cols.sort(key=lambda t: (t[0].real, t[0].imag))
 
-    cols = []
+    anorm = float(np.linalg.norm(a, 2))
     real_blocks = []
+    real_vecs = []
     for mu, i in real_cols:
-        v = V[:, i].real.copy()
-        v, sigma = _normalize_real_vector(a, v, tol)
-        cols.append(v[:, None])
+        v, sigma = _normalize_real_vector(a, anorm, V[:, i].real.copy(), tol)
+        real_vecs.append(v)
         real_blocks.append((sigma, float(mu)))
+    cols = [fix_column_signs(np.column_stack(real_vecs))] if real_vecs else []
     complex_blocks = []
     for lam, i in complex_cols:
-        W = _normalize_complex_pair(a, V[:, i], tol)
-        cols.append(W)
+        cols.append(_normalize_complex_pair(a, anorm, V[:, i], tol))
         complex_blocks.append(lam)
 
     P = np.hstack(cols) if cols else np.zeros((0, 0))

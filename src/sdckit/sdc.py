@@ -14,6 +14,7 @@ import numpy as np
 from . import errors
 from ._pencil import (
     cluster_values,
+    fix_column_signs,
     invariant_subspace,
     noncommuting_pair,
     spectral_scale,
@@ -100,10 +101,10 @@ def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
 def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Shared eigenbasis of commuting diagonalizable real-spectrum matrices.
 
-    Recursive eigenspace refinement: split along the first member with a
-    non-scalar spectrum on the current subspace and recurse per
-    eigenvalue cluster.  Returns invertible V with V^{-1} M V diagonal
-    for every member.
+    Eigenspace refinement (see _refine): split along the first member
+    with a non-scalar spectrum on the current subspace and refine each
+    eigenvalue cluster further.  Returns invertible V with V^{-1} M V
+    diagonal for every member.
     """
     mats = [asmat(m) for m in family]
     if not mats:
@@ -115,43 +116,7 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     pair = noncommuting_pair(mats, tol)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
-
-    def refine(basis: np.ndarray, depth: int) -> list[np.ndarray]:
-        d = basis.shape[1]
-        if d == 1 or depth == len(mats):
-            return [basis]
-        M = mats[depth]
-        Mloc = basis.T @ M @ basis
-        w = np.linalg.eigvals(Mloc)
-        scale = spectral_scale(w)
-        if np.max(np.abs(w.imag)) > tol.eig_real_tol * scale:
-            raise errors.NotDiagonalizable(
-                f"member {depth} has non-real spectrum on a joint subspace"
-            )
-        wr = w.real
-        diam = max(float(wr.max() - wr.min()), 1.0)
-        clusters = cluster_values(wr, tol.cluster_tol * diam)
-        if len(clusters) == 1:
-            lam = float(np.mean(wr))
-            if np.linalg.norm(Mloc - lam * np.eye(d), 2) > 100 * tol.cluster_tol * diam:
-                raise errors.NotDiagonalizable(
-                    f"member {depth} is not diagonalizable"
-                )
-            return refine(basis, depth + 1)
-        out = []
-        for idx in clusters:
-            lam = float(np.mean(wr[idx]))
-            spread = float(np.max(np.abs(wr[idx] - lam)))
-            U = invariant_subspace(Mloc, lam, spread + tol.cluster_tol * diam)
-            if U.shape[1] != len(idx):
-                raise errors.NotDiagonalizable(
-                    f"member {depth} has a defective eigenvalue near {lam}"
-                )
-            out.extend(refine(basis @ U, depth))
-        return out
-
-    blocks = refine(np.eye(n), 0)
-    V = np.hstack(blocks)
+    V = _refine(mats, tol, symmetric=False)
 
     # certify: every member diagonal in the joint basis
     Vinv = np.linalg.inv(V)
@@ -168,25 +133,83 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return V
 
 
+def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
+    """Columns of a shared eigenbasis of commuting matrices.
+
+    A depth-first worklist of (orthonormal basis, member) pairs: the
+    member is compressed to the basis and decomposed once, by eigh when
+    symmetric and eig otherwise.  Its eigenvalue clusters split the
+    basis; in the general case a simple cluster keeps its eigenvector
+    and only a repeated one goes through a sorted Schur form.
+    """
+    out = []
+    todo = [(np.eye(mats[0].shape[0]), 0)]
+    while todo:
+        basis, depth = todo.pop()
+        d = basis.shape[1]
+        if d == 1 or depth == len(mats):
+            out.append(basis)
+            continue
+        Mloc = basis.T @ mats[depth] @ basis
+        if symmetric:
+            wr, X = np.linalg.eigh(0.5 * (Mloc + Mloc.T))
+        else:
+            w, X = np.linalg.eig(Mloc)
+            if np.max(np.abs(w.imag)) > tol.eig_real_tol * spectral_scale(w):
+                raise errors.NotDiagonalizable(
+                    f"member {depth} has non-real spectrum on a joint subspace"
+                )
+            wr = w.real
+        diam = max(float(wr.max() - wr.min()), 1.0)
+        clusters = cluster_values(wr, tol.cluster_tol * diam)
+        if len(clusters) == 1:
+            lam = float(np.mean(wr))
+            if not symmetric and (
+                np.linalg.norm(Mloc - lam * np.eye(d), 2) > 100 * tol.cluster_tol * diam
+            ):
+                raise errors.NotDiagonalizable(f"member {depth} is not diagonalizable")
+            todo.append((basis, depth + 1))
+            continue
+        children = []
+        for idx in clusters:
+            if symmetric:
+                U = X[:, idx]
+            elif len(idx) == 1:
+                # a conjugate pair shares its real part and so never forms a
+                # cluster of one: this eigenvalue and its vector are real
+                u = X[:, idx].real
+                U = u / np.linalg.norm(u)
+            else:
+                lam = float(np.mean(wr[idx]))
+                spread = float(np.max(np.abs(wr[idx] - lam)))
+                try:
+                    U = invariant_subspace(Mloc, lam, spread + tol.cluster_tol * diam)
+                except errors.StructureMismatch as exc:
+                    raise errors.NotDiagonalizable(
+                        f"member {depth}: no eigenvalue found near {lam}"
+                    ) from exc
+                if U.shape[1] != len(idx):
+                    raise errors.NotDiagonalizable(
+                        f"member {depth} has a defective eigenvalue near {lam}"
+                    )
+            children.append(basis @ U)
+        todo.extend((child, depth) for child in reversed(children))
+    return np.hstack(out)
+
+
 def _joint_eigenvalue_groups(diags: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
-    """Group coordinates by the joint eigenvalue tuple across the family."""
-    m, n = diags.shape
-    remaining = list(range(n))
+    """Group coordinates by the joint eigenvalue tuple across the family:
+    the first ungrouped coordinate takes every ungrouped one within
+    10 * cluster_tol * max(1, max|diags[t]|) of it in every member t."""
+    thr = 10 * tol.cluster_tol * np.maximum(1.0, np.max(np.abs(diags), axis=1))
+    far = np.abs(diags[:, :, None] - diags[:, None, :]) > thr[:, None, None]
+    close = ~np.any(far, axis=0)
+    remaining = np.arange(diags.shape[1])
     groups = []
-    while remaining:
-        i = remaining[0]
-        grp = [i]
-        rest = []
-        for j in remaining[1:]:
-            close = True
-            for t in range(m):
-                scale = max(1.0, float(np.max(np.abs(diags[t]))))
-                if abs(diags[t, i] - diags[t, j]) > 10 * tol.cluster_tol * scale:
-                    close = False
-                    break
-            (grp if close else rest).append(j)
-        groups.append(np.array(grp, dtype=int))
-        remaining = rest
+    while remaining.size:
+        mask = close[remaining[0], remaining]
+        groups.append(remaining[mask])
+        remaining = remaining[~mask]
     return groups
 
 
@@ -214,7 +237,6 @@ def _certified(P: np.ndarray, mats, tol: Tolerances) -> SdcResult:
 
 def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     """SDC decision when S in the span is certified invertible."""
-    n = S.shape[0]
     Ms = [np.linalg.solve(S, A) for A in mats]
 
     # commuting first: the witness order is commutation, realness,
@@ -271,13 +293,7 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     PtAP = [P.T @ A @ P for A in mats]
     keys = np.round(np.array([np.diag(D) for D in PtAP]), 6)
     order = np.lexsort(keys[::-1])
-    P = P[:, order]
-    for j in range(n):
-        i = int(np.argmax(np.abs(P[:, j])))
-        if P[i, j] < 0:
-            P[:, j] = -P[:, j]
-
-    return _certified(P, mats, tol)
+    return _certified(fix_column_signs(P[:, order]), mats, tol)
 
 
 def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult:
@@ -382,26 +398,4 @@ def sdc_check_pd(family, pd_coefficients, tol: Tolerances = DEFAULT_TOL) -> SdcR
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     # joint orthogonal eigenbasis of commuting symmetric matrices
-    return _certified(S_isqrt @ _joint_orthobasis(Ns, tol), mats, tol)
-
-
-def _joint_orthobasis(sym_mats, tol: Tolerances) -> np.ndarray:
-    """Joint orthonormal eigenbasis of commuting symmetric matrices."""
-    n = sym_mats[0].shape[0]
-
-    def refine(basis: np.ndarray, depth: int) -> list[np.ndarray]:
-        if basis.shape[1] == 1 or depth == len(sym_mats):
-            return [basis]
-        Mloc = basis.T @ sym_mats[depth] @ basis
-        Mloc = 0.5 * (Mloc + Mloc.T)
-        w, V = np.linalg.eigh(Mloc)
-        diam = max(float(w[-1] - w[0]), 1.0)
-        clusters = cluster_values(w, tol.cluster_tol * diam)
-        if len(clusters) == 1:
-            return refine(basis, depth + 1)
-        out = []
-        for idx in clusters:
-            out.extend(refine(basis @ V[:, idx], depth))
-        return out
-
-    return np.hstack(refine(np.eye(n), 0))
+    return _certified(S_isqrt @ _refine(Ns, tol, symmetric=True), mats, tol)

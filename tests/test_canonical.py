@@ -58,6 +58,14 @@ def test_repeated_eigenvalues_rejected():
         pencil_canonical(f_mat(2), np.array([[0.0, 1.0], [1.0, 1.0]]))
 
 
+def test_repeated_eigenvalues_message_names_first_pair():
+    # the first close pair in (real, imag) order, not the first found
+    mu = [3.0 + 1e-9, 2.0, 1.0 + 1e-9, 3.0, 1.0]
+    first_pair = r"eigenvalues 1\.0 and 1\.000000001 "
+    with pytest.raises(errors.RepeatedEigenvalues, match=first_pair):
+        pencil_canonical(np.eye(5), np.diag(mu))
+
+
 def test_classification_refusal_band():
     # eigenvalues 1 +- i*3e-8 sit inside (eig_real_tol, 10 eig_real_tol)
     eps = 3e-8

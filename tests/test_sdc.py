@@ -1,10 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_congruence, random_sdc_family
 from sdckit import errors
-from sdckit.matcore import direct_sum, f_mat
+from sdckit.matcore import DEFAULT_TOL, direct_sum, f_mat, g_mat
 from sdckit.sdc import (
+    _joint_eigenvalue_groups,
     find_max_rank_element,
     sdc_check,
     sdc_check_pd,
@@ -217,3 +222,137 @@ def test_homogenization_implication(rng):
         premise = sdc_check(Qs + [corner]).is_sdc
         conclusion = sdc_check(fam).is_sdc
         assert (not premise) or conclusion
+
+
+def _scrambled_pair(A0, B0, Q):
+    return [0.5 * (Q.T @ M @ Q + (Q.T @ M @ Q).T) for M in (A0, B0)]
+
+
+def test_simple_spectrum_needs_no_schur(rng, monkeypatch):
+    # simple clusters take their eigenvectors from the one eig per level;
+    # only repeated clusters need a sorted Schur form
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    fam, _ = random_sdc_family(rng, 40, 2)
+    assert sdc_check(fam).is_sdc
+    assert len(calls) == 0
+    # a joint eigenvalue of multiplicity 3 is one repeated cluster
+    P0 = random_congruence(rng, 6, 10.0)
+    Pi = np.linalg.inv(P0)
+    fam = [Pi.T @ np.diag(d) @ Pi for d in (np.ones(6), [1.0, 1.0, 1.0, 2.0, 3.0, 4.0])]
+    assert sdc_check([0.5 * (A + A.T) for A in fam]).is_sdc
+    assert len(calls) >= 1
+
+
+def _greedy_groups_reference(diags, tol):
+    # the pairwise loop the vectorized grouping replaced
+    m, n = diags.shape
+    remaining = list(range(n))
+    groups = []
+    while remaining:
+        i = remaining[0]
+        grp, rest = [i], []
+        for j in remaining[1:]:
+            close = True
+            for t in range(m):
+                scale = max(1.0, float(np.max(np.abs(diags[t]))))
+                if abs(diags[t, i] - diags[t, j]) > 10 * tol.cluster_tol * scale:
+                    close = False
+                    break
+            (grp if close else rest).append(j)
+        groups.append(np.array(grp, dtype=int))
+        remaining = rest
+    return groups
+
+
+def test_joint_eigenvalue_groups_match_greedy_loop(rng):
+    tol = DEFAULT_TOL
+    h = 10 * tol.cluster_tol  # the grouping threshold at scale 1
+    cases = [
+        # ties, a near-tie just inside and one just outside the threshold
+        np.array([[1.0, 2.0, 1.0, 1.0 + 0.9 * h, 1.0 + 1.1 * h, 2.0]]),
+        # the second member separates coordinates tied in the first
+        np.array([[1.0, 1.0, 1.0, 0.5, 0.5], [3.0, 4.0, 3.0, 4.0, 4.0 + 0.5 * h]]),
+        # non-transitive chain: 0~1 and 1~2 but not 0~2; the anchor decides
+        np.array([[0.0, 0.6 * h, 1.2 * h, 0.5]]),
+        # the threshold scales with the largest entry of each member
+        np.array([[100.0, 100.0 + 500 * h, 100.0 + 2000 * h], [0.0, 0.0, 0.0]]),
+        # three members, one of them all zero
+        np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0], [5.0, 6.0, 5.0, 5.0]]),
+        np.zeros((2, 1)),
+    ]
+    for _ in range(20):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+        cases.append(rng.integers(0, 3, (m, n)) + rng.choice([0.0, 0.4 * h, 2 * h], (m, n)))
+    for diags in cases:
+        got = _joint_eigenvalue_groups(diags, tol)
+        want = _greedy_groups_reference(diags, tol)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    groups = _joint_eigenvalue_groups(cases[2], tol)
+    assert [g.tolist() for g in groups] == [[0, 1], [2], [3]]
+
+
+def test_simdiag_releases_its_members():
+    # the refinement holds no reference cycle, so the members are freed
+    # when the call returns, without a cyclic garbage collection
+    M = np.diag([1.0, 2.0, 2.0, 3.0])
+    ref = weakref.ref(M)
+    gc.disable()
+    try:
+        simdiag_commuting([M, M @ M])
+        del M
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_lost_cluster_is_not_diagonalizable(monkeypatch):
+    # a sorted Schur form that finds no eigenvalue of a cluster (its
+    # eigenvalues moved between eig and Schur) is a defective pencil
+    def nothing_inside(M, center, radius):
+        raise errors.StructureMismatch(f"no eigenvalues within {radius:.3e} of {center}")
+
+    monkeypatch.setattr("sdckit.sdc.invariant_subspace", nothing_inside)
+    with pytest.raises(errors.NotDiagonalizable):
+        simdiag_commuting([np.diag([1.0, 1.0, 2.0])])
+    res = sdc_check([np.eye(3), np.diag([1.0, 1.0, 2.0])])
+    assert not res.is_sdc and res.witness.kind == "not-diagonalizable"
+
+
+def test_near_jordan_family_gets_a_verdict():
+    # (F2 + I3, (lam F2 + G2) + Diag(d)) scrambled by a Gaussian Q: the
+    # Jordan eigenvalue splits under roundoff, and the oracle must answer
+    # with a verdict rather than leak StructureMismatch
+    A0 = direct_sum(f_mat(2), np.eye(3))
+    for s in range(1000):
+        r = np.random.default_rng(s)
+        lam, d = r.standard_normal(), r.standard_normal(3)
+        B0 = direct_sum(lam * f_mat(2) + g_mat(2), np.diag(d))
+        res = sdc_check(_scrambled_pair(A0, B0, r.standard_normal((5, 5))))
+        assert res.is_sdc or res.witness.kind in ("non-real-eigenvalue", "not-diagonalizable")
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_scrambled_jordan_blocks_stay_not_sdc(size):
+    # a real Jordan block of size 3 or 4 beside simple real eigenvalues
+    for s in range(20):
+        r = np.random.default_rng(s)
+        extra = s % 4
+        sigma = r.choice([-1.0, 1.0], extra)
+        mu = r.standard_normal(extra)
+        theta = r.standard_normal()
+        A0 = direct_sum(f_mat(size), *([np.diag(sigma)] if extra else []))
+        B0 = direct_sum(
+            theta * f_mat(size) + g_mat(size), *([np.diag(sigma * mu)] if extra else [])
+        )
+        Q = random_congruence(r, size + extra, 10.0)
+        res = sdc_check(_scrambled_pair(A0, B0, Q), seed=s)
+        assert not res.is_sdc, (size, s)
