@@ -222,8 +222,13 @@ def commutator(A, B) -> np.ndarray:
 
 
 def numeric_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_tol times the largest."""
-    a = asmat(M)
+    """Number of singular values above rank_tol times the largest.
+
+    M may be rectangular (m x n), as for a constraint matrix.
+    """
+    a = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
+    if a.ndim != 2:
+        raise errors.OrderMismatch(f"expected a matrix, got shape {a.shape}")
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)

@@ -23,7 +23,15 @@ import scipy.linalg
 import scipy.optimize
 
 from . import errors
-from .matcore import DEFAULT_TOL, Congruence, SymMat, Tolerances, asmat, f_mat
+from .matcore import (
+    DEFAULT_TOL,
+    Congruence,
+    SymMat,
+    Tolerances,
+    asmat,
+    f_mat,
+    numeric_rank,
+)
 from .rsdc import rsdc1_construct, rsdc2_construct
 from .sdc import sdc_check
 
@@ -174,7 +182,9 @@ def recession_witness(L) -> np.ndarray | None:
 
     Found by 2n linear programs maximizing +-e_i^T d over the cone
     intersected with the unit box; all optima zero means the cone is
-    trivial and the polytope {Lx <= 1} is bounded.
+    trivial and the polytope {Lx <= 1} is bounded.  This produces a
+    witness for an unbounded polytope; deciding boundedness alone takes
+    the single LP of check_bounded.
     """
     L = np.asarray(L, dtype=float)
     for _, _, res in _coordinate_lps(L, 0.0, (-1, 1), "recession"):
@@ -184,8 +194,29 @@ def recession_witness(L) -> np.ndarray | None:
 
 
 def check_bounded(L) -> bool:
-    """True when the recession cone {d : Ld <= 0} is trivial."""
-    return recession_witness(L) is None
+    """True when the polytope {x : Lx <= 1} is bounded.
+
+    Stiemke's alternative: the recession cone {d : Ld <= 0} is {0}
+    exactly when L has full column rank and L^T y = 0 for some y > 0.
+    An L of numeric rank below n (at rank_tol) is unbounded without an
+    LP; otherwise one feasibility LP looks for such a y, scaled to
+    y >= 1.
+    """
+    L = np.asarray(L, dtype=float)
+    m, n = L.shape
+    if numeric_rank(L) < n:
+        return False
+    res = scipy.optimize.linprog(
+        np.zeros(m), A_eq=L.T, b_eq=np.zeros(n), bounds=(1, None),
+        method="highs",
+    )
+    if res.status == 2:  # infeasible: no positive y
+        return False
+    if res.status != 0:
+        raise errors.SdckitError(
+            f"boundedness LP failed with status {res.status}: {res.message}"
+        )
+    return True
 
 
 def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
@@ -318,41 +349,51 @@ def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _solve_refined(P: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve P w = b with extended-precision iterative refinement.
+def _solve_refined(P: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve P W = B with extended-precision iterative refinement.
 
-    The verification compares values that agree exactly in exact
-    arithmetic; an ill-conditioned congruence (1-RSDC at larger k) would
-    otherwise cost kappa^2 eps of spurious deviation.
+    B is a vector or a block of right-hand-side columns; P is factored
+    once for all of them.  The verification compares values that agree
+    exactly in exact arithmetic; an ill-conditioned congruence (1-RSDC
+    at larger k) would otherwise cost kappa^2 eps of spurious deviation.
     """
+    lu = scipy.linalg.lu_factor(P)
     Pl = P.astype(np.longdouble)
-    bl = b.astype(np.longdouble)
-    w = np.linalg.solve(P, b).astype(np.longdouble)
+    Bl = B.astype(np.longdouble)
+    W = scipy.linalg.lu_solve(lu, B).astype(np.longdouble)
     for _ in range(3):
-        r = bl - Pl @ w
-        w = w + np.linalg.solve(P, r.astype(float)).astype(np.longdouble)
-    return w
+        R = Bl - Pl @ W
+        W = W + scipy.linalg.lu_solve(lu, R.astype(float)).astype(np.longdouble)
+    return W
 
 
-def _reformulated_values(inst, ref: Reformulation, x: np.ndarray):
+def _reformulated_values(inst, ref: Reformulation, X: np.ndarray):
+    """Reformulated objective and constraint values at the rows of X."""
     n = inst.n
     if ref.method == "eig":
         P1 = np.asarray(ref.aux["P1"], dtype=float)
         P2 = np.asarray(ref.aux["P2"], dtype=float)
-        y = P1.T @ x
-        z = P2.T @ y
-        obj = float(y @ (ref.quad_obj * y) + 2.0 * ref.lin_obj @ y)
-        con = float(z @ (ref.quad_con * z) + 2.0 * ref.lin_con @ y)
+        obj, con = [], []
+        for x in X:
+            y = P1.T @ x
+            z = P2.T @ y
+            obj.append(float(y @ (ref.quad_obj * y) + 2.0 * ref.lin_obj @ y))
+            con.append(float(z @ (ref.quad_con * z) + 2.0 * ref.lin_con @ y))
         return obj, con
     d = ref.dim - n
-    w = _solve_refined(ref.P.P, np.concatenate([x, np.zeros(d)]))
-    qo = ref.quad_obj.astype(np.longdouble)
-    qc = ref.quad_con.astype(np.longdouble)
+    # one column per point, stored row-major so that the sums along
+    # axis 0 add term by term in the order of a single column's dot
+    # product
+    W = np.ascontiguousarray(
+        _solve_refined(ref.P.P, np.vstack([X.T, np.zeros((d, len(X)))]))
+    )
+    qo = ref.quad_obj.astype(np.longdouble)[:, None]
+    qc = ref.quad_con.astype(np.longdouble)[:, None]
     lo = ref.lin_obj.astype(np.longdouble)
     lc = ref.lin_con.astype(np.longdouble)
-    obj = float(w @ (qo * w) + 2.0 * lo @ w)
-    con = float(w @ (qc * w) + 2.0 * lc @ w)
-    return obj, con
+    obj = np.sum(W * (qo * W), axis=0) + 2.0 * lo @ W
+    con = np.sum(W * (qc * W), axis=0) + 2.0 * lc @ W
+    return obj.astype(float).tolist(), con.astype(float).tolist()
 
 
 def verify_reformulation(
@@ -361,21 +402,22 @@ def verify_reformulation(
 ) -> float:
     """Max deviation between original and reformulated values.
 
-    Points are drawn uniformly in the polytope's bounding box and mapped
-    into the reformulation's variables respecting its equalities.  The
-    returned value is the largest absolute difference of objective and
-    constraint values relative to the sampled value scale.  A
-    precomputed (lo, hi) box can be passed to amortize the bound LPs
-    across repeated verifications of one instance.
+    Points are drawn uniformly in the polytope's bounding box, as one
+    (samples, n) block from the seeded generator, and mapped into the
+    reformulation's variables respecting its equalities; the congruence
+    is solved for all of them at once.  The returned value is the
+    largest absolute difference of objective and constraint values
+    relative to the sampled value scale.  A precomputed (lo, hi) box
+    can be passed to amortize the bound LPs across repeated
+    verifications of one instance.
     """
     rng = np.random.default_rng(seed)
     lo, hi = box if box is not None else _polytope_box(inst.L)
+    X = lo + (hi - lo) * rng.uniform(size=(samples, inst.n))
     worst = 0.0
     scale = 1.0
-    for _ in range(samples):
-        x = lo + (hi - lo) * rng.uniform(size=inst.n)
+    for x, o1, c1 in zip(X, *_reformulated_values(inst, ref, X)):
         o0, c0 = inst.objective(x), inst.constraint(x)
-        o1, c1 = _reformulated_values(inst, ref, x)
         worst = max(worst, abs(o0 - o1), abs(c0 - c1))
         scale = max(scale, abs(o0), abs(c0))
     return worst / scale

@@ -116,6 +116,11 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     pair = noncommuting_pair(mats, tol)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
+    return _joint_eigenbasis(mats, tol)
+
+
+def _joint_eigenbasis(mats, tol: Tolerances) -> np.ndarray:
+    """simdiag_commuting for a family already known to commute."""
     V = _refine(mats, tol, symmetric=False)
 
     # certify: every member diagonal in the joint basis
@@ -254,12 +259,12 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
                 "NotSDC", witness=Witness("non-real-eigenvalue", i, value=complex(lam))
             )
     try:
-        V = simdiag_commuting(Ms, tol)
+        V = _joint_eigenbasis(Ms, tol)
     except errors.NotDiagonalizable:
         # identify a defective member for the witness
         for i, M in enumerate(Ms):
             try:
-                simdiag_commuting([M], tol)
+                _joint_eigenbasis([M], tol)
             except errors.NotDiagonalizable:
                 return SdcResult("NotSDC", witness=Witness("not-diagonalizable", i))
         return SdcResult("NotSDC", witness=Witness("not-diagonalizable"))

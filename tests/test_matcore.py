@@ -103,6 +103,20 @@ def test_numeric_rank_examples():
     assert numeric_rank(direct_sum(f_mat(2), np.zeros((1, 1)))) == 2
 
 
+def test_numeric_rank_rectangular(rng):
+    tall = rng.standard_normal((9, 4))
+    assert numeric_rank(tall) == 4
+    assert numeric_rank(tall.T) == 4
+    tall[:, 3] = tall[:, 0] - 2.0 * tall[:, 1]
+    assert numeric_rank(tall) == 3
+    # the same cutoff as on square input
+    assert numeric_rank(np.diag([1.0, 1e-9, 1e-11])[:, :2]) == 2
+    assert numeric_rank(np.diag([1.0, 1e-11])[:, :2]) == 1
+    assert numeric_rank(np.zeros((0, 3))) == 0
+    with pytest.raises(errors.OrderMismatch):
+        numeric_rank(np.ones(3))
+
+
 def test_numeric_rank_orthogonal_invariance(rng):
     for _ in range(10):
         n = int(rng.integers(2, 8))

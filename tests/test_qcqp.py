@@ -1,16 +1,18 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
 from dataclasses import replace
 
-from sdckit import errors
-from sdckit.matcore import Congruence
+from sdckit import errors, qcqp
+from sdckit.matcore import Congruence, numeric_rank
 from sdckit.qcqp import (
     BenchConfig,
     QcqpInstance,
     Reformulation,
+    _solve_refined,
     bench,
     check_bounded,
     generate_instance,
@@ -40,6 +42,7 @@ class TestBounded:
             m = int(rng.integers(n + 1, 3 * n + 2))
             L = rng.standard_normal((m, n))
             d = recession_witness(L)
+            assert check_bounded(L) == (d is None)
             rays = rng.standard_normal((2000, n))
             rays /= np.linalg.norm(rays, axis=1, keepdims=True)
             recedes = bool(np.any(np.all(rays @ L.T <= 1e-12, axis=1)))
@@ -48,6 +51,49 @@ class TestBounded:
             if d is not None:
                 assert np.max(L @ d) <= 1e-9
                 assert np.max(np.abs(d)) > 1e-9
+
+    def test_one_lp_per_check(self, monkeypatch):
+        calls = _count_linprog(monkeypatch)
+        generate_instance(6, 1, 30, 0)
+        assert len(calls) == 1
+        calls.clear()
+        # rank 1 < n: unbounded before any LP
+        L = np.outer(np.arange(1.0, 7.0), [1.0, -2.0, 0.5])
+        assert not check_bounded(L)
+        assert len(calls) == 0
+
+    def test_nearly_dependent_columns_bounded(self):
+        # {-1 <= Mx <= 1} with a column of M equal to another up to 1e-9
+        # noise: M is invertible and y = 1 has L^T y = 0 exactly, so the
+        # polytope is bounded although sigma_min / sigma_max is near 1e-10
+        # (a 2n-LP recession test at HiGHS's 1e-7 feasibility tolerance
+        # finds a receding direction here)
+        r = np.random.default_rng(1)
+        M = r.standard_normal((4, 4))
+        M[:, 3] = M[:, 2] + 1e-9 * r.standard_normal(4)
+        L = np.vstack([M, -M])
+        assert numeric_rank(L) == 4
+        assert check_bounded(L)
+
+    def test_lp_failure_is_named(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return SimpleNamespace(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        with pytest.raises(errors.SdckitError, match="status 4"):
+            check_bounded(np.vstack([np.eye(2), -np.eye(2)]))
+
+
+def _count_linprog(monkeypatch) -> list:
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
 
 
 class TestGenerator:
@@ -142,6 +188,61 @@ class TestReformulations:
             Reformulation.from_json(json.dumps(data))
 
 
+class TestBlockVerification:
+    def test_block_solve_matches_columns(self, inst):
+        P = reformulate(inst, "rsdc2").P.P
+        B = np.random.default_rng(3).uniform(size=(P.shape[0], 25))
+        W = _solve_refined(P, B)
+        for j in range(B.shape[1]):
+            w = _solve_refined(P, B[:, j])
+            # both are refined in long double, so they agree to well
+            # within a few double-precision ulps
+            assert np.max(np.abs(W[:, j] - w)) <= 1e-15 * np.max(np.abs(w))
+
+    def test_points_are_the_sequential_draws(self, inst, monkeypatch):
+        seen = []
+        values = qcqp._reformulated_values
+
+        def recording(inst_, ref_, X):
+            seen.append(X.copy())
+            return values(inst_, ref_, X)
+
+        monkeypatch.setattr(qcqp, "_reformulated_values", recording)
+        box = qcqp._polytope_box(inst.L)
+        verify_reformulation(inst, reformulate(inst, "rsdc1"), 40, 7, box)
+        lo, hi = box
+        rng = np.random.default_rng(7)
+        rows = [lo + (hi - lo) * rng.uniform(size=inst.n) for _ in range(40)]
+        assert np.array_equal(seen[0], np.array(rows))
+
+    @pytest.mark.parametrize("method", ["rsdc1", "rsdc2", "eig"])
+    def test_matches_pointwise_loop(self, inst, method):
+        # the per-point loop the block verification replaced
+        ref = reformulate(inst, method)
+        box = qcqp._polytope_box(inst.L)
+        lo, hi = box
+        rng = np.random.default_rng(5)
+        worst, scale = 0.0, 1.0
+        for _ in range(30):
+            x = lo + (hi - lo) * rng.uniform(size=inst.n)
+            if method == "eig":
+                y = np.asarray(ref.aux["P1"]).T @ x
+                z = np.asarray(ref.aux["P2"]).T @ y
+                o1 = float(y @ (ref.quad_obj * y) + 2.0 * ref.lin_obj @ y)
+                c1 = float(z @ (ref.quad_con * z) + 2.0 * ref.lin_con @ y)
+            else:
+                w = _solve_refined(ref.P.P, np.concatenate([x, np.zeros(ref.dim - inst.n)]))
+                qo, qc, lo_, lc = (v.astype(np.longdouble) for v in (
+                    ref.quad_obj, ref.quad_con, ref.lin_obj, ref.lin_con))
+                o1 = float(w @ (qo * w) + 2.0 * lo_ @ w)
+                c1 = float(w @ (qc * w) + 2.0 * lc @ w)
+            o0, c0 = inst.objective(x), inst.constraint(x)
+            worst = max(worst, abs(o0 - o1), abs(c0 - c1))
+            scale = max(scale, abs(o0), abs(c0))
+        dev = verify_reformulation(inst, ref, 30, 5, box)
+        assert abs(dev - worst / scale) <= 4 * np.finfo(float).eps
+
+
 class TestIdentityInstance:
     def test_sdc_deviation_is_roundoff(self):
         L = np.vstack([np.eye(2), -np.eye(2)])
@@ -211,20 +312,13 @@ class TestBench:
         assert "n,k,seed,method,dim,kappa,deviation" in report["csv"]
 
     def test_box_lps_solved_once_per_instance(self, monkeypatch):
-        calls = []
-        linprog = scipy.optimize.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        calls = _count_linprog(monkeypatch)
         generate_instance(6, 1, 30, 0)
         gen_calls = len(calls)
         calls.clear()
         cfg = BenchConfig((6,), (1,), 1, ("rsdc1", "rsdc2", "eig"), m=30, samples=10)
         bench(cfg)
-        # the generator's recession LPs plus one box of 2n LPs
+        # the generator's boundedness LP per draw plus one box of 2n LPs
         assert len(calls) == gen_calls + 2 * 6
 
     def test_failures_recorded_not_raised(self):

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from conftest import random_congruence, random_sdc_family
 from sdckit import errors
+from sdckit import sdc as sdc_module
 from sdckit.matcore import DEFAULT_TOL, direct_sum, f_mat, g_mat
 from sdckit.sdc import (
     _joint_eigenvalue_groups,
@@ -356,3 +357,23 @@ def test_scrambled_jordan_blocks_stay_not_sdc(size):
         Q = random_congruence(r, size + extra, 10.0)
         res = sdc_check(_scrambled_pair(A0, B0, Q), seed=s)
         assert not res.is_sdc, (size, s)
+
+
+def test_commutation_tested_once_per_check(rng, monkeypatch):
+    # the oracle checks commutation itself and then goes straight to the
+    # joint eigenbasis; the public simdiag_commuting keeps its own check
+    calls = []
+    pair = sdc_module.noncommuting_pair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(sdc_module, "noncommuting_pair", counting)
+    fam, _ = random_sdc_family(rng, 12, 2)
+    assert sdc_check(fam).is_sdc
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(errors.NotCommuting):
+        simdiag_commuting([np.diag([1.0, -1.0]), f_mat(2)])
+    assert len(calls) == 1
