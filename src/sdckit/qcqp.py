@@ -35,6 +35,11 @@ from .matcore import (
 from .rsdc import rsdc1_construct, rsdc2_construct
 from .sdc import sdc_check
 
+try:  # scipy's bundled HiGHS bindings, private and new in scipy 1.15
+    from scipy.optimize._highspy import _core as _highspy
+except ImportError:
+    _highspy = None
+
 __all__ = [
     "QcqpInstance",
     "Reformulation",
@@ -155,42 +160,6 @@ class Reformulation:
             kappa=float(d["kappa"]),
             aux={k: d["aux"][k] for k in ("P1", "P2") if k in d["aux"]},
         )
-
-
-def _coordinate_lps(L: np.ndarray, rhs: float, bounds: tuple, what: str):
-    """Maximize +-x_i over {x : Lx <= rhs} within per-coordinate bounds.
-
-    Yields (i, sign, result) lazily in the order (0, +), (0, -), (1, +),
-    ..., so a caller that stops early solves no further LP.
-    """
-    m, n = L.shape
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sign  # linprog minimizes
-            res = scipy.optimize.linprog(
-                c, A_ub=L, b_ub=np.full(m, rhs), bounds=[bounds] * n,
-                method="highs",
-            )
-            if not res.success:
-                raise errors.SdckitError(f"{what} LP failed: {res.message}")
-            yield i, sign, res
-
-
-def recession_witness(L) -> np.ndarray | None:
-    """A nonzero direction of the recession cone {d : Ld <= 0}, or None.
-
-    Found by 2n linear programs maximizing +-e_i^T d over the cone
-    intersected with the unit box; all optima zero means the cone is
-    trivial and the polytope {Lx <= 1} is bounded.  This produces a
-    witness for an unbounded polytope; deciding boundedness alone takes
-    the single LP of check_bounded.
-    """
-    L = np.asarray(L, dtype=float)
-    for _, _, res in _coordinate_lps(L, 0.0, (-1, 1), "recession"):
-        if -res.fun > 1e-9:
-            return np.asarray(res.x, dtype=float)
-    return None
 
 
 def check_bounded(L) -> bool:
@@ -340,12 +309,98 @@ def reformulate(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _box_solver(L: np.ndarray):
+    """solve(c) minimizing c^T x over {Lx <= 1}: (status, x, y).
+
+    status is None at an optimum and the solver's message otherwise; y
+    are the row duals with the sign that makes y >= 0 and L^T y = -c.
+    With scipy's bundled HiGHS bindings one model holds the polytope and
+    each solve changes only its costs, so it starts from the previous
+    optimal basis; without them each solve is one linprog call.
+    """
+    m, n = L.shape
+    if _highspy is None:
+        def solve(c):
+            res = scipy.optimize.linprog(
+                c, A_ub=L, b_ub=np.ones(m), bounds=[(None, None)] * n,
+                method="highs",
+            )
+            if res.status != 0:
+                return res.message, None, None
+            return None, res.x, -res.ineqlin.marginals
+
+        return solve
+
+    highs = _highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    # strategy 4 is HiGHS's primal simplex: a cost change leaves the
+    # last optimal basis primal feasible
+    highs.setOptionValue("simplex_strategy", 4)
+    inf = _highspy.kHighsInf
+    highs.addVars(n, np.full(n, -inf), np.full(n, inf))
+    highs.addRows(
+        m, np.full(m, -inf), np.ones(m), m * n,
+        np.arange(0, m * n, n, dtype=np.int32),
+        np.tile(np.arange(n, dtype=np.int32), m), L.ravel(),
+    )
+    cols = np.arange(n, dtype=np.int32)
+
+    def solve(c):
+        highs.changeColsCost(n, cols, c)
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _highspy.HighsModelStatus.kOptimal:
+            return highs.modelStatusToString(status), None, None
+        sol = highs.getSolution()
+        return None, np.array(sol.col_value), -np.array(sol.row_dual)
+
+    return solve
+
+
+def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float:
+    """Worst residual of the certificate that x maximizes s x_i over {Lx <= 1}.
+
+    By LP duality x is optimal when it is feasible and y >= 0 has
+    L^T y = s e_i and 1^T y = s x_i.  Each residual is returned as a
+    fraction of tau = resid_tol max(1, ||L||_max ||y||_1) (the gap's
+    tau scaled by max(1, |x_i|)), so the bound is certified at <= 1.
+    """
+    tau = DEFAULT_TOL.resid_tol * max(1.0, np.max(np.abs(L)) * np.sum(np.abs(y)))
+    r = L.T @ y
+    r[i] -= s
+    return float(np.max([
+        -np.min(y),
+        np.max(np.abs(r)),
+        abs(s * x[i] - np.sum(y)) / max(1.0, abs(x[i])),
+        np.max(L @ x) - 1.0,
+    ])) / tau
+
+
 def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate bounds of the polytope {Lx <= 1}."""
-    lo = np.empty(L.shape[1])
-    hi = np.empty(L.shape[1])
-    for i, sign, res in _coordinate_lps(L, 1.0, (None, None), "box"):
-        (hi if sign > 0 else lo)[i] = sign * (-res.fun)
+    """Per-coordinate bounds of the polytope {Lx <= 1}, each one certified.
+
+    The 2n LPs run in the order (0, +), (0, -), (1, +), ...; a bound
+    whose LP is not optimal or whose duality certificate fails raises
+    CertificationFailed naming the coordinate and the sign.
+    """
+    n = L.shape[1]
+    solve = _box_solver(L)
+    lo = np.empty(n)
+    hi = np.empty(n)
+    for i in range(n):
+        for s in (1.0, -1.0):
+            what = f"box bound of x_{i} ({'+' if s > 0 else '-'})"
+            c = np.zeros(n)
+            c[i] = -s  # the solver minimizes
+            status, x, y = solve(c)
+            if status is not None:
+                raise errors.CertificationFailed(f"{what}: LP not optimal: {status}")
+            ratio = _box_certificate(L, i, s, x, y)
+            if not ratio <= 1.0:
+                raise errors.CertificationFailed(
+                    f"{what}: duality certificate residual is {ratio:.3g} of its bound"
+                )
+            (hi if s > 0 else lo)[i] = x[i]
     return lo, hi
 
 
@@ -483,13 +538,9 @@ class BenchConfig:
 
 
 def _bench_cell(n, k, seed, methods, m, samples, tol):
-    rows = []
     t0 = time.perf_counter()
     try:
         inst = generate_instance(n, k, m, seed)
-        gen_ms = 1000.0 * (time.perf_counter() - t0)
-        # one bounding box serves every method's verification
-        box = _polytope_box(inst.L)
     except errors.SdckitError as exc:
         return [
             {
@@ -499,6 +550,11 @@ def _bench_cell(n, k, seed, methods, m, samples, tol):
             }
             for meth in methods
         ]
+    gen_ms = 1000.0 * (time.perf_counter() - t0)
+    # one bounding box serves every method's verification; it is solved
+    # only once some reformulation has succeeded
+    box = None
+    rows = []
     for meth in methods:
         row = {
             "n": n, "k": k, "seed": seed, "method": meth,
@@ -510,6 +566,8 @@ def _bench_cell(n, k, seed, methods, m, samples, tol):
         try:
             ref = reformulate(inst, meth, tol)
             row["reform_ms"] = round(1000.0 * (time.perf_counter() - t1), 3)
+            if box is None:
+                box = _polytope_box(inst.L)
             row["dim"] = ref.dim
             row["kappa"] = ref.kappa
             row["deviation"] = verify_reformulation(inst, ref, samples, seed, box)

@@ -59,6 +59,32 @@ def test_check_asdc_dispatch(tmp_path, capsys):
     assert run(["check-asdc", "-i", str(bad)]) == 10
 
 
+def test_check_asdc_nonsingular_triples(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    write_matrices(path, [np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 2.0])])
+    assert run(["check-asdc", "-i", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("SDC")
+    write_matrices(path, [np.eye(2), f_mat(2), np.diag([1.0, -1.0])])
+    assert run(["check-asdc", "-i", str(path)]) == 10
+    assert "NotASDC  reason=noncommuting" in capsys.readouterr().out
+
+
+def test_check_asdc_singular_triple(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    # exactly singular span: the necessary-condition report needs an
+    # invertible element too, so the precondition error stands
+    write_matrices(path, [np.diag([1.0, 2.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+                          np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])])
+    assert run(["check-asdc", "-i", str(path)]) == 2
+    assert "NoInvertibleElement" in capsys.readouterr().err
+    # singular at rank_tol for the verdict's seed-0 search: an element
+    # diag(c1, 1e-12 c2) is invertible only when |c2/c1| > 100, which
+    # the report's seed-1 search draws
+    write_matrices(path, [np.diag([1.0, 0.0]), np.diag([0.0, 1e-12]), np.zeros((2, 2))])
+    assert run(["check-asdc", "-i", str(path), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("undecided  algebra_dim=2 violated=False")
+
+
 def test_reformulate_and_verify(tmp_path):
     inst = tmp_path / "inst.json"
     ref = tmp_path / "ref.json"

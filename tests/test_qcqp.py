@@ -1,3 +1,4 @@
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -35,13 +36,11 @@ class TestBounded:
         # bounded verdict, and every unbounded verdict carries an
         # algebraically-verified witness direction (random rays alone
         # can miss thin recession cones)
-        from sdckit.qcqp import recession_witness
-
         for _ in range(500):
             n = int(rng.integers(2, 4))
             m = int(rng.integers(n + 1, 3 * n + 2))
             L = rng.standard_normal((m, n))
-            d = recession_witness(L)
+            d = _recession_witness(L)
             assert check_bounded(L) == (d is None)
             rays = rng.standard_normal((2000, n))
             rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -84,6 +83,26 @@ class TestBounded:
             check_bounded(np.vstack([np.eye(2), -np.eye(2)]))
 
 
+def _recession_witness(L):
+    """A nonzero d with Ld <= 0, or None: the test's own 2n-LP reference.
+
+    Maximizes +-d_i over the recession cone {d : Ld <= 0} cut to the
+    unit box; all optima zero means the cone is trivial.
+    """
+    m, n = L.shape
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[i] = -sign
+            res = scipy.optimize.linprog(
+                c, A_ub=L, b_ub=np.zeros(m), bounds=[(-1, 1)] * n, method="highs"
+            )
+            assert res.success, res.message
+            if -res.fun > 1e-9:
+                return res.x
+    return None
+
+
 def _count_linprog(monkeypatch) -> list:
     calls = []
     linprog = scipy.optimize.linprog
@@ -94,6 +113,84 @@ def _count_linprog(monkeypatch) -> list:
 
     monkeypatch.setattr(scipy.optimize, "linprog", counting)
     return calls
+
+
+def _count_boxes(monkeypatch) -> list:
+    calls = []
+    box = qcqp._polytope_box
+
+    def counting(L):
+        calls.append(1)
+        return box(L)
+
+    monkeypatch.setattr(qcqp, "_polytope_box", counting)
+    return calls
+
+
+def _stub_box_solver(monkeypatch, edit):
+    """Pass the k-th box solve's (status, x, y) through edit(k, out)."""
+    box_solver = qcqp._box_solver
+
+    def stubbed(L):
+        solve = box_solver(L)
+        count = itertools.count()
+        return lambda c: edit(next(count), solve(c))
+
+    monkeypatch.setattr(qcqp, "_box_solver", stubbed)
+
+
+class TestBox:
+    GRID = [(n, k) for n in (10, 15, 20) for k in (1, 2, 3)]
+
+    def test_box_matches_linprog_path(self, monkeypatch):
+        if qcqp._highspy is None:
+            pytest.skip("scipy without bundled HiGHS bindings has only the linprog path")
+        for n, k in self.GRID:
+            L = generate_instance(n, k, 100, 0).L
+            lo, hi = qcqp._polytope_box(L)
+            with monkeypatch.context() as mp:
+                mp.setattr(qcqp, "_highspy", None)
+                lo_lp, hi_lp = qcqp._polytope_box(L)
+            np.testing.assert_allclose(lo, lo_lp, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(hi, hi_lp, rtol=1e-12, atol=0)
+            # the origin is interior, so every bound is strictly signed
+            assert np.all(lo < 0) and np.all(hi > 0)
+
+    def test_box_of_a_cube(self):
+        lo, hi = qcqp._polytope_box(np.vstack([np.eye(3), -0.5 * np.eye(3)]))
+        np.testing.assert_allclose(lo, -2.0, rtol=1e-14)
+        np.testing.assert_allclose(hi, 1.0, rtol=1e-14)
+
+    def test_box_certificate_rejects_bad_duals(self, monkeypatch):
+        _stub_box_solver(monkeypatch, lambda k, out: (out[0], out[1], out[2] + 1e-3))
+        with pytest.raises(errors.CertificationFailed, match=r"x_0 \(\+\).*certificate"):
+            qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
+
+    def test_box_certificate_rejects_infeasible_point(self, monkeypatch):
+        _stub_box_solver(monkeypatch, lambda k, out: (out[0], (1.0 + 1e-6) * out[1], out[2]))
+        with pytest.raises(errors.CertificationFailed, match=r"x_0 \(\+\).*certificate"):
+            qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
+
+    def test_box_status_names_coordinate_and_sign(self, monkeypatch):
+        # the fourth LP is the lower bound of x_1
+        _stub_box_solver(
+            monkeypatch, lambda k, out: ("Time limit reached", None, None) if k == 3 else out
+        )
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"x_1 \(-\): LP not optimal: Time limit reached"):
+            qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
+
+    def test_certificate_residuals_within_bound(self):
+        for n, k in self.GRID[:3]:
+            L = generate_instance(n, k, 100, 0).L
+            solve = qcqp._box_solver(L)
+            for i in range(n):
+                for s in (1.0, -1.0):
+                    c = np.zeros(n)
+                    c[i] = -s
+                    status, x, y = solve(c)
+                    assert status is None
+                    assert qcqp._box_certificate(L, i, s, x, y) <= 1e-3
 
 
 class TestGenerator:
@@ -316,10 +413,35 @@ class TestBench:
         generate_instance(6, 1, 30, 0)
         gen_calls = len(calls)
         calls.clear()
+        boxes = _count_boxes(monkeypatch)
         cfg = BenchConfig((6,), (1,), 1, ("rsdc1", "rsdc2", "eig"), m=30, samples=10)
         bench(cfg)
-        # the generator's boundedness LP per draw plus one box of 2n LPs
-        assert len(calls) == gen_calls + 2 * 6
+        # the generator's boundedness LP per draw; the box's LPs run in
+        # one HiGHS model (or, without it, through linprog)
+        assert len(boxes) == 1
+        box_lps = 0 if qcqp._highspy is not None else 2 * 6
+        assert len(calls) == gen_calls + box_lps
+
+    def test_box_solved_only_when_needed(self, monkeypatch):
+        boxes = _count_boxes(monkeypatch)
+        # sdc is inapplicable for k >= 1: no reformulation, so no box
+        rows = bench(BenchConfig((5,), (1,), 2, ("sdc",), m=30, samples=10))["rows"]
+        assert all(r["error"].startswith("MethodInapplicable") for r in rows)
+        assert len(boxes) == 0
+        rows = bench(BenchConfig((5,), (1,), 2, ("sdc", "rsdc2", "eig"), m=30,
+                                 samples=10))["rows"]
+        assert [r["deviation"] is not None for r in rows] == [False, True, True] * 2
+        assert len(boxes) == 2
+
+    def test_box_failure_recorded_in_row(self, monkeypatch):
+        def failing(L):
+            raise errors.CertificationFailed("box bound of x_0 (+): stub")
+
+        monkeypatch.setattr(qcqp, "_polytope_box", failing)
+        rows = bench(BenchConfig((5,), (1,), 1, ("rsdc2", "eig"), m=30))["rows"]
+        for r in rows:
+            assert r["error"] == "CertificationFailed: box bound of x_0 (+): stub"
+            assert r["deviation"] is None and r["kappa"] is None
 
     def test_failures_recorded_not_raised(self):
         cfg = BenchConfig(n_values=(5,), k_values=(1,), seeds=1, methods=("sdc",), m=30)
