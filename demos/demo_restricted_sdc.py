@@ -1,10 +1,11 @@
 """Restricted-SDC: extend a pair by one or two dimensions so the
 extension is SDC while the originals sit bitwise in the top-left corner.
 
-The one-dimension construction solves a real interpolation system that
-places the extended pencil's eigenvalues at chosen points; the
-two-dimension variant places each point twice through a conjugate pair
-of blocks and is usually far better conditioned.
+The one-dimension construction borders the canonical form with entries
+given in closed form by the chosen points, so the extended pencil's
+eigenvalues land on them; the two-dimension variant places each point
+twice through a conjugate pair of blocks and is usually far better
+conditioned.
 """
 
 import numpy as np

@@ -54,7 +54,6 @@ from .qcqp import (
 )
 from .rsdc import (
     RsdcCertificate,
-    alpha_beta_recover,
     choose_xi,
     rsdc1_construct,
     rsdc2_construct,
@@ -104,7 +103,6 @@ __all__ = [
     "ToeplitzPartition",
     "Witness",
     "algebra_dimension",
-    "alpha_beta_recover",
     "asdc_pair_check",
     "asdc_triple_check",
     "assemble_blocks",

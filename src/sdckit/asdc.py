@@ -25,7 +25,7 @@ from .matcore import (
     h_mat,
     numeric_rank,
 )
-from .rsdc import alpha_beta_recover, choose_xi_points, solve_border_system
+from .rsdc import choose_xi_points, solve_border_system
 from .sdc import find_max_rank_element, sdc_check
 
 __all__ = [
@@ -197,10 +197,10 @@ def perturb_pair(A, B, epsilon: float, tol: Tolerances = DEFAULT_TOL) -> Perturb
     return _perturb_singular(a, b, coeffs, S.a, rank, epsilon, tol)
 
 
-def _unit_splitting(S, T, tol) -> np.ndarray:
+def _unit_splitting(S, T, tol, cluster_radius=None) -> np.ndarray:
     """Unit eigenvalue-splitting perturbation of T in the pencil's
     real-Jordan coordinates, mapped back to the original ones."""
-    W, blocks = canonicalize_real_pencil(S, T, tol)
+    W, blocks = canonicalize_real_pencil(S, T, tol, cluster_radius=cluster_radius)
     Winv = np.linalg.inv(W)
     return Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
 
@@ -268,12 +268,8 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
     xi = choose_xi_points(
         [mu for _, mu in form.real_blocks], lams, 2 * k + 1, "spread", 0
     )
-    x, y, z, _ = solve_border_system(lams, xi)
     gamma_can = np.zeros(r + 2 * k)
-    for i in range(k):
-        al, be = alpha_beta_recover(x[i], y[i], lams[i])
-        gamma_can[r + 2 * i] = al
-        gamma_can[r + 2 * i + 1] = be
+    gamma_can[r:], z = solve_border_system(lams, xi)
     g = Ur @ (form.P.inv().T @ gamma_can)
     v1 = Un[:, 0]
 
@@ -440,12 +436,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
         span = max(xi) - min(xi) if len(xi) > 1 else 1.0
         if np.min(np.abs(xi)) < 1e-3 * span:
             xi = xi + 0.1 * span
-    x, y, z, _ = solve_border_system(lams, xi)
-    gamma_can = np.zeros(2 * k)
-    for i in range(k):
-        al, be = alpha_beta_recover(x[i], y[i], lams[i])
-        gamma_can[2 * i] = al
-        gamma_can[2 * i + 1] = be
+    gamma_can, z = solve_border_system(lams, xi)
     g = form.P.inv().T @ gamma_can
 
     bi = host[1]

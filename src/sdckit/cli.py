@@ -88,16 +88,7 @@ def _cmd_check_asdc(args) -> int:
         print(f"{v.status}  reason={v.reason or '-'}")
         return EXIT_OK if v.is_asdc else EXIT_NEGATIVE
     if len(fam) == 3:
-        try:
-            v = asdc_triple_check(fam[0], fam[1], fam[2], tol)
-        except errors.NoInvertibleElement:
-            # singular wide family: report the necessary-condition certificate
-            rep = not_asdc_certificate(fam, tol, seed=args.seed)
-            print(
-                f"undecided  algebra_dim={rep.algebra_dim} "
-                f"violated={rep.algebra_bound_violated}"
-            )
-            return EXIT_NEGATIVE if rep.algebra_bound_violated else EXIT_OK
+        v = asdc_triple_check(fam[0], fam[1], fam[2], tol)
         print(f"{v.status}  reason={v.reason or '-'}")
         return EXIT_OK if v.is_asdc else EXIT_NEGATIVE
     rep = not_asdc_certificate(fam, tol, seed=args.seed)

@@ -65,10 +65,6 @@ class NotInT(SdckitError):
     """Matrix is not block upper-triangular Toeplitz for the partition."""
 
 
-class IllConditionedSystem(SdckitError):
-    """Interpolation system condition number exceeds the hard threshold."""
-
-
 class CertificationFailed(SdckitError):
     """A constructed object failed its own invariant check.
 

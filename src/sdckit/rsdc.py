@@ -2,17 +2,17 @@
 
 A pair (A, B) with A invertible and simple pencil eigenvalues extends
 to an SDC pair one dimension up: border the canonical form so the
-bordered matrix's characteristic polynomial has prescribed real roots
-xi, obtained from an interpolation linear system in the basis
-polynomials of the complex eigenvalue pairs.  The two-dimensional
-variant places each xi with multiplicity two through a conjugate pair
-of blocks and tends to produce much better conditioned congruences.
+bordered matrix's characteristic polynomial is omega(t) = prod(t - xi_j)
+for prescribed real, distinct xi.  Evaluating that identity at each
+complex eigenvalue gives every border entry in closed form.  The
+two-dimensional variant places each xi with multiplicity two through a
+conjugate pair of blocks and tends to produce much better conditioned
+congruences.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,24 +32,15 @@ from .sdc import SdcResult, sdc_check
 
 __all__ = [
     "RsdcCertificate",
-    "IllConditionedWarning",
     "choose_xi",
     "choose_xi_points",
-    "alpha_beta_recover",
     "solve_border_system",
     "solve_border_system2",
     "rsdc1_construct",
     "rsdc2_construct",
 ]
 
-HARD_COND_LIMIT = 1e12
-WARN_COND_LIMIT = 1e8
-
 EIG_PLACEMENT_RTOL = 1e-6
-
-
-class IllConditionedWarning(UserWarning):
-    """Interpolation system condition number is high but workable."""
 
 
 @dataclass(frozen=True)
@@ -67,14 +58,12 @@ class RsdcCertificate:
     A_tilde: SymMat
     B_tilde: SymMat
     xi: np.ndarray
-    solution: tuple  # (x, y, z) real for d=1; (z complex vector,) for d=2
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray  # border column(s) in canonical coordinates
     congruence: Congruence
     kappa: float
     eig_residual: float
-    system_cond: float
 
     def to_json(self) -> str:
         payload = {
@@ -88,7 +77,6 @@ class RsdcCertificate:
             "P": self.congruence.P.tolist(),
             "kappa": self.kappa,
             "eig_residual": self.eig_residual,
-            "system_cond": self.system_cond,
         }
         return json.dumps(payload)
 
@@ -131,143 +119,64 @@ def choose_xi(form: PencilForm, count: int, strategy: str = "chebyshev",
     return choose_xi_points(mus, list(form.complex_blocks), count, strategy, seed)
 
 
-def _check_cond(M: np.ndarray) -> float:
-    c = float(np.linalg.cond(M))
-    if c > HARD_COND_LIMIT:
-        raise errors.IllConditionedSystem(
-            f"interpolation matrix condition {c:.3e} exceeds {HARD_COND_LIMIT:.0e}; "
-            "retry with a different point strategy"
-        )
-    if c > WARN_COND_LIMIT:
-        warnings.warn(
-            f"interpolation matrix condition {c:.3e}", IllConditionedWarning
-        )
-    return c
-
-
-def solve_border_system(lams, xi) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The (2k+1) x (2k+1) real system placing the bordered eigenvalues.
-
-    Row j evaluates the basis [f_1, g_1, ..., f_k, g_k, h] at xi_j with
-    f_i the conjugate-pair products excluding pair i, g_i = xi f_i and
-    h the full product; the right side is xi_j h(xi_j).  Returns
-    (x, y, z, condition).
-    """
-    lams = list(lams)
-    k = len(lams)
+def _omega_at(lams, xi, count) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues as an array and omega(lambda_i) = prod_j (lambda_i - xi_j),
+    after checking that xi holds `count` distinct points."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2 * k + 1,):
-        raise errors.OrderMismatch(f"need {2 * k + 1} points, got {xi.shape}")
-
-    def f(i, t):
-        out = 1.0
-        for j, lam in enumerate(lams):
-            if j != i:
-                out *= (lam.real - t) ** 2 + lam.imag**2
-        return out
-
-    def h(t):
-        out = 1.0
-        for lam in lams:
-            out *= (lam.real - t) ** 2 + lam.imag**2
-        return out
-
-    M = np.zeros((2 * k + 1, 2 * k + 1))
-    rhs = np.zeros(2 * k + 1)
-    for r, t in enumerate(xi):
-        for i in range(k):
-            fi = f(i, t)
-            M[r, 2 * i] = fi
-            M[r, 2 * i + 1] = t * fi
-        M[r, 2 * k] = h(t)
-        rhs[r] = t * h(t)
-    cond = _check_cond(M)
-    sol = np.linalg.solve(M, rhs)
-    x = sol[0 : 2 * k : 2].copy()
-    y = sol[1 : 2 * k : 2].copy()
-    z = float(sol[2 * k])
-    return x, y, z, cond
+    if xi.shape != (count,):
+        raise errors.OrderMismatch(f"need {count} points, got {xi.shape}")
+    values, counts = np.unique(xi, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"interpolation point {values[counts > 1][0]!r} is repeated")
+    lams = np.asarray(list(lams), dtype=complex)
+    return lams, np.prod(lams[:, None] - xi[None, :], axis=1)
 
 
-def solve_border_system2(lams, xi) -> tuple[np.ndarray, float]:
-    """The (k+1) x (k+1) complex system of the order-2 construction.
+def _others(diffs: np.ndarray) -> np.ndarray:
+    """Row products of a square difference table, skipping the diagonal."""
+    diffs = diffs.copy()
+    np.fill_diagonal(diffs, 1.0)
+    return np.prod(diffs, axis=1)
 
-    Unknowns are (z_1^2, ..., z_k^2, z_{k+1}) against the basis
-    [-f_1, ..., -f_k, h] with f_i = prod_{j != i}(lambda_j - xi) and
-    h = prod(lambda_i - xi); the bordered block's characteristic
-    polynomial is (z_{k+1} - xi) h(xi) - sum z_i^2 f_i(xi), so the
-    f-columns enter negated.  Returns (z, condition) with principal
-    square roots taken for the first k entries.
+
+def solve_border_system(lams, xi) -> tuple[np.ndarray, float]:
+    """Border entries that give the bordered pencil the real roots xi.
+
+    With omega(t) = prod_j (t - xi_j) and f_i(t) = prod_{j != i}
+    (t - lambda_j)(t - conj(lambda_j)), the bordered characteristic
+    polynomial equals -omega exactly when, for every pair,
+    Im(lambda_i) (beta_i + i alpha_i)^2 = -omega(lambda_i) / f_i(lambda_i)
+    and the corner is z = sum(xi) - 2 sum(Re lambda).  Returns
+    (g, z) with g = (alpha_1, beta_1, ..., alpha_k, beta_k) in canonical
+    coordinates, taking principal roots so that beta_i >= 0.
     """
-    lams = list(lams)
+    lams, omega = _omega_at(lams, xi, 2 * len(lams) + 1)
+    if np.any(lams.imag == 0):
+        raise errors.RealLambda("border parameters need Im(lambda) != 0")
+    f = _others(lams[:, None] - lams[None, :]) * _others(
+        lams[:, None] - lams.conj()[None, :]
+    )
+    w = np.sqrt(-omega / f / lams.imag)
+    g = np.column_stack([w.imag, w.real]).ravel()
+    return g, float(np.sum(xi) - 2.0 * np.sum(lams.real))
+
+
+def solve_border_system2(lams, xi) -> np.ndarray:
+    """Border entries of the order-2 construction in closed form.
+
+    The bordered block's characteristic polynomial is
+    (z_{k+1} - t) h(t) - sum z_i^2 f_i(t) with h(t) = prod(lambda_j - t)
+    and f_i = prod_{j != i}(lambda_j - t); it equals (-1)^(k+1) omega(t)
+    exactly when z_i^2 = (-1)^k omega(lambda_i) / f_i(lambda_i) and
+    z_{k+1} = sum(xi) - sum(lambda).  Returns the complex z, with
+    principal square roots for the first k entries.
+    """
+    lams, omega = _omega_at(lams, xi, len(lams) + 1)
     k = len(lams)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (k + 1,):
-        raise errors.OrderMismatch(f"need {k + 1} points, got {xi.shape}")
-
-    def f(i, t):
-        out = 1.0 + 0.0j
-        for j, lam in enumerate(lams):
-            if j != i:
-                out *= lam - t
-        return out
-
-    def h(t):
-        out = 1.0 + 0.0j
-        for lam in lams:
-            out *= lam - t
-        return out
-
-    M = np.zeros((k + 1, k + 1), dtype=complex)
-    rhs = np.zeros(k + 1, dtype=complex)
-    for r, t in enumerate(xi):
-        for i in range(k):
-            M[r, i] = -f(i, t)
-        M[r, k] = h(t)
-        rhs[r] = t * h(t)
-    cond = _check_cond(M)
-    sol = np.linalg.solve(M, rhs)
     z = np.empty(k + 1, dtype=complex)
-    z[:k] = np.sqrt(sol[:k])  # principal branch
-    z[k] = sol[k]
-    return z, cond
-
-
-def alpha_beta_recover(x: float, y: float, lam: complex) -> tuple[float, float]:
-    """Border parameters (alpha, beta) from the planted system values.
-
-    Solves Im(lam)(beta^2 - alpha^2) - 2 Re(lam) alpha beta = x and
-    2 alpha beta = y under the convention beta >= 0; the residual of
-    both relations is checked to 1e-10 (1 + |x| + |y|).
-    """
-    if lam.imag == 0:
-        raise errors.RealLambda("alpha-beta recovery needs Im(lambda) != 0")
-    p = y / 2.0
-    s = (x + 2.0 * lam.real * p) / lam.imag
-    # stable quadratic roots: the larger of alpha^2, beta^2 comes from
-    # the additive branch and the other from alpha^2 beta^2 = p^2
-    q = 0.5 * (abs(s) + np.sqrt(s * s + 4.0 * p * p))
-    if s >= 0:
-        beta_sq = q
-        alpha_sq = (p * p / q) if q > 0 else 0.0
-    else:
-        alpha_sq = q
-        beta_sq = (p * p / q) if q > 0 else 0.0
-    beta = float(np.sqrt(max(beta_sq, 0.0)))
-    alpha = float(np.sqrt(max(alpha_sq, 0.0)))
-    if p < 0:
-        alpha = -alpha
-    elif p == 0 and s < 0:
-        # beta = 0 branch; alpha sign free, fix +
-        pass
-    res1 = abs(lam.imag * (beta**2 - alpha**2) - 2 * lam.real * alpha * beta - x)
-    res2 = abs(2 * alpha * beta - y)
-    bound = 1e-10 * (1.0 + abs(x) + abs(y))
-    if max(res1, res2) > bound:
-        raise errors.CertificationFailed(
-            f"alpha-beta residual {max(res1, res2):.3e} exceeds {bound:.3e}"
-        )
-    return alpha, beta
+    z[:k] = np.sqrt((-1) ** k * omega / _others(lams[None, :] - lams[:, None]))
+    z[k] = np.sum(xi) - np.sum(lams)
+    return z
 
 
 def _eig_placement_residual(At, Bt, expected, tol) -> float:
@@ -318,8 +227,8 @@ def _refine_congruence(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> np.ndarra
     return np.asarray(Pl, dtype=float)
 
 
-def _finish(a, b, At, Bt, d, xi, solution, alpha, beta, gamma, expected,
-            cond, tol) -> RsdcCertificate:
+def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected,
+            tol) -> RsdcCertificate:
     n = a.shape[0]
     if not (np.array_equal(At[:n, :n], a) and np.array_equal(Bt[:n, :n], b)):
         raise errors.CertificationFailed("top-left restriction is not exact")
@@ -342,20 +251,18 @@ def _finish(a, b, At, Bt, d, xi, solution, alpha, beta, gamma, expected,
         A_tilde=SymMat(At),
         B_tilde=SymMat(Bt),
         xi=np.asarray(xi, dtype=float),
-        solution=solution,
         alpha=np.asarray(alpha, dtype=float),
         beta=np.asarray(beta, dtype=float),
         gamma=np.asarray(gamma),
         congruence=res.congruence,
         kappa=res.congruence.kappa,
         eig_residual=resid,
-        system_cond=cond,
     )
 
 
-def rsdc1_construct(A, B, strategy: str = "chebyshev",
-                    tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> RsdcCertificate:
-    """One-dimension restricted-SDC extension of a simple pencil pair."""
+def _padded_pencil(A, B, d: int, tol: Tolerances):
+    """The validated pair, its canonical form, its real eigenvalues and
+    the pair zero-padded by d rows and columns."""
     a, b = asmat(A), asmat(B)
     if a.shape != b.shape:
         raise errors.OrderMismatch("pair must share an order")
@@ -363,41 +270,33 @@ def rsdc1_construct(A, B, strategy: str = "chebyshev",
         raise errors.SingularA("leading matrix is not certified invertible")
     n = a.shape[0]
     form = pencil_canonical(a, b, tol)
-    mus = [mu for _, mu in form.real_blocks]
-    lams = list(form.complex_blocks)
-    k = form.k
-
-    At = np.zeros((n + 1, n + 1))
-    Bt = np.zeros((n + 1, n + 1))
+    At = np.zeros((n + d, n + d))
+    Bt = np.zeros((n + d, n + d))
     At[:n, :n] = a
     Bt[:n, :n] = b
-    At[n, n] = 1.0
+    return a, b, form, [mu for _, mu in form.real_blocks], At, Bt
 
+
+def rsdc1_construct(A, B, strategy: str = "chebyshev",
+                    tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> RsdcCertificate:
+    """One-dimension restricted-SDC extension of a simple pencil pair."""
+    a, b, form, mus, At, Bt = _padded_pencil(A, B, 1, tol)
+    n, r, k = a.shape[0], form.r, form.k
+    At[n, n] = 1.0
+    gamma = np.zeros(n)
     if k == 0:
         xi = np.array([0.0])
-        x = np.zeros(0)
-        y = np.zeros(0)
-        z = 0.0
-        gamma = np.zeros(n)
-        cond = 1.0
     else:
         xi = choose_xi(form, 2 * k + 1, strategy, seed)
-        x, y, z, cond = solve_border_system(lams, xi)
-        gamma = np.zeros(n)
-        for i in range(k):
-            al, be = alpha_beta_recover(x[i], y[i], lams[i])
-            gamma[form.r + 2 * i] = al
-            gamma[form.r + 2 * i + 1] = be
+        gamma[r:], z = solve_border_system(form.complex_blocks, xi)
         border = form.P.inv().T @ gamma
         Bt[:n, n] = border
         Bt[n, :n] = border
         Bt[n, n] = z
 
-    alpha = gamma[form.r::2][:k] if k else np.zeros(0)
-    beta = gamma[form.r + 1 :: 2][:k] if k else np.zeros(0)
-    expected = list(mus) + list(xi)
-    return _finish(a, b, At, Bt, 1, xi, (x, y, z), alpha, beta, gamma,
-                   expected, cond, tol)
+    expected = mus + list(xi)
+    return _finish(a, b, At, Bt, 1, xi, gamma[r::2], gamma[r + 1 :: 2], gamma,
+                   expected, tol)
 
 
 def rsdc2_construct(A, B, strategy: str = "chebyshev",
@@ -409,50 +308,27 @@ def rsdc2_construct(A, B, strategy: str = "chebyshev",
     resulting congruences are typically much smaller than for the
     one-dimension construction.
     """
-    a, b = asmat(A), asmat(B)
-    if a.shape != b.shape:
-        raise errors.OrderMismatch("pair must share an order")
-    if not certify_invertible(a, tol):
-        raise errors.SingularA("leading matrix is not certified invertible")
-    n = a.shape[0]
-    form = pencil_canonical(a, b, tol)
-    mus = [mu for _, mu in form.real_blocks]
-    lams = list(form.complex_blocks)
-    k = form.k
-
-    At = np.zeros((n + 2, n + 2))
-    Bt = np.zeros((n + 2, n + 2))
-    At[:n, :n] = a
-    Bt[:n, :n] = b
+    a, b, form, mus, At, Bt = _padded_pencil(A, B, 2, tol)
+    n, r, k = a.shape[0], form.r, form.k
     At[n:, n:] = f_mat(2)
-
+    gamma = np.zeros((n, 2))
     if k == 0:
         xi = np.array([0.0])
         zvec = np.zeros(1, dtype=complex)
-        gamma = np.zeros((n, 2))
-        cond = 1.0
-        avec = np.zeros(1)
-        bvec = np.zeros(1)
     else:
         xi = choose_xi(form, k + 1, strategy, seed)
-        zvec, cond = solve_border_system2(lams, xi)
-        avec = zvec.real.copy()
-        bvec = zvec.imag.copy()
-        gamma = np.zeros((n, 2))
-        for i in range(k):
-            r0 = form.r + 2 * i
-            gamma[r0, 0] = bvec[i]
-            gamma[r0, 1] = avec[i]
-            gamma[r0 + 1, 0] = avec[i]
-            gamma[r0 + 1, 1] = -bvec[i]
+        zvec = solve_border_system2(form.complex_blocks, xi)
+        a_k, b_k = zvec.real[:k], zvec.imag[:k]
+        gamma[r::2] = np.column_stack([b_k, a_k])
+        gamma[r + 1 :: 2] = np.column_stack([a_k, -b_k])
         border = form.P.inv().T @ gamma
         Bt[:n, n:] = border
         Bt[n:, :n] = border.T
-        Bt[n, n] = bvec[k]
-        Bt[n, n + 1] = avec[k]
-        Bt[n + 1, n] = avec[k]
-        Bt[n + 1, n + 1] = -bvec[k]
+        Bt[n, n] = zvec[k].imag
+        Bt[n, n + 1] = zvec[k].real
+        Bt[n + 1, n] = zvec[k].real
+        Bt[n + 1, n + 1] = -zvec[k].imag
 
-    expected = list(mus) + list(xi) + list(xi)
-    return _finish(a, b, At, Bt, 2, xi, (zvec,), avec, bvec, gamma,
-                   expected, cond, tol)
+    expected = mus + list(xi) + list(xi)
+    return _finish(a, b, At, Bt, 2, xi, zvec.real, zvec.imag, gamma,
+                   expected, tol)

@@ -18,11 +18,11 @@ import numpy as np
 from . import errors
 from ._chains import (
     canonicalize_nilpotent_pair,
-    canonicalize_real_pencil,
+    canonicalize_real_pencil,  # unused here; benchmark/tracing.py wraps this name
     splitting_perturbation,
 )
 from ._pencil import invariant_subspace, noncommuting_pair, spectral_scale
-from .asdc import DEFECT_CAP, _spectrum_is_real
+from .asdc import DEFECT_CAP, _spectrum_is_real, _unit_splitting
 from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, f_mat, g_mat
 from .sdc import sdc_check
 from .toeplitz import ToeplitzPartition, is_block_toeplitz, toeplitz_coefficients
@@ -275,9 +275,7 @@ def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
 
 def _pair_split(A, T, eps, tol, radius=None):
     """Perturbation of the pair (A, T) to real simple spectrum."""
-    W, blocks = canonicalize_real_pencil(A, T, tol, cluster_radius=radius)
-    Winv = np.linalg.inv(W)
-    delta_unit = Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
+    delta_unit = _unit_splitting(A, T, tol, cluster_radius=radius)
     amp = float(np.linalg.norm(delta_unit, 2))
     eff = min(1.0, eps / amp) if amp > 0 else eps
     return T + eff * delta_unit

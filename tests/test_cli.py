@@ -71,18 +71,17 @@ def test_check_asdc_nonsingular_triples(tmp_path, capsys):
 
 def test_check_asdc_singular_triple(tmp_path, capsys):
     path = tmp_path / "triple.json"
-    # exactly singular span: the necessary-condition report needs an
-    # invertible element too, so the precondition error stands
+    # the triple verdict needs an invertible element in the span
     write_matrices(path, [np.diag([1.0, 2.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
                           np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])])
     assert run(["check-asdc", "-i", str(path)]) == 2
     assert "NoInvertibleElement" in capsys.readouterr().err
-    # singular at rank_tol for the verdict's seed-0 search: an element
-    # diag(c1, 1e-12 c2) is invertible only when |c2/c1| > 100, which
-    # the report's seed-1 search draws
+    # singular at rank_tol for the verdict's seed-0 search (an element
+    # diag(c1, 1e-12 c2) is invertible only when |c2/c1| > 100), which
+    # --seed does not change
     write_matrices(path, [np.diag([1.0, 0.0]), np.diag([0.0, 1e-12]), np.zeros((2, 2))])
-    assert run(["check-asdc", "-i", str(path), "--seed", "1"]) == 0
-    assert capsys.readouterr().out.startswith("undecided  algebra_dim=2 violated=False")
+    assert run(["check-asdc", "-i", str(path), "--seed", "1"]) == 2
+    assert "NoInvertibleElement" in capsys.readouterr().err
 
 
 def test_reformulate_and_verify(tmp_path):
