@@ -417,7 +417,8 @@ def _solve_refined(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     Bl = B.astype(np.longdouble)
     W = scipy.linalg.lu_solve(lu, B).astype(np.longdouble)
     for _ in range(3):
-        R = Bl - Pl @ W
+        # np.dot sums like matmul but has a fast long-double kernel
+        R = Bl - np.dot(Pl, W)
         W = W + scipy.linalg.lu_solve(lu, R.astype(float)).astype(np.longdouble)
     return W
 
@@ -446,8 +447,8 @@ def _reformulated_values(inst, ref: Reformulation, X: np.ndarray):
     qc = ref.quad_con.astype(np.longdouble)[:, None]
     lo = ref.lin_obj.astype(np.longdouble)
     lc = ref.lin_con.astype(np.longdouble)
-    obj = np.sum(W * (qo * W), axis=0) + 2.0 * lo @ W
-    con = np.sum(W * (qc * W), axis=0) + 2.0 * lc @ W
+    obj = np.sum(W * (qo * W), axis=0) + np.dot(2.0 * lo, W)
+    con = np.sum(W * (qc * W), axis=0) + np.dot(2.0 * lc, W)
     return obj.astype(float).tolist(), con.astype(float).tolist()
 
 

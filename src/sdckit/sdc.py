@@ -116,26 +116,30 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     pair = noncommuting_pair(mats, tol)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
-    return _joint_eigenbasis(mats, tol)
+    return _joint_eigenbasis(mats, tol)[0]
 
 
-def _joint_eigenbasis(mats, tol: Tolerances) -> np.ndarray:
-    """simdiag_commuting for a family already known to commute."""
+def _joint_eigenbasis(mats, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """simdiag_commuting for a family already known to commute, with the
+    diagonal of V^{-1} M V for every member as the rows of the second
+    output."""
     V = _refine(mats, tol, symmetric=False)
 
     # certify: every member diagonal in the joint basis
     Vinv = np.linalg.inv(V)
     kappa = np.linalg.cond(V)
+    diags = []
     for i, M in enumerate(mats):
         D = Vinv @ M @ V
-        off = D - np.diag(np.diag(D))
+        d = np.diag(D)
+        resid = np.linalg.norm(D - np.diag(d), 2)
         bound = tol.resid_tol * kappa**2 * max(1.0, np.linalg.norm(M, 2)) * 10
-        if np.linalg.norm(off, 2) > bound:
+        if resid > bound:
             raise errors.NotDiagonalizable(
-                f"member {i} resists joint diagonalization "
-                f"(residual {np.linalg.norm(off, 2):.3e})"
+                f"member {i} resists joint diagonalization (residual {resid:.3e})"
             )
-    return V
+        diags.append(d)
+    return V, np.array(diags)
 
 
 def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
@@ -259,7 +263,7 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
                 "NotSDC", witness=Witness("non-real-eigenvalue", i, value=complex(lam))
             )
     try:
-        V = _joint_eigenbasis(Ms, tol)
+        V, diags = _joint_eigenbasis(Ms, tol)
     except errors.NotDiagonalizable:
         # identify a defective member for the witness
         for i, M in enumerate(Ms):
@@ -272,8 +276,6 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     # group coordinates by joint eigenvalue, then diagonalize each
     # symmetric block of the transformed S by an orthogonal
     # eigendecomposition
-    Vinv = np.linalg.inv(V)
-    diags = np.array([np.diag(Vinv @ M @ V) for M in Ms])
     groups = _joint_eigenvalue_groups(diags, tol)
     order = np.concatenate(groups)
     V = V[:, order]

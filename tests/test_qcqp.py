@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from dataclasses import replace
 
@@ -295,6 +296,22 @@ class TestBlockVerification:
             # both are refined in long double, so they agree to well
             # within a few double-precision ulps
             assert np.max(np.abs(W[:, j] - w)) <= 1e-15 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("method", ["rsdc1", "rsdc2"])
+    def test_solve_refined_matches_matmul_form(self, inst, method):
+        # the long-double residual is formed with np.dot, which sums in
+        # the order of matmul's generic loop, so the two agree bitwise
+        P = reformulate(inst, method).P.P
+        lu = scipy.linalg.lu_factor(P)
+        Pl = P.astype(np.longdouble)
+        block = np.random.default_rng(6).uniform(size=(P.shape[0], 25))
+        for B in (block, block[:, 0]):
+            Bl = B.astype(np.longdouble)
+            W = scipy.linalg.lu_solve(lu, B).astype(np.longdouble)
+            for _ in range(3):
+                R = Bl - Pl @ W
+                W = W + scipy.linalg.lu_solve(lu, R.astype(float)).astype(np.longdouble)
+            assert np.array_equal(_solve_refined(P, B), W)
 
     def test_points_are_the_sequential_draws(self, inst, monkeypatch):
         seen = []

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sdckit import errors
+from sdckit import errors, rsdc
 from sdckit.canonical import PencilForm, pencil_canonical, tmat
-from sdckit.matcore import Congruence, f_mat
+from sdckit.matcore import Congruence, direct_sum, f_mat
 from sdckit.qcqp import generate_instance
 from sdckit.rsdc import (
+    _refine_congruence,
     choose_xi,
     choose_xi_points,
     rsdc1_construct,
@@ -389,3 +390,92 @@ class TestRsdc2:
             k2 = rsdc2_construct(A, B).kappa
             wins += int(k2 < k1)
         assert wins >= 7
+
+
+def refine_congruence_loop(A, B, P, hits=None):
+    """The per-pair double loop that _refine_congruence replaced, kept as
+    its bitwise reference; `hits` collects the branches taken."""
+    Pl = P.astype(np.longdouble)
+    Al = A.astype(np.longdouble)
+    Bl = B.astype(np.longdouble)
+    for _ in range(2):
+        EA = Pl.T @ Al @ Pl
+        EB = Pl.T @ Bl @ Pl
+        da, db = np.diag(EA).copy(), np.diag(EB).copy()
+        n = len(da)
+        X = np.zeros((n, n), dtype=np.longdouble)
+        for i in range(n):
+            for j in range(i + 1, n):
+                det = da[i] * db[j] - da[j] * db[i]
+                scale = max(abs(da[i] * db[j]), abs(da[j] * db[i]), 1e-300)
+                if abs(det) > 1e-8 * scale:
+                    rhs_a, rhs_b = -EA[i, j], -EB[i, j]
+                    X[i, j] = (rhs_a * db[j] - rhs_b * da[j]) / det
+                    X[j, i] = (rhs_b * da[i] - rhs_a * db[i]) / det
+                    branch = "generic"
+                elif abs(da[i] + da[j]) > 1e-12:
+                    X[i, j] = X[j, i] = -EA[i, j] / (da[i] + da[j])
+                    branch = "matched"
+                else:
+                    branch = "zero"
+                if hits is not None:
+                    hits.add(branch)
+        Pl = Pl @ (np.eye(n) + X)
+    return np.asarray(Pl, dtype=float)
+
+
+def hidden_canonical_pair(rng, n, k):
+    """An orthogonally hidden canonical pair with k complex pairs."""
+    r = n - 2 * k
+    V, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
+    sigma = rng.choice([-1.0, 1.0], size=r)
+    lams = rng.standard_normal(k) + 1j * rng.uniform(0.5, 2.0, k)
+    D1 = direct_sum(np.diag(sigma), *[f_mat(2)] * k)
+    D2 = direct_sum(np.diag(sigma * rng.standard_normal(r)), *[tmat(lam) for lam in lams])
+    A, B = V.T @ D1 @ V, V.T @ D2 @ V
+    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+
+def assert_refinement_matches_loop(A, B):
+    for build in (rsdc1_construct, rsdc2_construct):
+        cert = build(A, B)
+        At, Bt = cert.A_tilde.a, cert.B_tilde.a
+        P = sdc_check([At, Bt]).congruence.P
+        assert np.array_equal(_refine_congruence(At, Bt, P), refine_congruence_loop(At, Bt, P))
+
+
+class TestRefineCongruence:
+    def test_matches_loop_on_grid(self):
+        for n in (10, 15, 20):
+            for k in (1, 2, 3):
+                inst = generate_instance(n, k, 100, 0)
+                assert_refinement_matches_loop(inst.A1.a, inst.A2.a)
+
+    def test_matches_loop_on_planted_order80(self):
+        rng = np.random.default_rng(80)
+        for _ in range(2):
+            assert_refinement_matches_loop(*hidden_canonical_pair(rng, 80, 3))
+
+    def test_matches_loop_on_every_branch(self):
+        # pairs (0, 1) share their diagonals (matched), pairs (0, 2) and
+        # (1, 2) have opposite ones (zero correction), and index 3 is
+        # generic with every other; an off-diagonal 1e-10 perturbation of
+        # P fills the off-diagonals of P^T A P and P^T B P but moves their
+        # diagonals only by about 1e-20
+        A = np.diag([1.0, 1.0, -1.0, 2.0])
+        B = np.diag([2.0, 2.0, -2.0, 1.0])
+        R = np.random.default_rng(4).standard_normal((4, 4))
+        P = np.eye(4) + 1e-10 * (R - np.diag(np.diag(R)))
+        hits = set()
+        want = refine_congruence_loop(A, B, P, hits)
+        assert hits == {"generic", "matched", "zero"}
+        assert np.array_equal(_refine_congruence(A, B, P), want)
+
+    def test_finish_certifies_the_refined_congruence(self, rng, monkeypatch):
+        A, B = planted_pair(rng, 8, 2)
+        monkeypatch.setattr(
+            rsdc, "_refine_congruence", lambda At, Bt, P: P + 1e-3 * np.triu(P, 1)
+        )
+        for build in (rsdc1_construct, rsdc2_construct):
+            with pytest.raises(errors.CertificationFailed, match="off-diagonal residual"):
+                build(A, B)
