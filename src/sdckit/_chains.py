@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from ._pencil import invariant_subspace, spectral_scale
+from ._pencil import invariant_subspace, real_schur, spectral_scale
 from .matcore import Tolerances, f_mat, g_mat, h_mat
 
 __all__ = [
@@ -298,6 +298,7 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
                 f"pencil spectrum is not real (cluster center {center})"
             )
 
+    form = real_schur(M)
     cols = []
     blocks = []
     for idx in clusters:
@@ -314,7 +315,7 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
                 np.min(np.abs(w[idx][:, None] - w[~inside][None, :]))
             )
             sel_radius = float(np.max(np.abs(w[idx] - theta))) + 0.45 * dmin
-        U = invariant_subspace(M, theta, sel_radius)
+        U = invariant_subspace(form, theta, sel_radius)
         if U.shape[1] != len(idx):
             raise errors.StructureMismatch(
                 f"cluster at {theta}: subspace dimension {U.shape[1]} != {len(idx)}"

@@ -3,6 +3,9 @@
 Shared by the canonical-form, SDC, ASDC and RSDC modules: certified
 invertibility, the pairwise commutation test, eigenvalue clustering,
 invariant subspace extraction and the column-sign convention.
+Invariant subspaces come from one real Schur form per matrix, reordered
+by LAPACK's trsen for each eigenvalue cluster, as a sorted Schur form
+would be without refactoring the matrix for every cluster.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "noncommuting_pair",
     "spectral_scale",
     "cluster_values",
+    "real_schur",
     "invariant_subspace",
     "fix_column_signs",
 ]
@@ -66,19 +70,36 @@ def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
-def invariant_subspace(M: np.ndarray, center: float, radius: float) -> np.ndarray:
+def real_schur(M: np.ndarray):
+    """Real Schur form M = Z T Z^T as (T, Z, wr, wi), with the eigenvalues
+    read off T's standardized blocks as LAPACK reports them: wr = diag T
+    and wi = +-sqrt|T[i,i+1]| sqrt|T[i+1,i]| on a 2x2 block."""
+    try:
+        T, Z = scipy.linalg.schur(M, output="real")
+    except np.linalg.LinAlgError as exc:
+        raise errors.StructureMismatch(f"real Schur form failed: {exc}") from exc
+    wr = np.diag(T)
+    wi = np.zeros_like(wr)
+    k = np.flatnonzero(np.diag(T, -1))
+    wi[k] = np.sqrt(np.abs(T[k, k + 1])) * np.sqrt(np.abs(T[k + 1, k]))
+    wi[k + 1] = -wi[k]
+    return T, Z, wr, wi
+
+
+def invariant_subspace(form, center: float, radius: float) -> np.ndarray:
     """Orthonormal basis of the invariant subspace for eigenvalues within
-    radius of center, via a sorted real Schur form."""
-
-    def inside(re, im):
-        return abs(complex(re, im) - center) <= radius
-
-    T, Z, sdim = scipy.linalg.schur(M, output="real", sort=inside)
-    if sdim == 0:
+    radius of center, by reordering the real Schur form `form` (from
+    real_schur) so that they lead."""
+    T, Z, wr, wi = form
+    select = [abs(complex(re, im) - center) <= radius for re, im in zip(wr, wi)]
+    _, Zs, _, _, m, _, _, info = scipy.linalg.lapack.dtrsen(select, T, Z, job="N")
+    if info != 0:
+        raise errors.StructureMismatch(f"trsen info {info}: no reordering near {center}")
+    if m == 0:
         raise errors.StructureMismatch(
             f"no eigenvalues within {radius:.3e} of {center}"
         )
-    return Z[:, :sdim]
+    return Zs[:, :m]
 
 
 def fix_column_signs(P: np.ndarray) -> np.ndarray:

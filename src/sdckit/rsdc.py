@@ -179,7 +179,7 @@ def solve_border_system2(lams, xi) -> np.ndarray:
     return z
 
 
-def _eig_placement_residual(At, Bt, expected, tol) -> float:
+def _eig_placement_residual(At, Bt, expected) -> float:
     """Max deviation of the extended pencil spectrum from the expected
     real multiset, relative to its scale."""
     w = np.linalg.eigvals(np.linalg.solve(At, Bt))
@@ -240,7 +240,7 @@ def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected,
     n = a.shape[0]
     if not (np.array_equal(At[:n, :n], a) and np.array_equal(Bt[:n, :n], b)):
         raise errors.CertificationFailed("top-left restriction is not exact")
-    resid = _eig_placement_residual(At, Bt, expected, tol)
+    resid = _eig_placement_residual(At, Bt, expected)
     if resid > EIG_PLACEMENT_RTOL:
         raise errors.CertificationFailed(
             f"eigenvalue placement residual {resid:.3e} exceeds "

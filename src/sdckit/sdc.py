@@ -17,6 +17,7 @@ from ._pencil import (
     fix_column_signs,
     invariant_subspace,
     noncommuting_pair,
+    real_schur,
     spectral_scale,
 )
 from .matcore import DEFAULT_TOL, Congruence, SymMat, Tolerances, asmat, numeric_rank
@@ -149,7 +150,8 @@ def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
     member is compressed to the basis and decomposed once, by eigh when
     symmetric and eig otherwise.  Its eigenvalue clusters split the
     basis; in the general case a simple cluster keeps its eigenvector
-    and only a repeated one goes through a sorted Schur form.
+    and only a repeated one goes through the level's real Schur form,
+    computed once and reordered per cluster.
     """
     out = []
     todo = [(np.eye(mats[0].shape[0]), 0)]
@@ -180,6 +182,7 @@ def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
             todo.append((basis, depth + 1))
             continue
         children = []
+        form = None
         for idx in clusters:
             if symmetric:
                 U = X[:, idx]
@@ -192,7 +195,9 @@ def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
                 lam = float(np.mean(wr[idx]))
                 spread = float(np.max(np.abs(wr[idx] - lam)))
                 try:
-                    U = invariant_subspace(Mloc, lam, spread + tol.cluster_tol * diam)
+                    if form is None:
+                        form = real_schur(Mloc)
+                    U = invariant_subspace(form, lam, spread + tol.cluster_tol * diam)
                 except errors.StructureMismatch as exc:
                     raise errors.NotDiagonalizable(
                         f"member {depth}: no eigenvalue found near {lam}"
@@ -244,9 +249,33 @@ def _certified(P: np.ndarray, mats, tol: Tolerances) -> SdcResult:
     return SdcResult("SDC", congruence=cong, diagonals=tuple(diagonals))
 
 
+def _scaled_group_columns(V: np.ndarray, Sbar: np.ndarray, sizes) -> np.ndarray:
+    """V times the eigenvectors of each consecutive diagonal block of Sbar
+    (of the given sizes), scaled by 1/sqrt|eigenvalue|; a block of size
+    one is the scalar Sbar[i, i] and needs no eigh.  Near-defective
+    pencils have legitimately tiny local Grams; the certificate's kappa^2
+    factor absorbs the resulting scaling, so only outright zeros are fatal here."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    P = np.empty(V.shape)
+    one = starts[sizes == 1]
+    vals = np.abs(np.diag(Sbar)[one])
+    if np.any(vals <= 1e-14 * np.maximum(1.0, vals)):
+        raise errors.CertificationFailed("degenerate joint-eigenvalue block")
+    P[:, one] = V[:, one] * (1.0 / np.sqrt(vals))
+    for pos, g in zip(starts[sizes > 1], sizes[sizes > 1]):
+        blk = Sbar[pos : pos + g, pos : pos + g]
+        vals, vecs = np.linalg.eigh(0.5 * (blk + blk.T))
+        if np.min(np.abs(vals)) <= 1e-14 * max(1.0, np.max(np.abs(vals))):
+            raise errors.CertificationFailed("degenerate joint-eigenvalue block")
+        P[:, pos : pos + g] = V[:, pos : pos + g] @ (vecs / np.sqrt(np.abs(vals)))
+    return P
+
+
 def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     """SDC decision when S in the span is certified invertible."""
-    Ms = [np.linalg.solve(S, A) for A in mats]
+    # a member that is S itself (a full-rank member) is exactly I
+    Ms = [np.eye(len(S)) if np.array_equal(A, S) else np.linalg.solve(S, A) for A in mats]
 
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
@@ -277,24 +306,8 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     # symmetric block of the transformed S by an orthogonal
     # eigendecomposition
     groups = _joint_eigenvalue_groups(diags, tol)
-    order = np.concatenate(groups)
-    V = V[:, order]
-    Sbar = V.T @ S @ V
-    cols = []
-    pos = 0
-    for grp in groups:
-        g = len(grp)
-        blk = Sbar[pos : pos + g, pos : pos + g]
-        blk = 0.5 * (blk + blk.T)
-        vals, vecs = np.linalg.eigh(blk)
-        # near-defective pencils have legitimately tiny local Grams; the
-        # certificate's kappa^2 factor absorbs the resulting scaling, so
-        # only outright zeros are fatal here
-        if np.min(np.abs(vals)) <= 1e-14 * max(1.0, np.max(np.abs(vals))):
-            raise errors.CertificationFailed("degenerate joint-eigenvalue block")
-        cols.append(V[:, pos : pos + g] @ (vecs / np.sqrt(np.abs(vals))))
-        pos += g
-    P = np.hstack(cols)
+    V = V[:, np.concatenate(groups)]
+    P = _scaled_group_columns(V, V.T @ S @ V, [len(grp) for grp in groups])
 
     # deterministic ordering by the diagonals of the inputs
     PtAP = [P.T @ A @ P for A in mats]

@@ -21,7 +21,7 @@ from ._chains import (
     canonicalize_real_pencil,  # unused here; benchmark/tracing.py wraps this name
     splitting_perturbation,
 )
-from ._pencil import invariant_subspace, noncommuting_pair, spectral_scale
+from ._pencil import invariant_subspace, noncommuting_pair, real_schur, spectral_scale
 from .asdc import DEFECT_CAP, _spectrum_is_real, _unit_splitting
 from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, f_mat, g_mat
 from .sdc import sdc_check
@@ -230,6 +230,7 @@ def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
     """
     steps.append(f"case1@{depth}")
     n = A.shape[0]
+    form = real_schur(M)
     Us = []
     for idx in clusters:
         theta = float(np.mean(w[idx]).real)
@@ -240,7 +241,7 @@ def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
         else:
             dmin = float(np.min(np.abs(w[idx][:, None] - w[~inside][None, :])))
             radius = float(np.max(np.abs(w[idx] - theta))) + 0.45 * dmin
-        U = invariant_subspace(M, theta, radius)
+        U = invariant_subspace(form, theta, radius)
         if U.shape[1] != len(idx):
             raise errors.StructureMismatch(
                 f"cluster at {theta}: dimension {U.shape[1]} != {len(idx)}"

@@ -6,11 +6,14 @@ import pytest
 import scipy.linalg
 
 from conftest import random_congruence, random_sdc_family
-from sdckit import errors
+from sdckit import _chains, errors, rsdc
 from sdckit import sdc as sdc_module
+from sdckit._pencil import invariant_subspace, real_schur
+from sdckit.canonical import tmat
 from sdckit.matcore import DEFAULT_TOL, direct_sum, f_mat, g_mat
 from sdckit.sdc import (
     _joint_eigenvalue_groups,
+    _scaled_group_columns,
     find_max_rank_element,
     sdc_check,
     sdc_check_pd,
@@ -377,3 +380,184 @@ def test_commutation_tested_once_per_check(rng, monkeypatch):
     with pytest.raises(errors.NotCommuting):
         simdiag_commuting([np.diag([1.0, -1.0]), f_mat(2)])
     assert len(calls) == 1
+
+
+def _sorted_schur_reference(M, center, radius):
+    # the sorted-Schur invariant_subspace that one Schur form per matrix,
+    # reordered per cluster, replaced
+    def inside(re, im):
+        return abs(complex(re, im) - center) <= radius
+
+    T, Z, sdim = scipy.linalg.schur(M, output="real", sort=inside)
+    if sdim == 0:
+        raise errors.StructureMismatch(f"no eigenvalues within {radius:.3e} of {center}")
+    return Z[:, :sdim]
+
+
+def _checked_against_reference(monkeypatch, module):
+    """Make every subspace `module` extracts compare itself bitwise with
+    the sorted-Schur reference; returns the list of (Schur forms made,
+    subspaces checked) counts, updated as calls happen."""
+    sources = {}
+    counts = [0, 0]
+
+    def recording_schur(M):
+        form = real_schur(M)
+        sources[id(form)] = (form, np.array(M))
+        counts[0] += 1
+        return form
+
+    def checked_subspace(form, center, radius):
+        T, Z = form[0].copy(), form[1].copy()
+        U = invariant_subspace(form, center, radius)
+        want = _sorted_schur_reference(sources[id(form)][1], center, radius)
+        assert U.shape == want.shape and np.array_equal(U, want)
+        # the cached form is reordered on a copy, never in place
+        assert np.array_equal(form[0], T) and np.array_equal(form[1], Z)
+        counts[1] += 1
+        return U
+
+    monkeypatch.setattr(module, "real_schur", recording_schur)
+    monkeypatch.setattr(module, "invariant_subspace", checked_subspace)
+    return counts
+
+
+def _planted_pair(rng, n, k):
+    # an orthogonally hidden canonical pair with k complex pairs
+    r = n - 2 * k
+    V, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
+    sigma = rng.choice([-1.0, 1.0], size=r)
+    mus = rng.standard_normal(r)
+    lams = rng.standard_normal(k) + 1j * rng.uniform(0.5, 2.0, k)
+    A = V.T @ direct_sum(np.diag(sigma), *[f_mat(2)] * k) @ V
+    B = V.T @ direct_sum(np.diag(sigma * mus), *[tmat(lam) for lam in lams]) @ V
+    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+
+def test_doubled_clusters_match_sorted_schur(monkeypatch):
+    # rsdc2 gives each of its k + 1 points multiplicity two: one Schur
+    # form, reordered for each of the four doubled clusters
+    A, B = _planted_pair(np.random.default_rng(901), 80, 3)
+    counts = _checked_against_reference(monkeypatch, sdc_module)
+    rsdc.rsdc2_construct(A, B)
+    assert counts == [1, 4]
+
+
+def test_jordan_clusters_match_sorted_schur(monkeypatch):
+    # a scrambled pencil with Jordan blocks of sizes 3 and 2 and two
+    # simple eigenvalues: four clusters through _chains
+    A0 = direct_sum(f_mat(3), -f_mat(2), np.diag([1.0, -1.0]))
+    B0 = direct_sum(0.5 * f_mat(3) + g_mat(3), -(-1.5 * f_mat(2) + g_mat(2)),
+                    np.diag([2.0, 1.0]))
+    A, B = _scrambled_pair(A0, B0, random_congruence(np.random.default_rng(3), 7, 5.0))
+    counts = _checked_against_reference(monkeypatch, _chains)
+    W, blocks = _chains.canonicalize_real_pencil(A, B, DEFAULT_TOL)
+    assert counts == [1, 4]
+    assert sorted(size for _, size, _ in blocks) == [1, 1, 2, 3]
+
+
+def test_invariant_subspace_edge_selections():
+    # a complex pair (a 2x2 block of T), everything, and nothing
+    Q = random_congruence(np.random.default_rng(4), 6, 10.0)
+    D = direct_sum(np.array([[0.5, 1.0], [-1.0, 0.5]]), np.diag([3.0, -2.0, 5.0, 7.0]))
+    M = Q @ D @ np.linalg.inv(Q)
+    form = real_schur(M)
+    assert np.count_nonzero(np.diag(form[0], -1)) == 1
+    want = np.sort_complex(np.array([0.5 + 1j, 0.5 - 1j, 3.0, -2.0, 5.0, 7.0]))
+    assert np.allclose(np.sort_complex(form[2] + 1j * form[3]), want)
+    for center, radius, dim in ((0.5, 1.01, 2), (3.0, np.inf, 6), (-2.0, 0.1, 1)):
+        U = invariant_subspace(form, center, radius)
+        assert U.shape == (6, dim)
+        assert np.array_equal(U, _sorted_schur_reference(M, center, radius))
+    # the pair sits at distance 1 from its real part
+    for center, radius in ((10.0, 0.5), (0.5, 0.1)):
+        for fn, arg in ((invariant_subspace, form), (_sorted_schur_reference, M)):
+            with pytest.raises(errors.StructureMismatch, match="no eigenvalues within"):
+                fn(arg, center, radius)
+
+
+def test_failed_reordering_is_named(monkeypatch):
+    # trsen reporting that it could not swap two blocks is a
+    # StructureMismatch naming info, which the oracle reads as defective
+    def failing(select, T, Z, job):
+        return T, Z, None, None, int(np.sum(select)), 0.0, 0.0, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsen", failing)
+    with pytest.raises(errors.StructureMismatch, match="info 1"):
+        invariant_subspace(real_schur(np.diag([1.0, 2.0, 1.0])), 1.0, 0.1)
+    with pytest.raises(errors.NotDiagonalizable):
+        simdiag_commuting([np.diag([1.0, 2.0, 1.0])])
+    res = sdc_check([np.eye(3), np.diag([1.0, 2.0, 1.0])])
+    assert not res.is_sdc and res.witness.kind == "not-diagonalizable"
+
+
+def test_unconverged_schur_form_is_named(monkeypatch):
+    def failing(M, output):
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    with pytest.raises(errors.StructureMismatch, match="Schur form not found"):
+        real_schur(np.eye(2))
+    with pytest.raises(errors.NotDiagonalizable):
+        simdiag_commuting([np.diag([1.0, 2.0, 1.0])])
+
+
+def test_one_schur_form_per_construction(monkeypatch):
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    A, B = _planted_pair(np.random.default_rng(902), 80, 3)
+    rsdc.rsdc2_construct(A, B)
+    assert len(calls) == 1
+
+
+def test_full_rank_member_is_the_identity(rng, monkeypatch):
+    # the member that is S itself enters as I: one solve, for B only
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    (A, B), _ = random_sdc_family(rng, 12, 2)
+    assert sdc_check([A, B]).is_sdc
+    assert len(calls) == 1
+
+
+def _per_group_eigh_reference(V, Sbar, sizes):
+    # the per-group eigh loop the singleton scaling replaced
+    cols = []
+    pos = 0
+    for g in sizes:
+        blk = Sbar[pos : pos + g, pos : pos + g]
+        blk = 0.5 * (blk + blk.T)
+        vals, vecs = np.linalg.eigh(blk)
+        if np.min(np.abs(vals)) <= 1e-14 * max(1.0, np.max(np.abs(vals))):
+            raise errors.CertificationFailed("degenerate joint-eigenvalue block")
+        cols.append(V[:, pos : pos + g] @ (vecs / np.sqrt(np.abs(vals))))
+        pos += g
+    return np.hstack(cols)
+
+
+def test_singleton_scaling_matches_eigh_loop(rng):
+    for sizes in ([1, 3, 1, 1, 3], [3, 1], [1], [3], [1, 1, 1, 3, 3, 1]):
+        n = sum(sizes)
+        V = rng.standard_normal((n, n))
+        Sbar = rng.standard_normal((n, n))
+        Sbar = Sbar + Sbar.T
+        got = _scaled_group_columns(V, Sbar, sizes)
+        assert np.array_equal(got, _per_group_eigh_reference(V, Sbar, sizes))
+    # a zero on the diagonal of a singleton or a singular block of three
+    for sizes, zero in (([1, 3], 0), ([1, 3], slice(1, 4))):
+        Sbar = np.eye(4)
+        Sbar[zero, zero] = 0.0
+        for fn in (_scaled_group_columns, _per_group_eigh_reference):
+            with pytest.raises(errors.CertificationFailed, match="degenerate"):
+                fn(np.eye(4), Sbar, sizes)
