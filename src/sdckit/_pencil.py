@@ -33,14 +33,17 @@ def certify_invertible(M, tol: Tolerances) -> bool:
     return a.shape[0] > 0 and numeric_rank(a, tol) == a.shape[0]
 
 
-def noncommuting_pair(mats, tol: Tolerances, factor: float = 1.0):
+def noncommuting_pair(mats, tol: Tolerances, factor: float = 1.0, norms=None):
     """First pair (i, j, |[M_i, M_j]|_2), i < j in lexicographic order,
     whose commutator exceeds factor * resid_tol * max(1, |M_i|_2 |M_j|_2);
-    None when every pair commutes."""
+    None when every pair commutes.  `norms`, when given, holds the
+    |M_i|_2 already computed by the caller."""
+    if norms is None:
+        norms = [np.linalg.norm(M, 2) for M in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             val = np.linalg.norm(commutator(mats[i], mats[j]), 2)
-            scale = max(1.0, np.linalg.norm(mats[i], 2) * np.linalg.norm(mats[j], 2))
+            scale = max(1.0, norms[i] * norms[j])
             if val > tol.resid_tol * scale * factor:
                 return i, j, val
     return None

@@ -6,6 +6,7 @@ tolerance policy threaded through every other module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,8 +125,8 @@ class SymMat:
 class Congruence:
     """Invertible change-of-basis matrix with cached condition number.
 
-    Certified at construction: smallest singular value must exceed
-    INV_TOL times the largest.
+    Certified at construction: every entry must be finite and the
+    smallest singular value must exceed INV_TOL times the largest.
     """
 
     __slots__ = ("P", "kappa", "_Pinv")
@@ -134,6 +135,8 @@ class Congruence:
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise errors.OrderMismatch(f"expected a square matrix, got shape {P.shape}")
+        if not np.all(np.isfinite(P)):
+            raise errors.SingularCongruence("congruence has a non-finite entry")
         s = np.linalg.svd(P, compute_uv=False)
         smax = float(s[0]) if s.size else 0.0
         smin = float(s[-1]) if s.size else 0.0
@@ -246,6 +249,48 @@ def cond_number(P) -> float:
     if s[-1] <= INV_TOL * s[0] or s[0] == 0.0:
         return float("inf")
     return float(s[0] / s[-1])
+
+
+def _dot2(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A @ B as an unevaluated sum hi + lo from three double BLAS
+    products, each entry within about k 2^-75 max|a_i| max|b_j| of the
+    exact value (k the inner dimension) unless lo underflows.
+
+    Each row of A and each column of B is scaled by a power of two so
+    that its largest entry lies in [0.5, 1), which is exact and keeps the
+    split from overflowing.  Splitting with sigma = 2^beta, beta =
+    ceil((53 + log2 k) / 2), leaves leading parts A1, B1 on a grid so
+    coarse that A1 @ B1 is exact in any summation order (Ozaki, Ogita,
+    Oishi & Rump, 2012); the two products with a tail carry the rest,
+    and one TwoSum joins the exact part to them.
+    """
+    k = A.shape[1]
+    ea = np.frexp(np.max(np.abs(A), axis=1, initial=0.0))[1][:, None]
+    eb = np.frexp(np.max(np.abs(B), axis=0, initial=0.0))[1][None, :]
+    As, Bs = A * np.ldexp(1.0, -ea), B * np.ldexp(1.0, -eb)
+    sigma = 2.0 ** math.ceil((53 + math.log2(max(k, 1))) / 2)
+    A1 = As + sigma
+    A1 -= sigma
+    B1 = Bs + sigma
+    B1 -= sigma
+    # in place from here on, since at the refinement's orders every
+    # fresh temporary costs page faults; As and Bs become the tails
+    As -= A1
+    t = As @ Bs
+    Bs -= B1
+    t += A1 @ Bs
+    h = A1 @ B1
+    # TwoSum: hi + lo == h + t exactly
+    hi = h + t
+    z = hi - h
+    lo = hi - z
+    np.subtract(h, lo, out=lo)
+    t -= z
+    lo += t
+    f = np.ldexp(1.0, ea + eb)
+    hi *= f
+    lo *= f
+    return hi, lo
 
 
 def direct_sum(*mats) -> np.ndarray:

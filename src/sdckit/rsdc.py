@@ -7,7 +7,9 @@ for prescribed real, distinct xi.  Evaluating that identity at each
 complex eigenvalue gives every border entry in closed form.  The
 two-dimensional variant places each xi with multiplicity two through a
 conjugate pair of blocks and tends to produce much better conditioned
-congruences.
+congruences.  Either way the SDC oracle's congruence for the extended
+pair is refined in double with error-free split products and certified
+again before it is returned.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .matcore import (
     Congruence,
     SymMat,
     Tolerances,
+    _dot2,
     asmat,
     f_mat,
 )
@@ -194,26 +197,33 @@ def _eig_placement_residual(At, Bt, expected) -> float:
 
 
 def _refine_congruence(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """One extended-precision correction sweep on a diagonalizing P.
+    """Two extended-precision correction sweeps on a diagonalizing P.
 
     A backward-stable eigensolve leaves P with forward error kappa eps,
     which shows up as off-diagonal residue of order kappa^2 eps in
     P^T A P; linearizing the congruence around the computed P and
-    solving the 2x2 per-pair corrections in long double pushes the
-    residue down to the storage floor kappa eps.
+    solving the 2x2 per-pair corrections pushes the residue down to the
+    storage floor kappa eps.  That needs the residue itself to more than
+    double precision: P^T A P and P^T B P come from error-free split
+    products (matcore._dot2), A stacked over B so that P is split once
+    per stage, and P is carried as P + Pl, rounded once at the end.
 
-    Entry (i, j) of each array below belongs to the pair i < j.  The
-    long-double products use np.dot, whose per-dtype kernel sums in the
-    same order as matmul's generic loop at a fraction of its cost.
+    Entry (i, j) of each array below belongs to the pair i < j.
     """
-    Pl = P.astype(np.longdouble)
-    Al = A.astype(np.longdouble)
-    Bl = B.astype(np.longdouble)
     n = P.shape[0]
+    AB = np.vstack([A, B])
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    Pl = np.zeros_like(P)
     for _ in range(2):
-        EA = np.dot(np.dot(Pl.T, Al), Pl)
-        EB = np.dot(np.dot(Pl.T, Bl), Pl)
+        # [A; B](P + Pl) as Yh + Yl, then (P + Pl)^T [AP, BP] rounded
+        # once, leaving out Pl^T Yl, which is below its last bit
+        Yh, Yl = _dot2(AB, P)
+        Yl += AB @ Pl
+        Yh, Yl = np.hstack([Yh[:n], Yh[n:]]), np.hstack([Yl[:n], Yl[n:]])
+        E, El = _dot2(P.T, Yh)
+        El += P.T @ Yl + Pl.T @ Yh
+        E += El
+        EA, EB = E[:, :n], E[:, n:]
         da, db = np.diag(EA), np.diag(EB)
         p = da[:, None] * db[None, :]
         q = p.T
@@ -231,8 +241,8 @@ def _refine_congruence(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> np.ndarra
         np.divide(rhs_a * db - rhs_b * da, det, out=x_ij, where=generic)
         np.divide(rhs_b * da[:, None] - rhs_a * db[:, None], det, out=x_ji, where=generic)
         X = np.where(upper, x_ij, x_ji.T)
-        Pl = np.dot(Pl, np.eye(n) + X)
-    return np.asarray(Pl, dtype=float)
+        Pl += (P + Pl) @ X
+    return P + Pl
 
 
 def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected,

@@ -114,16 +114,17 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     for i, (Mi) in enumerate(mats):
         if Mi.shape[0] != n:
             raise errors.OrderMismatch(f"member {i} has order {Mi.shape[0]} != {n}")
-    pair = noncommuting_pair(mats, tol)
+    norms = [np.linalg.norm(M, 2) for M in mats]
+    pair = noncommuting_pair(mats, tol, norms=norms)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
-    return _joint_eigenbasis(mats, tol)[0]
+    return _joint_eigenbasis(mats, tol, norms)[0]
 
 
-def _joint_eigenbasis(mats, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _joint_eigenbasis(mats, tol: Tolerances, norms) -> tuple[np.ndarray, np.ndarray]:
     """simdiag_commuting for a family already known to commute, with the
     diagonal of V^{-1} M V for every member as the rows of the second
-    output."""
+    output; norms[i] is |mats[i]|_2."""
     V = _refine(mats, tol, symmetric=False)
 
     # certify: every member diagonal in the joint basis
@@ -134,7 +135,7 @@ def _joint_eigenbasis(mats, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
         D = Vinv @ M @ V
         d = np.diag(D)
         resid = np.linalg.norm(D - np.diag(d), 2)
-        bound = tol.resid_tol * kappa**2 * max(1.0, np.linalg.norm(M, 2)) * 10
+        bound = tol.resid_tol * kappa**2 * max(1.0, norms[i]) * 10
         if resid > bound:
             raise errors.NotDiagonalizable(
                 f"member {i} resists joint diagonalization (residual {resid:.3e})"
@@ -279,7 +280,8 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
 
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
-    pair = noncommuting_pair(Ms, tol)
+    norms = [np.linalg.norm(M, 2) for M in Ms]
+    pair = noncommuting_pair(Ms, tol, norms=norms)
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     for i, M in enumerate(Ms):
@@ -292,12 +294,12 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
                 "NotSDC", witness=Witness("non-real-eigenvalue", i, value=complex(lam))
             )
     try:
-        V, diags = _joint_eigenbasis(Ms, tol)
+        V, diags = _joint_eigenbasis(Ms, tol, norms)
     except errors.NotDiagonalizable:
         # identify a defective member for the witness
         for i, M in enumerate(Ms):
             try:
-                _joint_eigenbasis([M], tol)
+                _joint_eigenbasis([M], tol, norms[i : i + 1])
             except errors.NotDiagonalizable:
                 return SdcResult("NotSDC", witness=Witness("not-diagonalizable", i))
         return SdcResult("NotSDC", witness=Witness("not-diagonalizable"))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sdckit.matcore import (
     Congruence,
     SymMat,
     Tolerances,
+    _dot2,
     commutator,
     cond_number,
     direct_sum,
@@ -76,6 +79,39 @@ def test_congruence_certification():
     assert c.kappa >= 1.0
     with pytest.raises(errors.SingularCongruence):
         Congruence(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_congruence_rejects_non_finite_entries(bad):
+    # a NaN used to leak numpy's LinAlgError from the SVD, and an inf
+    # gave a congruence with kappa = nan
+    P = np.eye(3)
+    P[1, 2] = bad
+    with pytest.raises(errors.SingularCongruence, match="non-finite"):
+        Congruence(P)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 11, 41, 82, 164])
+def test_dot2_against_exact_rationals(k):
+    # rows: zero, at 2^500, at 2^-500, entries spread over 2^+-60;
+    # columns: unit scale, 2^300, 2^-300, zero
+    rng = np.random.default_rng(k)
+    A = rng.standard_normal((4, k))
+    A[0] = 0.0
+    A[1] *= 2.0**500
+    A[2] *= 2.0**-500
+    A[3] *= 2.0 ** rng.integers(-60, 61, k)
+    B = rng.standard_normal((k, 4)) * np.array([1.0, 2.0**300, 2.0**-300, 0.0])
+    hi, lo = _dot2(A, B)
+    for i in range(4):
+        for j in range(4):
+            exact = sum(Fraction(a) * Fraction(b) for a, b in zip(A[i], B[:, j]))
+            err = abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - exact)
+            bound = Fraction(k * 2.0**-75) * Fraction(np.max(np.abs(A[i]))) * Fraction(
+                np.max(np.abs(B[:, j]))
+            )
+            assert err <= bound, (i, j, float(err / bound) if bound else err)
+    assert not np.any(hi[0]) and not np.any(lo[:, 3])
 
 
 def test_commutator_examples():

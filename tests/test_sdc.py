@@ -382,6 +382,24 @@ def test_commutation_tested_once_per_check(rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_member_norms_computed_once_per_check(rng, monkeypatch):
+    # the commutation test and the joint-eigenbasis certificate share one
+    # 2-norm per member of S^-1 A_i; zero matrices (the commutators with
+    # the member that is S, for one) are left out
+    seen = []
+    norm = np.linalg.norm
+
+    def counting(x, *args, **kwargs):
+        if (args[:1] == (2,) or kwargs.get("ord") == 2) and np.any(x):
+            seen.append(np.asarray(x).tobytes())
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    fam, _ = random_sdc_family(rng, 6, 3)
+    assert sdc_check(fam).is_sdc
+    assert max(seen.count(b) for b in seen) == 1
+
+
 def _sorted_schur_reference(M, center, radius):
     # the sorted-Schur invariant_subspace that one Schur form per matrix,
     # reordered per cluster, replaced
