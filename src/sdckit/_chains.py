@@ -17,15 +17,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors
-from ._pencil import invariant_subspace, real_schur, spectral_scale
-from .matcore import Tolerances, f_mat, g_mat, h_mat
+from ._pencil import certify_residuals, invariant_subspace, real_schur, spectral_scale
+from .matcore import Tolerances, direct_sum, f_mat, h_mat, jordan_pair
 
 __all__ = [
+    "DEFECT_CAP",
     "nilpotent_jordan_chains",
     "canonicalize_nilpotent_pair",
+    "defect_clusters",
+    "cluster_subspaces",
     "canonicalize_real_pencil",
     "splitting_perturbation",
 ]
+
+# |Im| above which an eigenvalue is unambiguously complex; below this the
+# imaginary part may be roundoff splitting of a defective real eigenvalue.
+# Defective eigenvalues scatter by eps^(1/p), so defect_clusters merges
+# anything closer than this (relative to the spectral scale).
+DEFECT_CAP = 2e-3
 
 
 def _null_basis(M: np.ndarray, cutoff: float) -> np.ndarray:
@@ -100,13 +109,7 @@ def nilpotent_jordan_chains(M: np.ndarray, tol: Tolerances) -> list[list[np.ndar
 
 def _hankel_grams(A, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
     """s_m = left_i^T A right_j at i + j = m + 1 (0-indexed list of values)."""
-    L, R = len(left), len(right)
-    out = np.zeros(L + R + 1)
-    for i, u in enumerate(left, start=1):
-        for j, v in enumerate(right, start=1):
-            out[i + j] += 0.0  # placeholder to keep shape
-    # recompute without accumulation: Hankel means all (i,j) with equal
-    # i+j agree; use the first representative and verify agreement
+    # Hankel means all (i, j) with equal i + j agree; average them
     vals = {}
     for i, u in enumerate(left, start=1):
         Au = A @ u
@@ -117,7 +120,7 @@ def _hankel_grams(A, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndar
                 vals[m].append(g)
             else:
                 vals[m] = [g]
-    out = np.zeros(L + R + 1)
+    out = np.zeros(len(left) + len(right) + 1)
     for m, gs in vals.items():
         out[m] = float(np.mean(gs))
     return out
@@ -127,7 +130,7 @@ def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray, tol: Tolerances):
     """Pair canonical form for A invertible symmetric, A^{-1}B nilpotent.
 
     Returns (W, blocks) with blocks a list of (sigma, size) in column
-    order and W^T A W = Diag(sigma F), W^T B B = Diag(sigma G) up to the
+    order and W^T A W = Diag(sigma F), W^T B W = Diag(sigma G) up to the
     certified residual.
     """
     n = A.shape[0]
@@ -216,37 +219,9 @@ def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray, tol: Tolerances):
             f"chain extraction produced {len(cols)} vectors for order {n}"
         )
     W = np.column_stack(cols)
-
-    # certify against the exact canonical targets
-    DA = _target(blocks, theta=None)
-    DB = _target(blocks, theta=0.0)
-    kappa = np.linalg.cond(W)
-    for mat, target in ((A, DA), (B, DB)):
-        resid = np.linalg.norm(W.T @ mat @ W - target, 2)
-        bound = 1e-7 * kappa**2 * max(1.0, np.linalg.norm(mat, 2))
-        if resid > bound:
-            raise errors.CertificationFailed(
-                f"chain canonicalization residual {resid:.3e} exceeds {bound:.3e}"
-            )
+    certify_residuals(W.T, W, (A, B), jordan_pair([(s, z, 0.0) for s, z in blocks]),
+                      1e-7, np.linalg.cond(W), "chain canonicalization")
     return W, blocks
-
-
-def _target(blocks, theta):
-    """Diag(sigma F) when theta is None, else Diag(sigma(theta F + G))."""
-    mats = []
-    for sigma, size in blocks:
-        if theta is None:
-            mats.append(sigma * f_mat(size))
-        else:
-            mats.append(sigma * (theta * f_mat(size) + g_mat(size)))
-    n = sum(b[1] for b in blocks)
-    out = np.zeros((n, n))
-    pos = 0
-    for m in mats:
-        d = m.shape[0]
-        out[pos : pos + d, pos : pos + d] = m
-        pos += d
-    return out
 
 
 def _complex_clusters(w: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -270,6 +245,49 @@ def _complex_clusters(w: np.ndarray, radius: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups.values()]
 
 
+def defect_clusters(M: np.ndarray, tol: Tolerances, cap: float | None = None):
+    """Eigenvalues w of M and their defect-aware clusters (index arrays).
+
+    Single-linkage clustering in the complex plane at a radius of
+    max(cluster_tol * diameter, DEFECT_CAP * spectral scale), wide enough
+    to reabsorb the splitting of a defective eigenvalue; a caller that
+    knows a smaller safe radius passes it as `cap`.
+    """
+    w = np.linalg.eigvals(M)
+    scale = spectral_scale(w)
+    diam = max(float(np.max(np.abs(w[:, None] - w[None, :]))), 1.0) if len(w) > 1 else 1.0
+    radius = max(tol.cluster_tol * diam, DEFECT_CAP * scale)
+    if cap is not None:
+        radius = min(radius, cap)
+    return w, _complex_clusters(w, radius)
+
+
+def cluster_subspaces(M: np.ndarray, w: np.ndarray, clusters):
+    """Yield (theta, U) per cluster: the cluster's mean real part and an
+    orthonormal basis of M's invariant subspace for it, taken from one
+    real Schur form.  Lazy, so a caller's per-cluster work and errors
+    keep their order."""
+    form = real_schur(M)
+    for idx in clusters:
+        theta = float(np.mean(w[idx]).real)
+        inside = np.zeros(len(w), dtype=bool)
+        inside[idx] = True
+        if inside.all():
+            radius = np.inf
+        else:
+            # halfway to the nearest foreign eigenvalue: Schur re-estimates
+            # of defective eigenvalues drift, so the spread alone is not a
+            # safe selection radius
+            dmin = float(np.min(np.abs(w[idx][:, None] - w[~inside][None, :])))
+            radius = float(np.max(np.abs(w[idx] - theta))) + 0.45 * dmin
+        U = invariant_subspace(form, theta, radius)
+        if U.shape[1] != len(idx):
+            raise errors.StructureMismatch(
+                f"cluster at {theta}: subspace dimension {U.shape[1]} != {len(idx)}"
+            )
+        yield theta, U
+
+
 def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
                              cluster_radius: float | None = None):
     """Full type-1 canonical form of a real-spectrum nonsingular pencil.
@@ -279,18 +297,13 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
 
     Eigenvalues of a defective pencil are computed with error on the
     order of eps^(1/p) for a size-p Jordan block, so clustering happens
-    in the complex plane with a radius wide enough to reabsorb that
-    splitting; conjugate-symmetric clusters with a real mean are treated
-    as real Jordan clusters and everything is certified at the end.
+    in the complex plane (defect_clusters, at most cluster_radius wide);
+    conjugate-symmetric clusters with a real mean are treated as real
+    Jordan clusters and everything is certified at the end.
     """
     M = np.linalg.solve(A, B)
-    w = np.linalg.eigvals(M)
+    w, clusters = defect_clusters(M, tol, cluster_radius)
     scale = spectral_scale(w)
-    diam = max(float(np.max(np.abs(w[:, None] - w[None, :]))), 1.0) if len(w) > 1 else 1.0
-    radius = max(tol.cluster_tol * diam, 2e-3 * scale)
-    if cluster_radius is not None:
-        radius = min(radius, cluster_radius)
-    clusters = _complex_clusters(w, radius)
     for idx in clusters:
         center = np.mean(w[idx])
         if abs(center.imag) > tol.eig_real_tol * scale:
@@ -298,28 +311,9 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
                 f"pencil spectrum is not real (cluster center {center})"
             )
 
-    form = real_schur(M)
     cols = []
     blocks = []
-    for idx in clusters:
-        theta = float(np.mean(w[idx]).real)
-        inside = np.zeros(len(w), dtype=bool)
-        inside[idx] = True
-        if inside.all():
-            sel_radius = np.inf
-        else:
-            # halfway to the nearest foreign eigenvalue: Schur re-estimates
-            # of defective eigenvalues drift, so the spread alone is not a
-            # safe selection radius
-            dmin = float(
-                np.min(np.abs(w[idx][:, None] - w[~inside][None, :]))
-            )
-            sel_radius = float(np.max(np.abs(w[idx] - theta))) + 0.45 * dmin
-        U = invariant_subspace(form, theta, sel_radius)
-        if U.shape[1] != len(idx):
-            raise errors.StructureMismatch(
-                f"cluster at {theta}: subspace dimension {U.shape[1]} != {len(idx)}"
-            )
+    for theta, U in cluster_subspaces(M, w, clusters):
         Ac = U.T @ A @ U
         Bc = U.T @ (B - theta * A) @ U
         Wc, blks = canonicalize_nilpotent_pair(
@@ -332,23 +326,8 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
         raise errors.StructureMismatch(
             f"cluster canonicalizations cover {W.shape[1]} of {W.shape[0]} dimensions"
         )
-
-    DA = _target([(s, z) for s, z, _ in blocks], None)
-    DB = np.zeros_like(DA)
-    pos = 0
-    for sigma, size, theta in blocks:
-        DB[pos : pos + size, pos : pos + size] = sigma * (
-            theta * f_mat(size) + g_mat(size)
-        )
-        pos += size
-    kappa = np.linalg.cond(W)
-    for mat, target in ((A, DA), (B, DB)):
-        resid = np.linalg.norm(W.T @ mat @ W - target, 2)
-        bound = 1e-7 * kappa**2 * max(1.0, np.linalg.norm(mat, 2))
-        if resid > bound:
-            raise errors.CertificationFailed(
-                f"real-pencil canonicalization residual {resid:.3e} > {bound:.3e}"
-            )
+    certify_residuals(W.T, W, (A, B), jordan_pair(blocks), 1e-7, np.linalg.cond(W),
+                      "real-pencil canonicalization")
     return W, blocks
 
 
@@ -361,8 +340,6 @@ def splitting_perturbation(blocks, eps: float) -> np.ndarray:
     tridiagonal Toeplitz with spectrum theta + eta + 2 sqrt(eps) cos(.),
     and eta spreads blocks sharing a theta.
     """
-    n = sum(size for _, size, _ in blocks)
-    delta = np.zeros((n, n))
     # group by shared eigenvalue for the eta shifts
     by_theta: dict[float, list[int]] = {}
     for i, (_, _, theta) in enumerate(blocks):
@@ -373,13 +350,12 @@ def splitting_perturbation(blocks, eps: float) -> np.ndarray:
             continue
         for j, i in enumerate(group):
             etas[i] = eps * j / (2.0 * len(group))
-    pos = 0
-    for i, (sigma, size, _) in enumerate(blocks):
+    parts = []
+    for (sigma, size, _), eta in zip(blocks, etas):
         blk = np.zeros((size, size))
-        if etas[i] != 0.0:
-            blk += etas[i] * f_mat(size)
+        if eta != 0.0:
+            blk += eta * f_mat(size)
         if size > 1:
             blk += eps * h_mat(size)
-        delta[pos : pos + size, pos : pos + size] = sigma * blk
-        pos += size
-    return delta
+        parts.append(sigma * blk)
+    return direct_sum(*parts)

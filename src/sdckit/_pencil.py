@@ -1,8 +1,9 @@
 """Internal helpers for real symmetric pencils.
 
 Shared by the canonical-form, SDC, ASDC and RSDC modules: certified
-invertibility, the pairwise commutation test, eigenvalue clustering,
-invariant subspace extraction and the column-sign convention.
+invertibility, the congruence-residual certificate, the pairwise
+commutation test, eigenvalue clustering, invariant subspace extraction
+and the column-sign convention.
 Invariant subspaces come from one real Schur form per matrix, reordered
 by LAPACK's trsen for each eigenvalue cluster, as a sorted Schur form
 would be without refactoring the matrix for every cluster.
@@ -18,6 +19,7 @@ from .matcore import Tolerances, asmat, commutator, numeric_rank
 
 __all__ = [
     "certify_invertible",
+    "certify_residuals",
     "noncommuting_pair",
     "spectral_scale",
     "cluster_values",
@@ -31,6 +33,28 @@ def certify_invertible(M, tol: Tolerances) -> bool:
     """True when smin > rank_tol * smax."""
     a = asmat(M)
     return a.shape[0] > 0 and numeric_rank(a, tol) == a.shape[0]
+
+
+def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
+                      error=errors.CertificationFailed, slack=1.0):
+    """The products L M_i R, each certified against its target.
+
+    A target of None stands for the product's own diagonal.  Raises
+    `error`, naming the first failing member, when
+    |L M_i R - target_i|_2 > coef * kappa^2 * max(1, |M_i|_2) * slack;
+    `norms`, when given, holds the |M_i|_2 already computed by the caller.
+    """
+    if norms is None:
+        norms = [np.linalg.norm(M, 2) for M in mats]
+    products = []
+    for i, (M, target) in enumerate(zip(mats, targets)):
+        D = L @ M @ R
+        resid = np.linalg.norm(D - (np.diag(np.diag(D)) if target is None else target), 2)
+        bound = coef * kappa**2 * max(1.0, norms[i]) * slack
+        if resid > bound:
+            raise error(f"{what} residual {resid:.3e} for member {i} exceeds {bound:.3e}")
+        products.append(D)
+    return products
 
 
 def noncommuting_pair(mats, tol: Tolerances, factor: float = 1.0, norms=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from ._chains import canonicalize_real_pencil, splitting_perturbation
+from ._chains import DEFECT_CAP, canonicalize_real_pencil, splitting_perturbation
 from ._pencil import noncommuting_pair, spectral_scale
 from .canonical import BlockSpec, assemble_blocks, pencil_canonical
 from .matcore import (
@@ -26,7 +26,7 @@ from .matcore import (
     numeric_rank,
 )
 from .rsdc import choose_xi_points, solve_border_system
-from .sdc import find_max_rank_element, sdc_check
+from .sdc import find_max_rank_element, range_reduction, sdc_check
 
 __all__ = [
     "AsdcVerdict",
@@ -36,12 +36,6 @@ __all__ = [
     "perturb_pair",
     "perturb_blocks",
 ]
-
-# |Im| above which an eigenvalue is unambiguously complex; below this the
-# imaginary part may be roundoff splitting of a defective real eigenvalue
-# and realness is decided by attempting a certified Jordan canonicalization
-DEFECT_CAP = 2e-3
-
 
 @dataclass(frozen=True)
 class AsdcVerdict:
@@ -228,16 +222,13 @@ def _split_pair(a, b, coeffs, delta_unit, epsilon, tol) -> PerturbedPair:
 
 def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
     """Range-reduce, then split or border depending on the spectrum."""
-    n = a.shape[0]
-    U, _, _ = np.linalg.svd(S)
+    U, violation = range_reduction((a, b), S, rank, tol)
+    if violation is not None:
+        raise errors.UnsupportedStructure(
+            "range violation: the canonical form contains type 3 blocks; "
+            "use perturb_blocks with an exact descriptor"
+        )
     Ur, Un = U[:, :rank], U[:, rank:]
-    for m in (a, b):
-        scale = np.linalg.norm(m, 2)
-        if scale and np.linalg.norm(m - Ur @ (Ur.T @ m), 2) > 100 * tol.rank_tol * scale:
-            raise errors.UnsupportedStructure(
-                "range violation: the canonical form contains type 3 blocks; "
-                "use perturb_blocks with an exact descriptor"
-            )
     Sbar = Ur.T @ S @ Ur
     Sbar = 0.5 * (Sbar + Sbar.T)
     T = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
@@ -345,19 +336,12 @@ def perturb_blocks(
     )
 
 
-def _block_offsets(spec: BlockSpec) -> list[int]:
-    off = [0]
-    for blk in spec.blocks:
-        off.append(off[-1] + blk.order)
-    return off
-
-
 def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
     strategy, xi_variant = strategy
     n = spec.n
     dA = np.zeros((n, n))
     dB = np.zeros((n, n))
-    off = _block_offsets(spec)
+    off = np.cumsum([0] + [blk.order for blk in spec.blocks])
     budget = eps / 4.0
 
     type1 = [i for i, blk in enumerate(spec.blocks) if blk.type == 1]

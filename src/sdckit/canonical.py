@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from ._pencil import certify_invertible, fix_column_signs, spectral_scale
+from ._pencil import certify_invertible, certify_residuals, fix_column_signs, spectral_scale
 from .matcore import (
     DEFAULT_TOL,
     Congruence,
@@ -30,6 +30,7 @@ from .matcore import (
     direct_sum,
     f_mat,
     g_mat,
+    jordan_pair,
 )
 
 __all__ = [
@@ -284,21 +285,9 @@ def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
         real_blocks=tuple(real_blocks),
         complex_blocks=tuple(complex_blocks),
     )
-    _certify_form(a, b, form, tol)
+    certify_residuals(form.P.P.T, form.P.P, (a, b), form.canonical_matrices(), tol.resid_tol,
+                      form.P.kappa, "canonical", norms=(anorm, np.linalg.norm(b, 2)))
     return form
-
-
-def _certify_form(a, b, form: PencilForm, tol: Tolerances):
-    da, db = form.canonical_matrices()
-    P = form.P.P
-    kap2 = form.P.kappa**2
-    for mat, target in ((a, da), (b, db)):
-        resid = np.linalg.norm(P.T @ mat @ P - target, 2)
-        bound = tol.resid_tol * kap2 * max(1.0, np.linalg.norm(mat, 2))
-        if resid > bound:
-            raise errors.CertificationFailed(
-                f"canonical residual {resid:.3e} exceeds {bound:.3e}"
-            )
 
 
 def assemble_pencil(form: PencilForm) -> tuple[SymMat, SymMat]:
@@ -313,8 +302,7 @@ def assemble_pencil(form: PencilForm) -> tuple[SymMat, SymMat]:
 def _block_matrices(block: Block) -> tuple[np.ndarray, np.ndarray]:
     n = block.size
     if block.type == 1:
-        s = float(block.sigma)
-        return s * f_mat(n), s * (block.lam.real * f_mat(n) + g_mat(n))
+        return jordan_pair([(float(block.sigma), n, block.lam.real)])
     if block.type == 2:
         S = f_mat(2 * n)
         T = np.kron(f_mat(n), tmat(block.lam)) + np.kron(g_mat(n), f_mat(2))

@@ -26,6 +26,7 @@ __all__ = [
     "numeric_rank",
     "cond_number",
     "direct_sum",
+    "jordan_pair",
     "asmat",
 ]
 
@@ -102,14 +103,6 @@ class SymMat:
     def zeros(cls, n: int) -> "SymMat":
         return cls(np.zeros((n, n)))
 
-    @classmethod
-    def identity(cls, n: int) -> "SymMat":
-        return cls(np.eye(n))
-
-    def norm(self) -> float:
-        """Spectral norm."""
-        return float(np.linalg.norm(self.a, 2))
-
     def __repr__(self):
         return f"SymMat(n={self.n})"
 
@@ -162,11 +155,6 @@ class Congruence:
         if self._Pinv is None:
             object.__setattr__(self, "_Pinv", np.linalg.inv(self.P))
         return self._Pinv
-
-    def apply(self, A) -> np.ndarray:
-        """Congruence transform P^T A P."""
-        a = asmat(A)
-        return self.P.T @ a @ self.P
 
     def __repr__(self):
         return f"Congruence(n={self.n}, kappa={self.kappa:.3e})"
@@ -304,3 +292,12 @@ def direct_sum(*mats) -> np.ndarray:
         out[pos : pos + d, pos : pos + d] = a
         pos += d
     return out
+
+
+def jordan_pair(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(Diag(sigma F_n), Diag(sigma (theta F_n + G_n))) for blocks of
+    (sigma, n, theta): the canonical pair of real Jordan blocks."""
+    return (
+        direct_sum(*(sigma * f_mat(n) for sigma, n, _ in blocks)),
+        direct_sum(*(sigma * (theta * f_mat(n) + g_mat(n)) for sigma, n, theta in blocks)),
+    )

@@ -17,6 +17,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +34,7 @@ from .matcore import (
     numeric_rank,
 )
 from .rsdc import rsdc1_construct, rsdc2_construct
-from .sdc import sdc_check
+from .sdc import sdc_check, span_candidates
 
 try:  # scipy's bundled HiGHS bindings, private and new in scipy 1.15
     from scipy.optimize._highspy import _core as _highspy
@@ -493,23 +494,14 @@ def homogenize_check(
     if not (len(mats) == len(b_list) == len(c_list)):
         raise errors.OrderMismatch("A, b, c lists must align")
     n = mats[0].shape[0]
-    rng = np.random.default_rng(seed)
-    found_pd = False
-    for trial in range(64):
-        if trial < len(mats):
-            c = np.zeros(len(mats))
-            c[trial] = 1.0
-        else:
-            c = rng.standard_normal(len(mats))
+    for c in islice(span_candidates(len(mats), seed), 64):
         S = sum(ci * Ai for ci, Ai in zip(c, mats))
         vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-        if np.min(vals) > tol.rank_tol * max(1.0, float(np.max(np.abs(vals)))):
-            found_pd = True
+        floor = tol.rank_tol * max(1.0, float(np.max(np.abs(vals))))
+        # negative definite works equally well
+        if np.min(vals) > floor or np.max(vals) < -floor:
             break
-        if np.max(vals) < -tol.rank_tol * max(1.0, float(np.max(np.abs(vals)))):
-            found_pd = True  # negative definite works equally well
-            break
-    if not found_pd:
+    else:
         raise errors.NoPdElement("no definite element found in the A-span")
 
     Qs = []

@@ -8,11 +8,13 @@ carries either the congruence and diagonals or a named witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import errors
 from ._pencil import (
+    certify_residuals,
     cluster_values,
     fix_column_signs,
     invariant_subspace,
@@ -25,7 +27,9 @@ from .matcore import DEFAULT_TOL, Congruence, SymMat, Tolerances, asmat, numeric
 __all__ = [
     "Witness",
     "SdcResult",
+    "span_candidates",
     "find_max_rank_element",
+    "range_reduction",
     "sdc_check",
     "sdc_check_pd",
     "simdiag_commuting",
@@ -61,6 +65,18 @@ class SdcResult:
         return self.verdict == "SDC"
 
 
+def span_candidates(m: int, seed: int = 0):
+    """Coefficient vectors for searching the span of m matrices: each
+    member alone, then standard normal draws from default_rng(seed)."""
+    for i in range(m):
+        c = np.zeros(m)
+        c[i] = 1.0
+        yield c
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.standard_normal(m)
+
+
 def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
     """Seeded search for a max-rank element of the span.
 
@@ -74,27 +90,13 @@ def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
         raise errors.EmptyFamily("need at least one matrix")
     n = mats[0].shape[0]
     m = len(mats)
-    rng = np.random.default_rng(seed)
-
-    def rank_of(c):
-        return numeric_rank(sum(ci * Ai for ci, Ai in zip(c, mats)), tol)
-
-    best_c = np.zeros(m)
-    best_c[0] = 1.0
-    best_rank = rank_of(best_c)
-    for i in range(1, m):
-        c = np.zeros(m)
-        c[i] = 1.0
-        r = rank_of(c)
+    best_rank = -1
+    for c in islice(span_candidates(m, seed), m + MAX_RANK_TRIALS):
+        r = numeric_rank(sum(ci * Ai for ci, Ai in zip(c, mats)), tol)
         if r > best_rank:
             best_rank, best_c = r, c
-    for _ in range(MAX_RANK_TRIALS):
         if best_rank == n:
             break
-        c = rng.standard_normal(m)
-        r = rank_of(c)
-        if r > best_rank:
-            best_rank, best_c = r, c
     S = sum(ci * Ai for ci, Ai in zip(best_c, mats))
     return best_c, SymMat(0.5 * (S + S.T))
 
@@ -126,22 +128,12 @@ def _joint_eigenbasis(mats, tol: Tolerances, norms) -> tuple[np.ndarray, np.ndar
     diagonal of V^{-1} M V for every member as the rows of the second
     output; norms[i] is |mats[i]|_2."""
     V = _refine(mats, tol, symmetric=False)
-
     # certify: every member diagonal in the joint basis
-    Vinv = np.linalg.inv(V)
-    kappa = np.linalg.cond(V)
-    diags = []
-    for i, M in enumerate(mats):
-        D = Vinv @ M @ V
-        d = np.diag(D)
-        resid = np.linalg.norm(D - np.diag(d), 2)
-        bound = tol.resid_tol * kappa**2 * max(1.0, norms[i]) * 10
-        if resid > bound:
-            raise errors.NotDiagonalizable(
-                f"member {i} resists joint diagonalization (residual {resid:.3e})"
-            )
-        diags.append(d)
-    return V, np.array(diags)
+    Ds = certify_residuals(
+        np.linalg.inv(V), V, mats, [None] * len(mats), tol.resid_tol, np.linalg.cond(V),
+        "joint-diagonalization", norms=norms, error=errors.NotDiagonalizable, slack=10,
+    )
+    return V, np.array([np.diag(D) for D in Ds])
 
 
 def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
@@ -236,18 +228,25 @@ def _certified(P: np.ndarray, mats, tol: Tolerances) -> SdcResult:
     CertificationFailed.
     """
     cong = Congruence(P)
-    diagonals = []
+    Ds = certify_residuals(P.T, P, mats, [None] * len(mats), tol.resid_tol, cong.kappa,
+                           "off-diagonal")
+    return SdcResult("SDC", congruence=cong, diagonals=tuple(np.diag(D).copy() for D in Ds))
+
+
+def range_reduction(mats, S: np.ndarray, rank: int, tol: Tolerances):
+    """Left singular vectors U of S, whose first `rank` columns span its
+    range, and the first member (i, residual) reaching outside that range
+    by more than 100 * rank_tol * |A_i|_2, or None."""
+    U, _, _ = np.linalg.svd(S)
+    Ur = U[:, :rank]
     for i, A in enumerate(mats):
-        D = P.T @ A @ P
-        d = np.diag(D).copy()
-        resid = np.linalg.norm(D - np.diag(d), 2)
-        bound = tol.resid_tol * cong.kappa**2 * max(1.0, np.linalg.norm(A, 2))
-        if resid > bound:
-            raise errors.CertificationFailed(
-                f"off-diagonal residual {resid:.3e} for member {i} exceeds {bound:.3e}"
-            )
-        diagonals.append(d)
-    return SdcResult("SDC", congruence=cong, diagonals=tuple(diagonals))
+        scale = np.linalg.norm(A, 2)
+        if scale == 0.0:
+            continue
+        resid = np.linalg.norm(A - Ur @ (Ur.T @ A), 2)
+        if resid > 100 * tol.rank_tol * scale:
+            return U, (i, resid)
+    return U, None
 
 
 def _scaled_group_columns(V: np.ndarray, Sbar: np.ndarray, sizes) -> np.ndarray:
@@ -367,17 +366,11 @@ def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult
         )
 
     # singular family: verify range inclusion, restrict, recurse
-    U, sv, _ = np.linalg.svd(S.a)
+    U, violation = range_reduction(mats, S.a, rank, tol)
+    if violation is not None:
+        i, resid = violation
+        return SdcResult("NotSDC", witness=Witness("range-violation", i, value=resid))
     Ur = U[:, :rank]
-    for i, A in enumerate(mats):
-        scale = np.linalg.norm(A, 2)
-        if scale == 0.0:
-            continue
-        resid = np.linalg.norm(A - Ur @ (Ur.T @ A), 2)
-        if resid > 100 * tol.rank_tol * scale:
-            return SdcResult(
-                "NotSDC", witness=Witness("range-violation", i, value=resid)
-            )
     reduced = [Ur.T @ A @ Ur for A in mats]
     Sbar = Ur.T @ S.a @ Ur
     inner = _sdc_nonsingular([0.5 * (R + R.T) for R in reduced], 0.5 * (Sbar + Sbar.T), tol)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .matcore import DEFAULT_TOL, Tolerances, asmat, f_mat, g_mat
+from .matcore import DEFAULT_TOL, Tolerances, asmat, direct_sum, f_mat, g_mat
 
 __all__ = [
     "ToeplitzPartition",
@@ -127,15 +127,7 @@ def jordan_nilpotent(part: ToeplitzPartition) -> np.ndarray:
 
     A matrix commutes with this exactly when it lies in T(n_1,...,n_k).
     """
-    blocks = [f_mat(s) @ g_mat(s) for s in part.sizes]
-    n = part.n
-    out = np.zeros((n, n))
-    pos = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[pos : pos + d, pos : pos + d] = b
-        pos += d
-    return out
+    return direct_sum(*(f_mat(s) @ g_mat(s) for s in part.sizes))
 
 
 def pi_map(T, part: ToeplitzPartition, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

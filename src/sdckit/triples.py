@@ -19,14 +19,15 @@ from . import errors
 from ._chains import (
     canonicalize_nilpotent_pair,
     canonicalize_real_pencil,  # unused here; benchmark/tracing.py wraps this name
+    cluster_subspaces,
+    defect_clusters,
     splitting_perturbation,
 )
-from ._pencil import invariant_subspace, noncommuting_pair, real_schur, spectral_scale
-from .asdc import DEFECT_CAP, _spectrum_is_real, _unit_splitting
-from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, f_mat, g_mat
+from ._pencil import noncommuting_pair
+from .asdc import _spectrum_is_real, _unit_splitting
+from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, direct_sum, f_mat, g_mat, jordan_pair
 from .sdc import sdc_check
 from .toeplitz import ToeplitzPartition, is_block_toeplitz, toeplitz_coefficients
-from ._chains import _complex_clusters
 
 __all__ = [
     "JordanTripleSpec",
@@ -71,17 +72,7 @@ class PerturbedTriple:
 
 def build_jordan_pencil(spec: JordanTripleSpec) -> tuple[np.ndarray, np.ndarray]:
     """Dense (A, B) of the descriptor: A^{-1}B is the real Jordan form."""
-    n = spec.n
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    pos = 0
-    for sigma, size, theta in spec.blocks:
-        A[pos : pos + size, pos : pos + size] = sigma * f_mat(size)
-        B[pos : pos + size, pos : pos + size] = sigma * (
-            theta * f_mat(size) + g_mat(size)
-        )
-        pos += size
-    return A, B
+    return jordan_pair(spec.blocks)
 
 
 def triple_case2(spec: JordanTripleSpec, C, eps: float) -> np.ndarray:
@@ -199,27 +190,6 @@ def perturb_triple_blocks(
     raise errors.CertificationFailed(f"triple perturbation failed: {last}")
 
 
-def _real_clusters(M: np.ndarray, tol: Tolerances, gap_hint: float | None = None):
-    """Defect-aware eigenvalue clusters of a real-spectrum matrix.
-
-    Defective eigenvalues scatter by eps^(1/p), so the default radius
-    merges anything below DEFECT_CAP.  A construction that knows the
-    size of the split it just planted passes gap_hint to tighten the
-    radius below it.
-    """
-    w = np.linalg.eigvals(M)
-    scale = spectral_scale(w)
-    if len(w) > 1:
-        diam = max(float(np.max(np.abs(w[:, None] - w[None, :]))), 1.0)
-    else:
-        diam = 1.0
-    radius = max(tol.cluster_tol * diam, DEFECT_CAP * scale)
-    if gap_hint is not None:
-        radius = min(radius, 0.45 * gap_hint)
-    clusters = _complex_clusters(w, radius)
-    return w, clusters
-
-
 def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
     """Case 1: joint block split along the invariant subspaces of M.
 
@@ -230,23 +200,7 @@ def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
     """
     steps.append(f"case1@{depth}")
     n = A.shape[0]
-    form = real_schur(M)
-    Us = []
-    for idx in clusters:
-        theta = float(np.mean(w[idx]).real)
-        inside = np.zeros(len(w), dtype=bool)
-        inside[idx] = True
-        if inside.all():
-            radius = np.inf
-        else:
-            dmin = float(np.min(np.abs(w[idx][:, None] - w[~inside][None, :])))
-            radius = float(np.max(np.abs(w[idx] - theta))) + 0.45 * dmin
-        U = invariant_subspace(form, theta, radius)
-        if U.shape[1] != len(idx):
-            raise errors.StructureMismatch(
-                f"cluster at {theta}: dimension {U.shape[1]} != {len(idx)}"
-            )
-        Us.append(U)
+    Us = [U for _, U in cluster_subspaces(M, w, clusters)]
     P = np.hstack(Us)
     Pinv = np.linalg.inv(P)
 
@@ -441,7 +395,6 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
         return B, C
     if depth > 3 * n + 8:
         raise errors.CertificationFailed("triple recursion did not terminate")
-    norm_scale = max(1.0, np.linalg.norm(A, 2))
 
     MB = np.linalg.solve(A, B)
     MC = np.linalg.solve(A, C)
@@ -471,10 +424,12 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
         Ct, Bt = _poly_drag(A, C, B, qr, eps, tol, radius=radius)
         return Bt, Ct
 
-    wB, clB = _real_clusters(MB, tol, gap_hint)
+    # a construction that knows the size of the split it just planted
+    # passes gap_hint to keep the clusters below it
+    wB, clB = defect_clusters(MB, tol, radius)
     if len(clB) > 1:
         return _split_by(A, B, C, MB, wB, clB, eps, tol, steps, depth)
-    wC, clC = _real_clusters(MC, tol, gap_hint)
+    wC, clC = defect_clusters(MC, tol, radius)
     if len(clC) > 1:
         return _split_by(A, C, B, MC, wC, clC, eps, tol, steps, depth)[::-1]
 
@@ -492,11 +447,7 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
     sigmas = tuple(sigma for sigma, _ in blocks)
     part = ToeplitzPartition(sizes)
     Cp = W.T @ C0 @ W
-    Ap = np.zeros((n, n))
-    pos = 0
-    for sigma, size in blocks:
-        Ap[pos : pos + size, pos : pos + size] = sigma * f_mat(size)
-        pos += size
+    Ap, _ = jordan_pair([(sigma, size, 0.0) for sigma, size in blocks])
     Tc = np.linalg.solve(Ap, Cp)
     if not is_block_toeplitz(Tc, part, tol):
         raise errors.StructureMismatch(
@@ -517,12 +468,8 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
         # case 2: shift the minimal-size blocks of C
         steps.append(f"case2@{depth}")
         eta = min(sizes)
-        D = np.zeros((n, n))
-        pos = 0
-        for sigma, size in blocks:
-            if size == eta:
-                D[pos : pos + size, pos : pos + size] = sigma * f_mat(size)
-            pos += size
+        D = direct_sum(*(sigma * f_mat(size) if size == eta else np.zeros((size, size))
+                         for sigma, size in blocks))
         delta_unit = Winv.T @ D @ Winv
         amp = float(np.linalg.norm(delta_unit, 2))
         eff = min(1.0, 0.5 * eps / amp)

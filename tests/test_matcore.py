@@ -18,6 +18,7 @@ from sdckit.matcore import (
     f_mat,
     g_mat,
     h_mat,
+    jordan_pair,
     numeric_rank,
     special_matrix,
 )
@@ -112,6 +113,12 @@ def test_dot2_against_exact_rationals(k):
             )
             assert err <= bound, (i, j, float(err / bound) if bound else err)
     assert not np.any(hi[0]) and not np.any(lo[:, 3])
+
+
+def test_jordan_pair_hand_written():
+    A, B = jordan_pair([(1, 2, 0.5), (-1, 1, 3.0)])
+    assert A.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+    assert B.tolist() == [[0.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, -3.0]]
 
 
 def test_commutator_examples():

@@ -404,6 +404,13 @@ class TestHomogenize:
         prem, conc = homogenize_check(A, bs, cs)
         assert not conc and not prem
 
+    def test_negative_definite_element(self):
+        # -I is negative definite, which serves as well as a positive one
+        from sdckit.matcore import f_mat
+
+        prem, conc = homogenize_check([-np.eye(2), f_mat(2)], [np.zeros(2)] * 2, [0.0, 0.0])
+        assert prem and conc
+
     def test_no_pd_element(self):
         zero = np.zeros((2, 2))
         with pytest.raises(errors.NoPdElement):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg
 from conftest import random_congruence, random_sdc_family
 from sdckit import _chains, errors, rsdc
 from sdckit import sdc as sdc_module
-from sdckit._pencil import invariant_subspace, real_schur
+from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
 from sdckit.canonical import tmat
 from sdckit.matcore import DEFAULT_TOL, direct_sum, f_mat, g_mat
 from sdckit.sdc import (
@@ -18,6 +19,7 @@ from sdckit.sdc import (
     sdc_check,
     sdc_check_pd,
     simdiag_commuting,
+    span_candidates,
 )
 
 
@@ -40,6 +42,41 @@ def test_max_rank_deterministic():
     c1, _ = find_max_rank_element(fam, seed=11)
     c2, _ = find_max_rank_element(fam, seed=11)
     assert np.array_equal(c1, c2)
+
+
+def test_span_candidates_order():
+    # every member alone first, then normals drawn from default_rng(seed)
+    cands = list(islice(span_candidates(3, seed=5), 6))
+    assert all(np.array_equal(c, e) for c, e in zip(cands[:3], np.eye(3)))
+    rng = np.random.default_rng(5)
+    assert all(np.array_equal(c, rng.standard_normal(3)) for c in cands[3:])
+
+
+def test_certify_residuals_returns_products(rng):
+    P = random_congruence(rng, 3, 10.0)
+    A = rng.standard_normal((3, 3))
+    A = A + A.T
+    (D,) = certify_residuals(P.T, P, [A], [P.T @ A @ P], 1e-8, np.linalg.cond(P), "test")
+    assert np.array_equal(D, P.T @ A @ P)
+
+
+def test_certify_residuals_none_means_diagonal():
+    I = np.eye(2)
+    near = np.array([[1.0, 1e-3], [1e-3, 2.0]])
+    (D,) = certify_residuals(I, I, [np.diag([1.0, 2.0])], [None], 1e-8, 1.0, "test")
+    assert np.array_equal(D, np.diag([1.0, 2.0]))
+    # the off-diagonal 1e-3 is the residual against the own diagonal
+    certify_residuals(I, I, [near], [None], 1e-4, 1.0, "test", slack=10)
+    with pytest.raises(errors.CertificationFailed, match="test residual 1.000e-03"):
+        certify_residuals(I, I, [near], [None], 1e-4, 1.0, "test")
+
+
+def test_certify_residuals_names_the_member():
+    I = np.eye(2)
+    near = np.array([[1.0, 1e-3], [1e-3, 2.0]])
+    with pytest.raises(errors.NotDiagonalizable, match="^joint residual .* for member 1 exceeds"):
+        certify_residuals(I, I, [I, near], [None, None], 1e-8, 1.0, "joint",
+                          error=errors.NotDiagonalizable)
 
 
 def test_sdc_trivial_pair():
