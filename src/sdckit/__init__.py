@@ -25,10 +25,8 @@ from .canonical import (
     pencil_canonical,
 )
 from .matcore import (
-    DEFAULT_TOL,
     Congruence,
     SymMat,
-    Tolerances,
     commutator,
     cond_number,
     numeric_rank,
@@ -88,7 +86,6 @@ __all__ = [
     "Block",
     "BlockSpec",
     "Congruence",
-    "DEFAULT_TOL",
     "JordanTripleSpec",
     "ObstructionReport",
     "PencilForm",
@@ -99,7 +96,6 @@ __all__ = [
     "RsdcCertificate",
     "SdcResult",
     "SymMat",
-    "Tolerances",
     "ToeplitzPartition",
     "Witness",
     "algebra_dimension",

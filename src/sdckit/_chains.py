@@ -18,7 +18,7 @@ import numpy as np
 
 from . import errors
 from ._pencil import certify_residuals, invariant_subspace, real_schur, spectral_scale
-from .matcore import Tolerances, direct_sum, f_mat, h_mat, jordan_pair
+from .matcore import CLUSTER_TOL, EIG_REAL_TOL, RANK_TOL, direct_sum, f_mat, h_mat, jordan_pair
 
 __all__ = [
     "DEFECT_CAP",
@@ -45,7 +45,7 @@ def _null_basis(M: np.ndarray, cutoff: float) -> np.ndarray:
     return vt[rank:].T
 
 
-def nilpotent_jordan_chains(M: np.ndarray, tol: Tolerances) -> list[list[np.ndarray]]:
+def nilpotent_jordan_chains(M: np.ndarray) -> list[list[np.ndarray]]:
     """Jordan chains of a (numerically) nilpotent matrix.
 
     Each chain is [v_1, ..., v_len] with M v_j = v_{j-1} and M v_1 = 0.
@@ -99,7 +99,7 @@ def nilpotent_jordan_chains(M: np.ndarray, tol: Tolerances) -> list[list[np.ndar
                 chain.append(M @ chain[-1])
             chain.reverse()  # v_1 ... v_p with M v_1 ~ 0
             nrm = np.linalg.norm(chain[0])
-            if nrm <= tol.rank_tol * norm:
+            if nrm <= RANK_TOL * norm:
                 raise errors.StructureMismatch("degenerate chain bottom")
             chain = [v / nrm for v in chain]
             chains.append(chain)
@@ -126,7 +126,7 @@ def _hankel_grams(A, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndar
     return out
 
 
-def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray, tol: Tolerances):
+def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray):
     """Pair canonical form for A invertible symmetric, A^{-1}B nilpotent.
 
     Returns (W, blocks) with blocks a list of (sigma, size) in column
@@ -137,7 +137,7 @@ def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray, tol: Tolerances):
     if n == 0:
         return np.zeros((0, 0)), []
     M = np.linalg.solve(A, B)
-    chains = nilpotent_jordan_chains(M, tol)
+    chains = nilpotent_jordan_chains(M)
 
     finalized: list[tuple[int, list[np.ndarray]]] = []  # (sigma, chain)
     i = 0
@@ -245,18 +245,18 @@ def _complex_clusters(w: np.ndarray, radius: float) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups.values()]
 
 
-def defect_clusters(M: np.ndarray, tol: Tolerances, cap: float | None = None):
+def defect_clusters(M: np.ndarray, cap: float | None = None):
     """Eigenvalues w of M and their defect-aware clusters (index arrays).
 
     Single-linkage clustering in the complex plane at a radius of
-    max(cluster_tol * diameter, DEFECT_CAP * spectral scale), wide enough
+    max(CLUSTER_TOL * diameter, DEFECT_CAP * spectral scale), wide enough
     to reabsorb the splitting of a defective eigenvalue; a caller that
     knows a smaller safe radius passes it as `cap`.
     """
     w = np.linalg.eigvals(M)
     scale = spectral_scale(w)
     diam = max(float(np.max(np.abs(w[:, None] - w[None, :]))), 1.0) if len(w) > 1 else 1.0
-    radius = max(tol.cluster_tol * diam, DEFECT_CAP * scale)
+    radius = max(CLUSTER_TOL * diam, DEFECT_CAP * scale)
     if cap is not None:
         radius = min(radius, cap)
     return w, _complex_clusters(w, radius)
@@ -288,7 +288,7 @@ def cluster_subspaces(M: np.ndarray, w: np.ndarray, clusters):
         yield theta, U
 
 
-def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
+def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray,
                              cluster_radius: float | None = None):
     """Full type-1 canonical form of a real-spectrum nonsingular pencil.
 
@@ -302,11 +302,11 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
     Jordan clusters and everything is certified at the end.
     """
     M = np.linalg.solve(A, B)
-    w, clusters = defect_clusters(M, tol, cluster_radius)
+    w, clusters = defect_clusters(M, cluster_radius)
     scale = spectral_scale(w)
     for idx in clusters:
         center = np.mean(w[idx])
-        if abs(center.imag) > tol.eig_real_tol * scale:
+        if abs(center.imag) > EIG_REAL_TOL * scale:
             raise errors.NotDiagonalizable(
                 f"pencil spectrum is not real (cluster center {center})"
             )
@@ -316,9 +316,7 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray, tol: Tolerances,
     for theta, U in cluster_subspaces(M, w, clusters):
         Ac = U.T @ A @ U
         Bc = U.T @ (B - theta * A) @ U
-        Wc, blks = canonicalize_nilpotent_pair(
-            0.5 * (Ac + Ac.T), 0.5 * (Bc + Bc.T), tol
-        )
+        Wc, blks = canonicalize_nilpotent_pair(0.5 * (Ac + Ac.T), 0.5 * (Bc + Bc.T))
         cols.append(U @ Wc)
         blocks.extend((sig, size, theta) for sig, size in blks)
     W = np.hstack(cols)
@@ -346,8 +344,6 @@ def splitting_perturbation(blocks, eps: float) -> np.ndarray:
         by_theta.setdefault(round(theta, 12), []).append(i)
     etas = np.zeros(len(blocks))
     for group in by_theta.values():
-        if len(group) == 1 and blocks[group[0]][1] == 1:
-            continue
         for j, i in enumerate(group):
             etas[i] = eps * j / (2.0 * len(group))
     parts = []

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .matcore import Tolerances, asmat, commutator, numeric_rank
+from .matcore import RESID_TOL, asmat, commutator, numeric_rank
 
 __all__ = [
     "certify_invertible",
@@ -29,10 +29,10 @@ __all__ = [
 ]
 
 
-def certify_invertible(M, tol: Tolerances) -> bool:
-    """True when smin > rank_tol * smax."""
+def certify_invertible(M) -> bool:
+    """True when smin > RANK_TOL * smax."""
     a = asmat(M)
-    return a.shape[0] > 0 and numeric_rank(a, tol) == a.shape[0]
+    return a.shape[0] > 0 and numeric_rank(a) == a.shape[0]
 
 
 def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
@@ -57,9 +57,9 @@ def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
     return products
 
 
-def noncommuting_pair(mats, tol: Tolerances, factor: float = 1.0, norms=None):
+def noncommuting_pair(mats, factor: float = 1.0, norms=None):
     """First pair (i, j, |[M_i, M_j]|_2), i < j in lexicographic order,
-    whose commutator exceeds factor * resid_tol * max(1, |M_i|_2 |M_j|_2);
+    whose commutator exceeds factor * RESID_TOL * max(1, |M_i|_2 |M_j|_2);
     None when every pair commutes.  `norms`, when given, holds the
     |M_i|_2 already computed by the caller."""
     if norms is None:
@@ -68,7 +68,7 @@ def noncommuting_pair(mats, tol: Tolerances, factor: float = 1.0, norms=None):
         for j in range(i + 1, len(mats)):
             val = np.linalg.norm(commutator(mats[i], mats[j]), 2)
             scale = max(1.0, norms[i] * norms[j])
-            if val > tol.resid_tol * scale * factor:
+            if val > RESID_TOL * scale * factor:
                 return i, j, val
     return None
 

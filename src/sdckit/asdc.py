@@ -17,9 +17,8 @@ from ._chains import DEFECT_CAP, canonicalize_real_pencil, splitting_perturbatio
 from ._pencil import noncommuting_pair, spectral_scale
 from .canonical import BlockSpec, assemble_blocks, pencil_canonical
 from .matcore import (
-    DEFAULT_TOL,
+    EIG_REAL_TOL,
     SymMat,
-    Tolerances,
     asmat,
     f_mat,
     h_mat,
@@ -55,22 +54,22 @@ class PerturbedPair:
     distance: float
 
 
-def _spectrum_is_real(S: np.ndarray, T: np.ndarray, tol: Tolerances) -> bool:
+def _spectrum_is_real(S: np.ndarray, T: np.ndarray) -> bool:
     """Real-spectrum test for S^{-1}T robust to defective eigenvalues.
 
-    Clear cases are decided by eig_real_tol / DEFECT_CAP thresholds; the
+    Clear cases are decided by EIG_REAL_TOL / DEFECT_CAP thresholds; the
     ambiguous band is resolved by attempting the certified real-Jordan
     canonicalization, which proves realness when it succeeds.
     """
     w = np.linalg.eigvals(np.linalg.solve(S, T))
     scale = spectral_scale(w)
     im = float(np.max(np.abs(w.imag)))
-    if im <= tol.eig_real_tol * scale:
+    if im <= EIG_REAL_TOL * scale:
         return True
     if im >= DEFECT_CAP * scale:
         return False
     try:
-        canonicalize_real_pencil(S, T, tol)
+        canonicalize_real_pencil(S, T)
         return True
     except errors.SdckitError:
         return False
@@ -79,10 +78,10 @@ def _spectrum_is_real(S: np.ndarray, T: np.ndarray, tol: Tolerances) -> bool:
 def _reason_from_witness(res) -> str:
     if res.witness is None:
         return ""
-    return res.witness.kind.replace("_", "-")
+    return res.witness.kind
 
 
-def asdc_pair_check(A, B, tol: Tolerances = DEFAULT_TOL) -> AsdcVerdict:
+def asdc_pair_check(A, B) -> AsdcVerdict:
     """ASDC classification of a symmetric pair.
 
     Singular pairs are always ASDC; nonsingular pairs are ASDC exactly
@@ -93,23 +92,23 @@ def asdc_pair_check(A, B, tol: Tolerances = DEFAULT_TOL) -> AsdcVerdict:
     if a.shape != b.shape:
         raise errors.OrderMismatch("pair must share an order")
     n = a.shape[0]
-    coeffs, S = find_max_rank_element([a, b], seed=0, tol=tol)
-    rank = numeric_rank(S, tol)
+    coeffs, S = find_max_rank_element([a, b], seed=0)
+    rank = numeric_rank(S)
     if rank < n:
-        res = sdc_check([a, b], tol)
+        res = sdc_check([a, b])
         if res.is_sdc:
             return AsdcVerdict("SDC")
         return AsdcVerdict("ASDC_not_SDC", reason="singular-pair")
     comp = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
-    if not _spectrum_is_real(S.a, comp, tol):
+    if not _spectrum_is_real(S.a, comp):
         return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue")
-    res = sdc_check([a, b], tol)
+    res = sdc_check([a, b])
     if res.is_sdc:
         return AsdcVerdict("SDC")
     return AsdcVerdict("ASDC_not_SDC", reason=_reason_from_witness(res))
 
 
-def asdc_triple_check(A, B, C, tol: Tolerances = DEFAULT_TOL) -> AsdcVerdict:
+def asdc_triple_check(A, B, C) -> AsdcVerdict:
     """ASDC classification of a nonsingular symmetric triple.
 
     With a certified-invertible S in the span, the triple is ASDC
@@ -121,8 +120,8 @@ def asdc_triple_check(A, B, C, tol: Tolerances = DEFAULT_TOL) -> AsdcVerdict:
     n = a.shape[0]
     if b.shape != a.shape or c.shape != a.shape:
         raise errors.OrderMismatch("triple must share an order")
-    coeffs, S = find_max_rank_element([a, b, c], seed=0, tol=tol)
-    if numeric_rank(S, tol) < n:
+    coeffs, S = find_max_rank_element([a, b, c], seed=0)
+    if numeric_rank(S) < n:
         raise errors.NoInvertibleElement(
             "no certified-invertible element in the span; singular triples "
             "are outside the decision scope"
@@ -131,18 +130,18 @@ def asdc_triple_check(A, B, C, tol: Tolerances = DEFAULT_TOL) -> AsdcVerdict:
     drop = int(np.argmax(np.abs(coeffs)))
     rest = [m for i, m in enumerate([a, b, c]) if i != drop]
     Ms = [np.linalg.solve(S.a, m) for m in rest]
-    if noncommuting_pair(Ms, tol) is not None:
+    if noncommuting_pair(Ms) is not None:
         return AsdcVerdict("NotASDC", reason="noncommuting")
     for m in rest:
-        if not _spectrum_is_real(S.a, m, tol):
+        if not _spectrum_is_real(S.a, m):
             return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue")
-    res = sdc_check([a, b, c], tol)
+    res = sdc_check([a, b, c])
     if res.is_sdc:
         return AsdcVerdict("SDC")
     return AsdcVerdict("ASDC_not_SDC", reason=_reason_from_witness(res))
 
 
-def _certified_pair(a, b, At, Bt, epsilon, tol) -> PerturbedPair:
+def _certified_pair(a, b, At, Bt, epsilon) -> PerturbedPair:
     dist = max(
         float(np.linalg.norm(At - a, 2)), float(np.linalg.norm(Bt - b, 2))
     )
@@ -150,7 +149,7 @@ def _certified_pair(a, b, At, Bt, epsilon, tol) -> PerturbedPair:
         raise errors.CertificationFailed(
             f"achieved distance {dist:.3e} exceeds budget {epsilon:.3e}"
         )
-    res = sdc_check([At, Bt], tol)
+    res = sdc_check([At, Bt])
     if not res.is_sdc:
         raise errors.CertificationFailed(
             f"perturbed pair failed the SDC oracle: {res.witness}"
@@ -158,7 +157,7 @@ def _certified_pair(a, b, At, Bt, epsilon, tol) -> PerturbedPair:
     return PerturbedPair(SymMat(At), SymMat(Bt), epsilon, dist)
 
 
-def perturb_pair(A, B, epsilon: float, tol: Tolerances = DEFAULT_TOL) -> PerturbedPair:
+def perturb_pair(A, B, epsilon: float) -> PerturbedPair:
     """SDC pair within epsilon of (A, B), certified before return.
 
     Nonsingular inputs go through the canonical-block eigenvalue
@@ -176,30 +175,30 @@ def perturb_pair(A, B, epsilon: float, tol: Tolerances = DEFAULT_TOL) -> Perturb
         raise errors.OrderMismatch("pair must share an order")
     n = a.shape[0]
 
-    verdict = asdc_pair_check(a, b, tol)
+    verdict = asdc_pair_check(a, b)
     if verdict.status == "NotASDC":
         raise errors.NotAsdc(f"pair is not ASDC ({verdict.reason})")
     if verdict.status == "SDC":
         return PerturbedPair(SymMat(a), SymMat(b), epsilon, 0.0)
 
-    coeffs, S = find_max_rank_element([a, b], seed=0, tol=tol)
-    rank = numeric_rank(S, tol)
+    coeffs, S = find_max_rank_element([a, b], seed=0)
+    rank = numeric_rank(S)
 
     if rank == n:
         T = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
-        return _split_pair(a, b, coeffs, _unit_splitting(S.a, T, tol), epsilon, tol)
-    return _perturb_singular(a, b, coeffs, S.a, rank, epsilon, tol)
+        return _split_pair(a, b, coeffs, _unit_splitting(S.a, T), epsilon)
+    return _perturb_singular(a, b, coeffs, S.a, rank, epsilon)
 
 
-def _unit_splitting(S, T, tol, cluster_radius=None) -> np.ndarray:
+def _unit_splitting(S, T, cluster_radius=None) -> np.ndarray:
     """Unit eigenvalue-splitting perturbation of T in the pencil's
     real-Jordan coordinates, mapped back to the original ones."""
-    W, blocks = canonicalize_real_pencil(S, T, tol, cluster_radius=cluster_radius)
+    W, blocks = canonicalize_real_pencil(S, T, cluster_radius=cluster_radius)
     Winv = np.linalg.inv(W)
     return Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
 
 
-def _split_pair(a, b, coeffs, delta_unit, epsilon, tol) -> PerturbedPair:
+def _split_pair(a, b, coeffs, delta_unit, epsilon) -> PerturbedPair:
     """Eigenvalue splitting for a real-spectrum pair.
 
     The perturbation lands on the span element complementary to the
@@ -217,12 +216,12 @@ def _split_pair(a, b, coeffs, delta_unit, epsilon, tol) -> PerturbedPair:
     else:
         At = a + delta
         Bt = b - (coeffs[0] / coeffs[1]) * delta
-    return _certified_pair(a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon, tol)
+    return _certified_pair(a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon)
 
 
-def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
+def _perturb_singular(a, b, coeffs, S, rank, epsilon) -> PerturbedPair:
     """Range-reduce, then split or border depending on the spectrum."""
-    U, violation = range_reduction((a, b), S, rank, tol)
+    U, violation = range_reduction((a, b), S, rank)
     if violation is not None:
         raise errors.UnsupportedStructure(
             "range violation: the canonical form contains type 3 blocks; "
@@ -237,16 +236,16 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
 
     w = np.linalg.eigvals(np.linalg.solve(Sbar, Tbar))
     scale = spectral_scale(w)
-    if np.max(np.abs(w.imag)) <= tol.eig_real_tol * scale:
+    if np.max(np.abs(w.imag)) <= EIG_REAL_TOL * scale:
         # all-real restricted spectrum: padding with zeros preserves SDC,
         # so the nonsingular splitting suffices
-        delta_unit = Ur @ _unit_splitting(Sbar, Tbar, tol) @ Ur.T
-        return _split_pair(a, b, coeffs, delta_unit, epsilon, tol)
+        delta_unit = Ur @ _unit_splitting(Sbar, Tbar) @ Ur.T
+        return _split_pair(a, b, coeffs, delta_unit, epsilon)
 
     # complex eigenvalues present: bordered construction through a zero
     # coordinate (the generic singular path)
     try:
-        form = pencil_canonical(Sbar, Tbar, tol)
+        form = pencil_canonical(Sbar, Tbar)
     except errors.RepeatedEigenvalues as exc:
         raise errors.UnsupportedStructure(
             "repeated complex eigenvalues in floating point; use "
@@ -279,7 +278,7 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
         dist = max(np.linalg.norm(At - a, 2), np.linalg.norm(Bt - b, 2))
         if dist <= epsilon:
             return _certified_pair(
-                a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon, tol
+                a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon
             )
         eps_eff /= 4.0
     raise errors.CertificationFailed("could not fit the border inside the budget")
@@ -289,9 +288,7 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon, tol) -> PerturbedPair:
 # exact block-descriptor constructions
 
 
-def perturb_blocks(
-    spec: BlockSpec, epsilon: float, tol: Tolerances = DEFAULT_TOL
-) -> PerturbedPair:
+def perturb_blocks(spec: BlockSpec, epsilon: float) -> PerturbedPair:
     """SDC perturbation of an exactly-described singular pair.
 
     Implements the case constructions for singular descriptors: complex
@@ -306,9 +303,9 @@ def perturb_blocks(
     epsilon range, while larger hosts (or several complex pairs with
     adversarial border data) can exhaust the search and raise
     CertificationFailed honestly.  Budgets below about 1e-5 of the
-    matrix scale are generally undecidable at the default rank
-    tolerance: the construction's regularizing entry scales as the
-    squared budget and sinks below the oracle's rank floor.
+    matrix scale are generally undecidable at RANK_TOL: the
+    construction's regularizing entry scales as the squared budget and
+    sinks below the oracle's rank floor.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -326,8 +323,8 @@ def perturb_blocks(
         eps_try = epsilon
         for _ in range(4):
             try:
-                At, Bt = _perturb_blocks_attempt(spec, a, b, eps_try, strategy, tol)
-                return _certified_pair(a, b, At, Bt, epsilon, tol)
+                At, Bt = _perturb_blocks_attempt(spec, a, b, eps_try, strategy)
+                return _certified_pair(a, b, At, Bt, epsilon)
             except errors.SdckitError as exc:
                 last_err = exc
             eps_try /= 8.0
@@ -336,7 +333,7 @@ def perturb_blocks(
     )
 
 
-def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
+def _perturb_blocks_attempt(spec, a, b, eps, strategy):
     strategy, xi_variant = strategy
     n = spec.n
     dA = np.zeros((n, n))
@@ -351,20 +348,12 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
 
     # type 1: in-place splitting, eta shifts only between blocks sharing
     # an eigenvalue
-    by_lam: dict[float, list[int]] = {}
-    for i in type1:
-        by_lam.setdefault(round(spec.blocks[i].lam.real, 12), []).append(i)
-    for group in by_lam.values():
-        for j, i in enumerate(group):
-            blk = spec.blocks[i]
-            s, sz = blk.sigma, blk.size
-            eta = budget * j / (2.0 * len(group)) if len(group) > 1 else 0.0
-            d = np.zeros((sz, sz))
-            if eta:
-                d += eta * f_mat(sz)
-            if sz > 1:
-                d += budget * h_mat(sz)
-            dB[off[i] : off[i] + sz, off[i] : off[i] + sz] = s * d
+    if type1:
+        idx1 = np.concatenate([np.arange(off[i], off[i + 1]) for i in type1])
+        blocks1 = [spec.blocks[i] for i in type1]
+        dB[np.ix_(idx1, idx1)] = splitting_perturbation(
+            [(blk.sigma, blk.size, blk.lam.real) for blk in blocks1], budget
+        )
 
     # type 2: split any Jordan structure in place, then border
     for j, i in enumerate(type2):
@@ -407,7 +396,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
     )
     S2 = a[np.ix_(idx, idx)]
     T2 = (b + dB)[np.ix_(idx, idx)]
-    form = pencil_canonical(S2, T2, tol)
+    form = pencil_canonical(S2, T2)
     if form.r != 0:
         raise errors.StructureMismatch(
             "complex sub-pencil produced real eigenvalues"
@@ -428,9 +417,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
     t = off[bi] + (0 if host[0] == "t4" else nm)
 
     if strategy == "gauge":
-        return _border_with_gauge(
-            spec, a, b, dA, dB, idx, g, z, host, off, eps, tol
-        )
+        return _border_with_gauge(spec, a, b, dA, dB, idx, g, z, host, off, eps)
 
     # moderate-budget fallback: border at the working scale and split the
     # leftover defective chains of the bordered pair in place
@@ -445,7 +432,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
     At = a + dA
     Bt = 0.5 * ((b + dB) + (b + dB).T)
     if host[0] == "t3":
-        du = _unit_splitting(At, Bt, tol)
+        du = _unit_splitting(At, Bt)
         amp = float(np.linalg.norm(du, 2))
         if amp > 0:
             Bt = Bt + sign * min(1.0, budget / amp) * du
@@ -456,7 +443,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy, tol):
 GAUGE_SCALE = 0.25
 
 
-def _border_with_gauge(spec, a, b, dA, dB, idx, g, z, host, off, eps, tol):
+def _border_with_gauge(spec, a, b, dA, dB, idx, g, z, host, off, eps):
     """Border at a comfortable scale, then conjugate down to the budget.
 
     The assembled pair is exactly invariant under the host block's

@@ -22,10 +22,12 @@ import numpy as np
 from . import errors
 from ._pencil import certify_invertible, certify_residuals, fix_column_signs, spectral_scale
 from .matcore import (
-    DEFAULT_TOL,
+    CLUSTER_TOL,
+    EIG_REAL_TOL,
+    RANK_TOL,
+    RESID_TOL,
     Congruence,
     SymMat,
-    Tolerances,
     asmat,
     direct_sum,
     f_mat,
@@ -186,15 +188,15 @@ class BlockSpec:
         return cls(tuple(blocks))
 
 
-def _normalize_real_vector(A: np.ndarray, anorm: float, v: np.ndarray, tol: Tolerances):
+def _normalize_real_vector(A: np.ndarray, anorm: float, v: np.ndarray):
     """Scale v so v^T A v = +-1, where anorm = |A|_2; returns (v, sigma)."""
     t = float(v @ A @ v)
-    if abs(t) <= tol.rank_tol * max(1.0, anorm) * float(v @ v):
+    if abs(t) <= RANK_TOL * max(1.0, anorm) * float(v @ v):
         raise errors.CertificationFailed("degenerate A-norm of a real eigenvector")
     return v / np.sqrt(abs(t)), int(np.sign(t))
 
 
-def _normalize_complex_pair(A: np.ndarray, anorm: float, u: np.ndarray, tol: Tolerances):
+def _normalize_complex_pair(A: np.ndarray, anorm: float, u: np.ndarray):
     """Real 2-column basis W with W^T A W = F_2 for eigenvector u of lam,
     where anorm = |A|_2.
 
@@ -212,24 +214,24 @@ def _normalize_complex_pair(A: np.ndarray, anorm: float, u: np.ndarray, tol: Tol
     w = 0.5 * (aloc[0, 0] - aloc[1, 1])
     zeta = complex(v, w)
     scale = max(1.0, anorm) * float(np.linalg.norm(W, 2) ** 2)
-    if abs(zeta) <= tol.rank_tol * scale:
+    if abs(zeta) <= RANK_TOL * scale:
         raise errors.CertificationFailed("degenerate local Gram of a complex pair")
     c = 1.0 / np.sqrt(zeta)
     C = np.array([[c.real, -c.imag], [c.imag, c.real]])
     return W @ C
 
 
-def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
+def pencil_canonical(A, B) -> PencilForm:
     """Canonical form of (A, B) with A invertible, simple eigenvalues.
 
-    Eigenvalues of A^{-1}B with |Im| below eig_real_tol (relative to the
+    Eigenvalues of A^{-1}B with |Im| below EIG_REAL_TOL (relative to the
     spectral scale) are classified real; a refusal band one decade wide
     raises ClassificationAmbiguous rather than guessing.
     """
     a, b = asmat(A), asmat(B)
     if a.shape != b.shape:
         raise errors.OrderMismatch("pencil matrices must share an order")
-    if not certify_invertible(a, tol):
+    if not certify_invertible(a):
         raise errors.SingularA("leading matrix is not certified invertible")
     M = np.linalg.solve(a, b)
     w, V = np.linalg.eig(M)
@@ -237,7 +239,7 @@ def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
     # classification first: an eigenvalue in the refusal band is reported
     # as ambiguous rather than as a repeated conjugate pair
     scale = spectral_scale(w)
-    thr = tol.eig_real_tol * scale
+    thr = EIG_REAL_TOL * scale
     real_cols = []
     complex_cols = []
     for i, lam in enumerate(w):
@@ -254,7 +256,7 @@ def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
 
     # simple-eigenvalue precondition: all pairwise gaps above threshold;
     # the message names the first offending pair in (real, imag) order
-    gap_thr = tol.cluster_tol * scale
+    gap_thr = CLUSTER_TOL * scale
     ws = w[np.lexsort((w.imag, w.real))]
     near = np.triu(np.abs(ws[:, None] - ws[None, :]) <= gap_thr, 1)
     if near.any():
@@ -270,13 +272,13 @@ def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
     real_blocks = []
     real_vecs = []
     for mu, i in real_cols:
-        v, sigma = _normalize_real_vector(a, anorm, V[:, i].real.copy(), tol)
+        v, sigma = _normalize_real_vector(a, anorm, V[:, i].real.copy())
         real_vecs.append(v)
         real_blocks.append((sigma, float(mu)))
     cols = [fix_column_signs(np.column_stack(real_vecs))] if real_vecs else []
     complex_blocks = []
     for lam, i in complex_cols:
-        cols.append(_normalize_complex_pair(a, anorm, V[:, i], tol))
+        cols.append(_normalize_complex_pair(a, anorm, V[:, i]))
         complex_blocks.append(lam)
 
     P = np.hstack(cols) if cols else np.zeros((0, 0))
@@ -285,7 +287,7 @@ def pencil_canonical(A, B, tol: Tolerances = DEFAULT_TOL) -> PencilForm:
         real_blocks=tuple(real_blocks),
         complex_blocks=tuple(complex_blocks),
     )
-    certify_residuals(form.P.P.T, form.P.P, (a, b), form.canonical_matrices(), tol.resid_tol,
+    certify_residuals(form.P.P.T, form.P.P, (a, b), form.canonical_matrices(), RESID_TOL,
                       form.P.kappa, "canonical", norms=(anorm, np.linalg.norm(b, 2)))
     return form
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import errors
 from .asdc import asdc_pair_check, asdc_triple_check
 from .canonical import pencil_canonical
-from .matcore import Tolerances
 from .obstruct import builtin_counterexamples, not_asdc_certificate
 from .qcqp import (
     BenchConfig,
@@ -54,15 +53,6 @@ def _load_instance(path: str) -> QcqpInstance:
     return QcqpInstance.from_json(Path(path).read_text())
 
 
-def _tol(args) -> Tolerances:
-    kw = {}
-    for name in ("rank_tol", "eig_real_tol", "resid_tol", "cluster_tol"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    return Tolerances(**kw)
-
-
 def _cmd_gen(args) -> int:
     inst = generate_instance(args.n, args.k, args.m, args.seed)
     Path(args.output).write_text(inst.to_json())
@@ -72,7 +62,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check_sdc(args) -> int:
     fam = _load_matrices(args.input)
-    res = sdc_check(fam, _tol(args), seed=args.seed)
+    res = sdc_check(fam, seed=args.seed)
     if res.is_sdc:
         print(f"SDC  kappa={res.congruence.kappa:.6e}")
         return EXIT_OK
@@ -82,16 +72,15 @@ def _cmd_check_sdc(args) -> int:
 
 def _cmd_check_asdc(args) -> int:
     fam = _load_matrices(args.input)
-    tol = _tol(args)
     if len(fam) == 2:
-        v = asdc_pair_check(fam[0], fam[1], tol)
+        v = asdc_pair_check(fam[0], fam[1])
         print(f"{v.status}  reason={v.reason or '-'}")
         return EXIT_OK if v.is_asdc else EXIT_NEGATIVE
     if len(fam) == 3:
-        v = asdc_triple_check(fam[0], fam[1], fam[2], tol)
+        v = asdc_triple_check(fam[0], fam[1], fam[2])
         print(f"{v.status}  reason={v.reason or '-'}")
         return EXIT_OK if v.is_asdc else EXIT_NEGATIVE
-    rep = not_asdc_certificate(fam, tol, seed=args.seed)
+    rep = not_asdc_certificate(fam, seed=args.seed)
     print(
         f"necessary-condition report: algebra_dim={rep.algebra_dim} "
         f"violated={rep.algebra_bound_violated}"
@@ -103,7 +92,7 @@ def _cmd_canon(args) -> int:
     fam = _load_matrices(args.input)
     if len(fam) != 2:
         raise ValueError("canon expects a pair")
-    form = pencil_canonical(fam[0], fam[1], _tol(args))
+    form = pencil_canonical(fam[0], fam[1])
     out = {
         "r": form.r,
         "k": form.k,
@@ -119,8 +108,7 @@ def _cmd_canon(args) -> int:
 def _cmd_rsdc(args, order: int) -> int:
     fam = _load_matrices(args.input)
     build = rsdc1_construct if order == 1 else rsdc2_construct
-    cert = build(fam[0], fam[1], strategy=args.strategy, tol=_tol(args),
-                 seed=args.seed)
+    cert = build(fam[0], fam[1], strategy=args.strategy, seed=args.seed)
     Path(args.output).write_text(cert.to_json())
     print(
         f"wrote {args.output}  kappa={cert.kappa:.6e} "
@@ -131,7 +119,7 @@ def _cmd_rsdc(args, order: int) -> int:
 
 def _cmd_reformulate(args) -> int:
     inst = _load_instance(args.input)
-    ref = reformulate(inst, args.method, _tol(args))
+    ref = reformulate(inst, args.method)
     Path(args.output).write_text(ref.to_json())
     print(f"wrote {args.output}  dim={ref.dim} kappa={ref.kappa:.6e}")
     return EXIT_OK
@@ -162,7 +150,7 @@ def _cmd_bench(args) -> int:
         m=args.m,
         **({"methods": methods} if methods else {}),
     )
-    report = bench(cfg, _tol(args))
+    report = bench(cfg)
     Path(args.output).write_text(report["csv"])
     json_path = Path(args.output).with_suffix(".json")
     json_path.write_text(
@@ -208,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
-    for name in ("rank-tol", "eig-real-tol", "resid-tol", "cluster-tol"):
-        shared.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):

@@ -1,21 +1,18 @@
 """Dense real symmetric matrix substrate.
 
 Special matrices, ranks, norms, commutators, direct sums, and the
-tolerance policy threaded through every other module.
+fixed tolerances every other module reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "SymMat",
     "Congruence",
     "special_matrix",
@@ -30,36 +27,26 @@ __all__ = [
     "asmat",
 ]
 
+# The whole tolerance policy: six fixed constants, which no caller sets.
+
 # Asymmetry accepted at SymMat construction, relative to max(1, |M|_max).
 SYM_TOL = 1e-12
 
 # Certification floor for invertibility: smin > INV_TOL * smax.
 INV_TOL = 1e-12
 
+# Numeric rank: singular values above RANK_TOL times the largest.
+RANK_TOL = 1e-10
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Floating-point interpretation of the exact-arithmetic statements.
+# An eigenvalue is real when |Im| <= EIG_REAL_TOL times the spectral scale.
+EIG_REAL_TOL = 1e-8
 
-    rank_tol      relative SVD cutoff for numeric rank
-    eig_real_tol  imaginary-part threshold below which an eigenvalue
-                  counts as real
-    resid_tol     relative off-diagonal residual accepted in certificates
-    cluster_tol   eigenvalue clustering threshold for eigenspace refinement
-    """
+# Relative residual accepted by the congruence, commutation, Toeplitz and
+# LP-box certificates.
+RESID_TOL = 1e-8
 
-    rank_tol: float = 1e-10
-    eig_real_tol: float = 1e-8
-    resid_tol: float = 1e-8
-    cluster_tol: float = 1e-7
-
-    def __post_init__(self):
-        for name in ("rank_tol", "eig_real_tol", "resid_tol", "cluster_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# Eigenvalue clustering threshold, relative to the size of the spectrum.
+CLUSTER_TOL = 1e-7
 
 
 def asmat(x) -> np.ndarray:
@@ -212,8 +199,8 @@ def commutator(A, B) -> np.ndarray:
     return a @ b - b @ a
 
 
-def numeric_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above rank_tol times the largest.
+def numeric_rank(M) -> int:
+    """Number of singular values above RANK_TOL times the largest.
 
     M may be rectangular (m x n), as for a constraint matrix.
     """
@@ -225,7 +212,7 @@ def numeric_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def cond_number(P) -> float:

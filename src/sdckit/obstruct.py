@@ -17,9 +17,8 @@ import numpy as np
 from . import errors
 from ._pencil import certify_invertible
 from .matcore import (
-    DEFAULT_TOL,
+    RANK_TOL,
     SymMat,
-    Tolerances,
     asmat,
     commutator,
     f_mat,
@@ -44,7 +43,7 @@ class ObstructionReport:
     algebra_bound_violated: bool
 
 
-def commutator_obstruction(B, C, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:
+def commutator_obstruction(B, C) -> tuple[int, int]:
     """Commutator rank and the padding threshold it implies.
 
     For {I, B, C}, zero-padding by fewer than ceil(rank([B,C])/2)
@@ -54,15 +53,11 @@ def commutator_obstruction(B, C, tol: Tolerances = DEFAULT_TOL) -> tuple[int, in
     b, c = asmat(B), asmat(C)
     if b.shape != c.shape:
         raise errors.OrderMismatch("pair must share an order")
-    rank = numeric_rank(commutator(b, c), tol)
+    rank = numeric_rank(commutator(b, c))
     return rank, math.ceil(rank / 2)
 
 
-def algebra_dimension(
-    generators,
-    tol: Tolerances = DEFAULT_TOL,
-    max_products: int | None = None,
-) -> int:
+def algebra_dimension(generators, max_products: int | None = None) -> int:
     """Dimension of the real unital algebra generated by the inputs.
 
     Iterated span closure: seed with the identity and the generators,
@@ -101,10 +96,10 @@ def algebra_dimension(
         # closure amplifies that noise; true algebra directions decay
         # gradually while noise enters after a sharp spectral drop, so
         # the rank is cut at the first thousandfold gap (with an
-        # absolute floor at rank_tol)
+        # absolute floor at RANK_TOL)
         rank = len(s)
         for i in range(1, len(s)):
-            if s[i] < tol.rank_tol * s[0] or s[i] * 1e3 < s[i - 1]:
+            if s[i] < RANK_TOL * s[0] or s[i] * 1e3 < s[i - 1]:
                 rank = i
                 break
         return [vt[i].reshape(n, n) for i in range(rank)]
@@ -182,9 +177,7 @@ def builtin_counterexamples() -> dict:
     }
 
 
-def not_asdc_certificate(
-    family, tol: Tolerances = DEFAULT_TOL, seed: int = 0
-) -> ObstructionReport:
+def not_asdc_certificate(family, seed: int = 0) -> ObstructionReport:
     """Necessary-condition report for a family.
 
     algebra_bound_violated = True proves the family is not ASDC; the
@@ -196,20 +189,20 @@ def not_asdc_certificate(
     if not mats:
         raise errors.EmptyFamily("need at least one matrix")
     n = mats[0].shape[0]
-    coeffs, S = find_max_rank_element(mats, seed=seed, tol=tol)
-    if not certify_invertible(S, tol):
+    coeffs, S = find_max_rank_element(mats, seed=seed)
+    if not certify_invertible(S):
         raise errors.NoInvertibleElement(
             "no certified-invertible element in the span"
         )
     gens = [np.linalg.solve(S.a, A) for A in mats]
-    dim = algebra_dimension(gens, tol)
+    dim = algebra_dimension(gens)
 
     comm_rank = None
     threshold = None
     if len(mats) == 3:
         drop = int(np.argmax(np.abs(coeffs)))
         rest = [m for i, m in enumerate(mats) if i != drop]
-        comm_rank, threshold = commutator_obstruction(rest[0], rest[1], tol)
+        comm_rank, threshold = commutator_obstruction(rest[0], rest[1])
 
     return ObstructionReport(
         commutator_rank=comm_rank,

@@ -25,10 +25,10 @@ import scipy.optimize
 
 from . import errors
 from .matcore import (
-    DEFAULT_TOL,
+    RANK_TOL,
+    RESID_TOL,
     Congruence,
     SymMat,
-    Tolerances,
     asmat,
     f_mat,
     numeric_rank,
@@ -168,7 +168,7 @@ def check_bounded(L) -> bool:
 
     Stiemke's alternative: the recession cone {d : Ld <= 0} is {0}
     exactly when L has full column rank and L^T y = 0 for some y > 0.
-    An L of numeric rank below n (at rank_tol) is unbounded without an
+    An L of numeric rank below n (at RANK_TOL) is unbounded without an
     LP; otherwise one feasibility LP looks for such a y, scaled to
     y >= 1.
     """
@@ -233,14 +233,12 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
     )
 
 
-def reformulate(
-    inst: QcqpInstance, method: str, tol: Tolerances = DEFAULT_TOL
-) -> Reformulation:
+def reformulate(inst: QcqpInstance, method: str) -> Reformulation:
     """Build the diagonal reformulation for the requested method."""
     n = inst.n
     A1, A2 = inst.A1.a, inst.A2.a
     if method == "sdc":
-        res = sdc_check([A1, A2], tol)
+        res = sdc_check([A1, A2])
         if not res.is_sdc:
             raise errors.MethodInapplicable(
                 f"pair is not SDC ({res.witness}); sdc reformulation needs k = 0"
@@ -261,7 +259,7 @@ def reformulate(
     if method in ("rsdc1", "rsdc2"):
         build = rsdc1_construct if method == "rsdc1" else rsdc2_construct
         try:
-            cert = build(A1, A2, tol=tol)
+            cert = build(A1, A2)
         except errors.SdckitError as exc:
             raise errors.MethodInapplicable(str(exc)) from exc
         d = cert.order_added
@@ -363,10 +361,10 @@ def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float
 
     By LP duality x is optimal when it is feasible and y >= 0 has
     L^T y = s e_i and 1^T y = s x_i.  Each residual is returned as a
-    fraction of tau = resid_tol max(1, ||L||_max ||y||_1) (the gap's
+    fraction of tau = RESID_TOL max(1, ||L||_max ||y||_1) (the gap's
     tau scaled by max(1, |x_i|)), so the bound is certified at <= 1.
     """
-    tau = DEFAULT_TOL.resid_tol * max(1.0, np.max(np.abs(L)) * np.sum(np.abs(y)))
+    tau = RESID_TOL * max(1.0, np.max(np.abs(L)) * np.sum(np.abs(y)))
     r = L.T @ y
     r[i] -= s
     return float(np.max([
@@ -480,9 +478,7 @@ def verify_reformulation(
     return worst / scale
 
 
-def homogenize_check(
-    A_list, b_list, c_list, tol: Tolerances = DEFAULT_TOL, seed: int = 0
-) -> tuple[bool, bool]:
+def homogenize_check(A_list, b_list, c_list, seed: int = 0) -> tuple[bool, bool]:
     """Homogenization implication data: (premise, conclusion).
 
     premise: the bordered forms Q_i = [[A_i, b_i], [b_i^T, c_i]]
@@ -497,7 +493,7 @@ def homogenize_check(
     for c in islice(span_candidates(len(mats), seed), 64):
         S = sum(ci * Ai for ci, Ai in zip(c, mats))
         vals = np.linalg.eigvalsh(0.5 * (S + S.T))
-        floor = tol.rank_tol * max(1.0, float(np.max(np.abs(vals))))
+        floor = RANK_TOL * max(1.0, float(np.max(np.abs(vals))))
         # negative definite works equally well
         if np.min(vals) > floor or np.max(vals) < -floor:
             break
@@ -515,8 +511,8 @@ def homogenize_check(
         Qs.append(Q)
     corner = np.zeros((n + 1, n + 1))
     corner[n, n] = 1.0
-    premise = sdc_check(Qs + [corner], tol).is_sdc
-    conclusion = sdc_check(mats, tol).is_sdc
+    premise = sdc_check(Qs + [corner]).is_sdc
+    conclusion = sdc_check(mats).is_sdc
     return premise, conclusion
 
 
@@ -530,7 +526,7 @@ class BenchConfig:
     samples: int = 100
 
 
-def _bench_cell(n, k, seed, methods, m, samples, tol):
+def _bench_cell(n, k, seed, methods, m, samples):
     t0 = time.perf_counter()
     try:
         inst = generate_instance(n, k, m, seed)
@@ -557,7 +553,7 @@ def _bench_cell(n, k, seed, methods, m, samples, tol):
         }
         t1 = time.perf_counter()
         try:
-            ref = reformulate(inst, meth, tol)
+            ref = reformulate(inst, meth)
             row["reform_ms"] = round(1000.0 * (time.perf_counter() - t1), 3)
             if box is None:
                 box = _polytope_box(inst.L)
@@ -572,7 +568,7 @@ def _bench_cell(n, k, seed, methods, m, samples, tol):
     return rows
 
 
-def bench(config: BenchConfig, tol: Tolerances = DEFAULT_TOL) -> dict:
+def bench(config: BenchConfig) -> dict:
     """Grid run: per-cell generation, reformulation and verification.
 
     Returns {"rows": [...], "medians": [...], "csv": text}; per-cell
@@ -580,7 +576,7 @@ def bench(config: BenchConfig, tol: Tolerances = DEFAULT_TOL) -> dict:
     ordered by (n, k, seed, method).
     """
     cells = [
-        (n, k, seed, tuple(config.methods), config.m, config.samples, tol)
+        (n, k, seed, tuple(config.methods), config.m, config.samples)
         for n in config.n_values
         for k in config.k_values
         for seed in range(config.seeds)

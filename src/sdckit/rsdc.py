@@ -23,10 +23,8 @@ from . import errors
 from ._pencil import certify_invertible
 from .canonical import PencilForm, pencil_canonical
 from .matcore import (
-    DEFAULT_TOL,
     Congruence,
     SymMat,
-    Tolerances,
     _dot2,
     asmat,
     f_mat,
@@ -245,8 +243,7 @@ def _refine_congruence(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> np.ndarra
     return P + Pl
 
 
-def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected,
-            tol) -> RsdcCertificate:
+def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected) -> RsdcCertificate:
     n = a.shape[0]
     if not (np.array_equal(At[:n, :n], a) and np.array_equal(Bt[:n, :n], b)):
         raise errors.CertificationFailed("top-left restriction is not exact")
@@ -256,13 +253,13 @@ def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected,
             f"eigenvalue placement residual {resid:.3e} exceeds "
             f"{EIG_PLACEMENT_RTOL:.0e}"
         )
-    res = sdc_check([At, Bt], tol)
+    res = sdc_check([At, Bt])
     if not res.is_sdc:
         raise errors.CertificationFailed(
             f"extended pair failed the SDC oracle: {res.witness}"
         )
     # the refined congruence passes the oracle's own certificate again
-    refined = _certified(_refine_congruence(At, Bt, res.congruence.P), [At, Bt], tol)
+    refined = _certified(_refine_congruence(At, Bt, res.congruence.P), [At, Bt])
     return RsdcCertificate(
         order_added=d,
         A_tilde=SymMat(At),
@@ -277,16 +274,16 @@ def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected,
     )
 
 
-def _padded_pencil(A, B, d: int, tol: Tolerances):
+def _padded_pencil(A, B, d: int):
     """The validated pair, its canonical form, its real eigenvalues and
     the pair zero-padded by d rows and columns."""
     a, b = asmat(A), asmat(B)
     if a.shape != b.shape:
         raise errors.OrderMismatch("pair must share an order")
-    if not certify_invertible(a, tol):
+    if not certify_invertible(a):
         raise errors.SingularA("leading matrix is not certified invertible")
     n = a.shape[0]
-    form = pencil_canonical(a, b, tol)
+    form = pencil_canonical(a, b)
     At = np.zeros((n + d, n + d))
     Bt = np.zeros((n + d, n + d))
     At[:n, :n] = a
@@ -294,10 +291,9 @@ def _padded_pencil(A, B, d: int, tol: Tolerances):
     return a, b, form, [mu for _, mu in form.real_blocks], At, Bt
 
 
-def rsdc1_construct(A, B, strategy: str = "chebyshev",
-                    tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> RsdcCertificate:
+def rsdc1_construct(A, B, strategy: str = "chebyshev", seed: int = 0) -> RsdcCertificate:
     """One-dimension restricted-SDC extension of a simple pencil pair."""
-    a, b, form, mus, At, Bt = _padded_pencil(A, B, 1, tol)
+    a, b, form, mus, At, Bt = _padded_pencil(A, B, 1)
     n, r, k = a.shape[0], form.r, form.k
     At[n, n] = 1.0
     gamma = np.zeros(n)
@@ -312,12 +308,10 @@ def rsdc1_construct(A, B, strategy: str = "chebyshev",
         Bt[n, n] = z
 
     expected = mus + list(xi)
-    return _finish(a, b, At, Bt, 1, xi, gamma[r::2], gamma[r + 1 :: 2], gamma,
-                   expected, tol)
+    return _finish(a, b, At, Bt, 1, xi, gamma[r::2], gamma[r + 1 :: 2], gamma, expected)
 
 
-def rsdc2_construct(A, B, strategy: str = "chebyshev",
-                    tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> RsdcCertificate:
+def rsdc2_construct(A, B, strategy: str = "chebyshev", seed: int = 0) -> RsdcCertificate:
     """Two-dimension restricted-SDC extension of a simple pencil pair.
 
     Each interpolation point lands with multiplicity two through the
@@ -325,7 +319,7 @@ def rsdc2_construct(A, B, strategy: str = "chebyshev",
     resulting congruences are typically much smaller than for the
     one-dimension construction.
     """
-    a, b, form, mus, At, Bt = _padded_pencil(A, B, 2, tol)
+    a, b, form, mus, At, Bt = _padded_pencil(A, B, 2)
     n, r, k = a.shape[0], form.r, form.k
     At[n:, n:] = f_mat(2)
     gamma = np.zeros((n, 2))
@@ -347,5 +341,4 @@ def rsdc2_construct(A, B, strategy: str = "chebyshev",
         Bt[n + 1, n + 1] = -zvec[k].imag
 
     expected = mus + list(xi) + list(xi)
-    return _finish(a, b, At, Bt, 2, xi, zvec.real, zvec.imag, gamma,
-                   expected, tol)
+    return _finish(a, b, At, Bt, 2, xi, zvec.real, zvec.imag, gamma, expected)

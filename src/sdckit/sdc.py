@@ -22,7 +22,16 @@ from ._pencil import (
     real_schur,
     spectral_scale,
 )
-from .matcore import DEFAULT_TOL, Congruence, SymMat, Tolerances, asmat, numeric_rank
+from .matcore import (
+    CLUSTER_TOL,
+    EIG_REAL_TOL,
+    RANK_TOL,
+    RESID_TOL,
+    Congruence,
+    SymMat,
+    asmat,
+    numeric_rank,
+)
 
 __all__ = [
     "Witness",
@@ -77,7 +86,7 @@ def span_candidates(m: int, seed: int = 0):
         yield rng.standard_normal(m)
 
 
-def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
+def find_max_rank_element(family, seed: int = 0):
     """Seeded search for a max-rank element of the span.
 
     Tries each family member plus MAX_RANK_TRIALS random combinations;
@@ -92,7 +101,7 @@ def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
     m = len(mats)
     best_rank = -1
     for c in islice(span_candidates(m, seed), m + MAX_RANK_TRIALS):
-        r = numeric_rank(sum(ci * Ai for ci, Ai in zip(c, mats)), tol)
+        r = numeric_rank(sum(ci * Ai for ci, Ai in zip(c, mats)))
         if r > best_rank:
             best_rank, best_c = r, c
         if best_rank == n:
@@ -101,7 +110,7 @@ def find_max_rank_element(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
     return best_c, SymMat(0.5 * (S + S.T))
 
 
-def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def simdiag_commuting(family) -> np.ndarray:
     """Shared eigenbasis of commuting diagonalizable real-spectrum matrices.
 
     Eigenspace refinement (see _refine): split along the first member
@@ -117,26 +126,26 @@ def simdiag_commuting(family, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         if Mi.shape[0] != n:
             raise errors.OrderMismatch(f"member {i} has order {Mi.shape[0]} != {n}")
     norms = [np.linalg.norm(M, 2) for M in mats]
-    pair = noncommuting_pair(mats, tol, norms=norms)
+    pair = noncommuting_pair(mats, norms=norms)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
-    return _joint_eigenbasis(mats, tol, norms)[0]
+    return _joint_eigenbasis(mats, norms)[0]
 
 
-def _joint_eigenbasis(mats, tol: Tolerances, norms) -> tuple[np.ndarray, np.ndarray]:
+def _joint_eigenbasis(mats, norms) -> tuple[np.ndarray, np.ndarray]:
     """simdiag_commuting for a family already known to commute, with the
     diagonal of V^{-1} M V for every member as the rows of the second
     output; norms[i] is |mats[i]|_2."""
-    V = _refine(mats, tol, symmetric=False)
+    V = _refine(mats, symmetric=False)
     # certify: every member diagonal in the joint basis
     Ds = certify_residuals(
-        np.linalg.inv(V), V, mats, [None] * len(mats), tol.resid_tol, np.linalg.cond(V),
+        np.linalg.inv(V), V, mats, [None] * len(mats), RESID_TOL, np.linalg.cond(V),
         "joint-diagonalization", norms=norms, error=errors.NotDiagonalizable, slack=10,
     )
     return V, np.array([np.diag(D) for D in Ds])
 
 
-def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
+def _refine(mats, symmetric: bool) -> np.ndarray:
     """Columns of a shared eigenbasis of commuting matrices.
 
     A depth-first worklist of (orthonormal basis, member) pairs: the
@@ -159,17 +168,17 @@ def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
             wr, X = np.linalg.eigh(0.5 * (Mloc + Mloc.T))
         else:
             w, X = np.linalg.eig(Mloc)
-            if np.max(np.abs(w.imag)) > tol.eig_real_tol * spectral_scale(w):
+            if np.max(np.abs(w.imag)) > EIG_REAL_TOL * spectral_scale(w):
                 raise errors.NotDiagonalizable(
                     f"member {depth} has non-real spectrum on a joint subspace"
                 )
             wr = w.real
         diam = max(float(wr.max() - wr.min()), 1.0)
-        clusters = cluster_values(wr, tol.cluster_tol * diam)
+        clusters = cluster_values(wr, CLUSTER_TOL * diam)
         if len(clusters) == 1:
             lam = float(np.mean(wr))
             if not symmetric and (
-                np.linalg.norm(Mloc - lam * np.eye(d), 2) > 100 * tol.cluster_tol * diam
+                np.linalg.norm(Mloc - lam * np.eye(d), 2) > 100 * CLUSTER_TOL * diam
             ):
                 raise errors.NotDiagonalizable(f"member {depth} is not diagonalizable")
             todo.append((basis, depth + 1))
@@ -190,7 +199,7 @@ def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
                 try:
                     if form is None:
                         form = real_schur(Mloc)
-                    U = invariant_subspace(form, lam, spread + tol.cluster_tol * diam)
+                    U = invariant_subspace(form, lam, spread + CLUSTER_TOL * diam)
                 except errors.StructureMismatch as exc:
                     raise errors.NotDiagonalizable(
                         f"member {depth}: no eigenvalue found near {lam}"
@@ -204,11 +213,11 @@ def _refine(mats, tol: Tolerances, symmetric: bool) -> np.ndarray:
     return np.hstack(out)
 
 
-def _joint_eigenvalue_groups(diags: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+def _joint_eigenvalue_groups(diags: np.ndarray) -> list[np.ndarray]:
     """Group coordinates by the joint eigenvalue tuple across the family:
     the first ungrouped coordinate takes every ungrouped one within
-    10 * cluster_tol * max(1, max|diags[t]|) of it in every member t."""
-    thr = 10 * tol.cluster_tol * np.maximum(1.0, np.max(np.abs(diags), axis=1))
+    10 * CLUSTER_TOL * max(1, max|diags[t]|) of it in every member t."""
+    thr = 10 * CLUSTER_TOL * np.maximum(1.0, np.max(np.abs(diags), axis=1))
     far = np.abs(diags[:, :, None] - diags[:, None, :]) > thr[:, None, None]
     close = ~np.any(far, axis=0)
     remaining = np.arange(diags.shape[1])
@@ -220,23 +229,23 @@ def _joint_eigenvalue_groups(diags: np.ndarray, tol: Tolerances) -> list[np.ndar
     return groups
 
 
-def _certified(P: np.ndarray, mats, tol: Tolerances) -> SdcResult:
+def _certified(P: np.ndarray, mats) -> SdcResult:
     """SDC result for the congruence P, certified before return.
 
     Every P^T A_i P must be diagonal up to an off-diagonal residual of
-    resid_tol * kappa(P)^2 * max(1, |A_i|_2); otherwise raises
+    RESID_TOL * kappa(P)^2 * max(1, |A_i|_2); otherwise raises
     CertificationFailed.
     """
     cong = Congruence(P)
-    Ds = certify_residuals(P.T, P, mats, [None] * len(mats), tol.resid_tol, cong.kappa,
+    Ds = certify_residuals(P.T, P, mats, [None] * len(mats), RESID_TOL, cong.kappa,
                            "off-diagonal")
     return SdcResult("SDC", congruence=cong, diagonals=tuple(np.diag(D).copy() for D in Ds))
 
 
-def range_reduction(mats, S: np.ndarray, rank: int, tol: Tolerances):
+def range_reduction(mats, S: np.ndarray, rank: int):
     """Left singular vectors U of S, whose first `rank` columns span its
     range, and the first member (i, residual) reaching outside that range
-    by more than 100 * rank_tol * |A_i|_2, or None."""
+    by more than 100 * RANK_TOL * |A_i|_2, or None."""
     U, _, _ = np.linalg.svd(S)
     Ur = U[:, :rank]
     for i, A in enumerate(mats):
@@ -244,7 +253,7 @@ def range_reduction(mats, S: np.ndarray, rank: int, tol: Tolerances):
         if scale == 0.0:
             continue
         resid = np.linalg.norm(A - Ur @ (Ur.T @ A), 2)
-        if resid > 100 * tol.rank_tol * scale:
+        if resid > 100 * RANK_TOL * scale:
             return U, (i, resid)
     return U, None
 
@@ -272,7 +281,7 @@ def _scaled_group_columns(V: np.ndarray, Sbar: np.ndarray, sizes) -> np.ndarray:
     return P
 
 
-def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
+def _sdc_nonsingular(mats, S) -> SdcResult:
     """SDC decision when S in the span is certified invertible."""
     # a member that is S itself (a full-rank member) is exactly I
     Ms = [np.eye(len(S)) if np.array_equal(A, S) else np.linalg.solve(S, A) for A in mats]
@@ -280,25 +289,25 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
     norms = [np.linalg.norm(M, 2) for M in Ms]
-    pair = noncommuting_pair(Ms, tol, norms=norms)
+    pair = noncommuting_pair(Ms, norms=norms)
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     for i, M in enumerate(Ms):
         w = np.linalg.eigvals(M)
         scale = spectral_scale(w)
-        bad = np.abs(w.imag) > tol.eig_real_tol * scale
+        bad = np.abs(w.imag) > EIG_REAL_TOL * scale
         if np.any(bad):
             lam = w[bad][int(np.argmax(np.abs(w[bad].imag)))]
             return SdcResult(
                 "NotSDC", witness=Witness("non-real-eigenvalue", i, value=complex(lam))
             )
     try:
-        V, diags = _joint_eigenbasis(Ms, tol, norms)
+        V, diags = _joint_eigenbasis(Ms, norms)
     except errors.NotDiagonalizable:
         # identify a defective member for the witness
         for i, M in enumerate(Ms):
             try:
-                _joint_eigenbasis([M], tol, norms[i : i + 1])
+                _joint_eigenbasis([M], norms[i : i + 1])
             except errors.NotDiagonalizable:
                 return SdcResult("NotSDC", witness=Witness("not-diagonalizable", i))
         return SdcResult("NotSDC", witness=Witness("not-diagonalizable"))
@@ -306,7 +315,7 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     # group coordinates by joint eigenvalue, then diagonalize each
     # symmetric block of the transformed S by an orthogonal
     # eigendecomposition
-    groups = _joint_eigenvalue_groups(diags, tol)
+    groups = _joint_eigenvalue_groups(diags)
     V = V[:, np.concatenate(groups)]
     P = _scaled_group_columns(V, V.T @ S @ V, [len(grp) for grp in groups])
 
@@ -314,10 +323,10 @@ def _sdc_nonsingular(mats, S, tol: Tolerances) -> SdcResult:
     PtAP = [P.T @ A @ P for A in mats]
     keys = np.round(np.array([np.diag(D) for D in PtAP]), 6)
     order = np.lexsort(keys[::-1])
-    return _certified(fix_column_signs(P[:, order]), mats, tol)
+    return _certified(fix_column_signs(P[:, order]), mats)
 
 
-def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult:
+def sdc_check(family, seed: int = 0) -> SdcResult:
     """Certified SDC decision for a family of symmetric matrices.
 
     Singular families are reduced to the range of a max-rank element
@@ -346,16 +355,16 @@ def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult
         if ratio > 1e4:
             d = np.where(rowmax > 0, 1.0 / np.sqrt(np.maximum(rowmax, 1e-300)), 1.0)
             D = np.diag(d)
-            inner = sdc_check([D @ A @ D for A in mats], tol, seed)
+            inner = sdc_check([D @ A @ D for A in mats], seed)
             if not inner.is_sdc:
                 return inner
-            return _certified(D @ inner.congruence.P, mats, tol)
+            return _certified(D @ inner.congruence.P, mats)
 
-    _, S = find_max_rank_element(mats, seed=seed, tol=tol)
-    rank = numeric_rank(S, tol)
+    _, S = find_max_rank_element(mats, seed=seed)
+    rank = numeric_rank(S)
 
     if rank == n:
-        return _sdc_nonsingular(mats, S.a, tol)
+        return _sdc_nonsingular(mats, S.a)
 
     if rank == 0:
         # every member numerically zero
@@ -366,14 +375,14 @@ def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult
         )
 
     # singular family: verify range inclusion, restrict, recurse
-    U, violation = range_reduction(mats, S.a, rank, tol)
+    U, violation = range_reduction(mats, S.a, rank)
     if violation is not None:
         i, resid = violation
         return SdcResult("NotSDC", witness=Witness("range-violation", i, value=resid))
     Ur = U[:, :rank]
     reduced = [Ur.T @ A @ Ur for A in mats]
     Sbar = Ur.T @ S.a @ Ur
-    inner = _sdc_nonsingular([0.5 * (R + R.T) for R in reduced], 0.5 * (Sbar + Sbar.T), tol)
+    inner = _sdc_nonsingular([0.5 * (R + R.T) for R in reduced], 0.5 * (Sbar + Sbar.T))
     if not inner.is_sdc:
         return inner
     # lift: null-space coordinates stay zero
@@ -386,7 +395,7 @@ def sdc_check(family, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> SdcResult
     return SdcResult("SDC", congruence=Congruence(P), diagonals=diagonals)
 
 
-def sdc_check_pd(family, pd_coefficients, tol: Tolerances = DEFAULT_TOL) -> SdcResult:
+def sdc_check_pd(family, pd_coefficients) -> SdcResult:
     """SDC decision through a positive definite combination.
 
     With S = sum c_i A_i positive definite, the family is SDC exactly
@@ -402,15 +411,15 @@ def sdc_check_pd(family, pd_coefficients, tol: Tolerances = DEFAULT_TOL) -> SdcR
     S = sum(ci * Ai for ci, Ai in zip(c, mats))
     S = 0.5 * (S + S.T)
     vals, vecs = np.linalg.eigh(S)
-    if np.min(vals) <= tol.rank_tol * max(1.0, float(np.max(np.abs(vals)))):
+    if np.min(vals) <= RANK_TOL * max(1.0, float(np.max(np.abs(vals)))):
         raise errors.NotPositiveDefinite(
             f"combination has minimum eigenvalue {np.min(vals):.3e}"
         )
     S_isqrt = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
     Ns = [S_isqrt @ A @ S_isqrt for A in mats]
     Ns = [0.5 * (N + N.T) for N in Ns]
-    pair = noncommuting_pair(Ns, tol)
+    pair = noncommuting_pair(Ns)
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     # joint orthogonal eigenbasis of commuting symmetric matrices
-    return _certified(S_isqrt @ _refine(Ns, tol, symmetric=True), mats, tol)
+    return _certified(S_isqrt @ _refine(Ns, symmetric=True), mats)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .matcore import DEFAULT_TOL, Tolerances, asmat, direct_sum, f_mat, g_mat
+from .matcore import RESID_TOL, asmat, direct_sum, f_mat, g_mat
 
 __all__ = [
     "ToeplitzPartition",
@@ -83,13 +83,14 @@ def toeplitz_project(T, part: ToeplitzPartition) -> np.ndarray:
     return out
 
 
-def is_block_toeplitz(T, part: ToeplitzPartition, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when every block is upper-triangular Toeplitz within tolerance."""
+def is_block_toeplitz(T, part: ToeplitzPartition) -> bool:
+    """True when every block is upper-triangular Toeplitz to within
+    RESID_TOL * max(1, |T|_max)."""
     a = asmat(T)
     if a.shape[0] != part.n:
         raise errors.OrderMismatch(f"order {a.shape[0]} != partition total {part.n}")
     scale = max(1.0, float(np.max(np.abs(a))))
-    return bool(np.max(np.abs(a - toeplitz_project(a, part))) <= tol.resid_tol * scale)
+    return bool(np.max(np.abs(a - toeplitz_project(a, part))) <= RESID_TOL * scale)
 
 
 def toeplitz_coefficients(T, part: ToeplitzPartition) -> dict:
@@ -130,14 +131,14 @@ def jordan_nilpotent(part: ToeplitzPartition) -> np.ndarray:
     return direct_sum(*(f_mat(s) @ g_mat(s) for s in part.sizes))
 
 
-def pi_map(T, part: ToeplitzPartition, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def pi_map(T, part: ToeplitzPartition) -> np.ndarray:
     """Leading-coefficient projection to a k x k matrix.
 
     Entry (i, j) is the leading Toeplitz coefficient when n_i = n_j and
     zero otherwise; the eigenvalue set is preserved.
     """
     a = asmat(T)
-    if not is_block_toeplitz(a, part, tol):
+    if not is_block_toeplitz(a, part):
         raise errors.NotInT("matrix is not block upper-triangular Toeplitz")
     coeffs = toeplitz_coefficients(a, part)
     k = part.k

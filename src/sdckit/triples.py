@@ -25,14 +25,13 @@ from ._chains import (
 )
 from ._pencil import noncommuting_pair
 from .asdc import _spectrum_is_real, _unit_splitting
-from .matcore import DEFAULT_TOL, SymMat, Tolerances, asmat, direct_sum, f_mat, g_mat, jordan_pair
+from .matcore import SymMat, asmat, direct_sum, f_mat, g_mat, jordan_pair
 from .sdc import sdc_check
 from .toeplitz import ToeplitzPartition, is_block_toeplitz, toeplitz_coefficients
 
 __all__ = [
     "JordanTripleSpec",
     "PerturbedTriple",
-    "build_jordan_pencil",
     "triple_case2",
     "triple_case4",
     "perturb_triple_blocks",
@@ -70,9 +69,12 @@ class PerturbedTriple:
     steps: tuple
 
 
-def build_jordan_pencil(spec: JordanTripleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (A, B) of the descriptor: A^{-1}B is the real Jordan form."""
-    return jordan_pair(spec.blocks)
+def _min_size_shift(blocks) -> np.ndarray:
+    """Diag(sigma F_eta or 0) over blocks (sigma, size, ...): sigma F_eta
+    on every block of the minimal size eta, zero on the others."""
+    eta = min(size for _, size, *_ in blocks)
+    return direct_sum(*(sigma * f_mat(size) if size == eta else np.zeros((size, size))
+                        for sigma, size, *_ in blocks))
 
 
 def triple_case2(spec: JordanTripleSpec, C, eps: float) -> np.ndarray:
@@ -86,14 +88,7 @@ def triple_case2(spec: JordanTripleSpec, C, eps: float) -> np.ndarray:
     sizes = set(spec.sizes)
     if len(sizes) < 2:
         raise errors.StructureMismatch("case 2 needs at least two block sizes")
-    eta = min(sizes)
-    c = asmat(C).copy()
-    pos = 0
-    for sigma, size, _ in spec.blocks:
-        if size == eta:
-            c[pos : pos + size, pos : pos + size] += eps * sigma * f_mat(size)
-        pos += size
-    return c
+    return asmat(C) + eps * _min_size_shift(spec.blocks)
 
 
 def triple_case4(sigma: int, n: int, C, eps: float):
@@ -129,21 +124,19 @@ def triple_case4(sigma: int, n: int, C, eps: float):
     return Bt, Ct
 
 
-def _validate_structured_triple(A, B, C, tol: Tolerances):
+def _validate_structured_triple(A, B, C):
     pair = noncommuting_pair(
-        [np.linalg.solve(A, B), np.linalg.solve(A, C)], tol, factor=10
+        [np.linalg.solve(A, B), np.linalg.solve(A, C)], factor=10
     )
     if pair is not None:
         raise errors.StructureMismatch(
             f"A^-1 B and A^-1 C do not commute (residual {pair[2]:.3e})"
         )
-    if not _spectrum_is_real(A, C, tol):
+    if not _spectrum_is_real(A, C):
         raise errors.StructureMismatch("A^-1 C has non-real spectrum")
 
 
-def perturb_triple_blocks(
-    spec: JordanTripleSpec, C, epsilon: float, tol: Tolerances = DEFAULT_TOL
-) -> PerturbedTriple:
+def perturb_triple_blocks(spec: JordanTripleSpec, C, epsilon: float) -> PerturbedTriple:
     """SDC-certified perturbation of a structured nonsingular triple.
 
     Case dispatch follows the characterization proof: eigenvalue
@@ -155,19 +148,19 @@ def perturb_triple_blocks(
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    A, B = build_jordan_pencil(spec)
+    A, B = jordan_pair(spec.blocks)
     c = asmat(C)
     if c.shape != A.shape:
         raise errors.OrderMismatch("C order does not match the descriptor")
     c = 0.5 * (c + c.T)
-    _validate_structured_triple(A, B, c, tol)
+    _validate_structured_triple(A, B, c)
 
     last = None
     eps_try = epsilon
     for _ in range(3):
         steps: list[str] = []
         try:
-            Bt, Ct = _recurse(A, B, c, eps_try, tol, steps, depth=0)
+            Bt, Ct = _recurse(A, B, c, eps_try, steps, depth=0)
             dist = max(
                 float(np.linalg.norm(Bt - B, 2)),
                 float(np.linalg.norm(Ct - c, 2)),
@@ -176,7 +169,7 @@ def perturb_triple_blocks(
                 raise errors.CertificationFailed(
                     f"distance {dist:.3e} exceeds {epsilon:.3e}"
                 )
-            res = sdc_check([A, Bt, Ct], tol)
+            res = sdc_check([A, Bt, Ct])
             if not res.is_sdc:
                 raise errors.CertificationFailed(
                     f"perturbed triple failed the SDC oracle: {res.witness}"
@@ -190,7 +183,7 @@ def perturb_triple_blocks(
     raise errors.CertificationFailed(f"triple perturbation failed: {last}")
 
 
-def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
+def _split_by(A, B, C, M, w, clusters, eps, steps, depth):
     """Case 1: joint block split along the invariant subspaces of M.
 
     Cluster subspaces are not mutually orthogonal, so sub-perturbations
@@ -216,7 +209,7 @@ def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
             Ac = 0.5 * ((U.T @ A @ U) + (U.T @ A @ U).T)
             Bc = 0.5 * ((U.T @ B @ U) + (U.T @ B @ U).T)
             Cc = 0.5 * ((U.T @ C @ U) + (U.T @ C @ U).T)
-            Btc, Ctc = _recurse(Ac, Bc, Cc, eps_sub, tol, steps, depth + 1)
+            Btc, Ctc = _recurse(Ac, Bc, Cc, eps_sub, steps, depth + 1)
             E = Pinv[pos : pos + d, :]
             dB += E.T @ (Btc - Bc) @ E
             dC += E.T @ (Ctc - Cc) @ E
@@ -228,9 +221,9 @@ def _split_by(A, B, C, M, w, clusters, eps, tol, steps, depth):
     raise errors.CertificationFailed("block split could not fit the budget")
 
 
-def _pair_split(A, T, eps, tol, radius=None):
+def _pair_split(A, T, eps, radius=None):
     """Perturbation of the pair (A, T) to real simple spectrum."""
-    delta_unit = _unit_splitting(A, T, tol, cluster_radius=radius)
+    delta_unit = _unit_splitting(A, T, cluster_radius=radius)
     amp = float(np.linalg.norm(delta_unit, 2))
     eff = min(1.0, eps / amp) if amp > 0 else eps
     return T + eff * delta_unit
@@ -260,7 +253,7 @@ def _poly_fit(MB: np.ndarray, MC: np.ndarray):
     return q, c, r
 
 
-def _poly_drag(A, B, C, q, eps, tol, radius=None):
+def _poly_drag(A, B, C, q, eps, radius=None):
     """Split B to a simple spectrum and drag C along as the same
     polynomial in the new A^{-1}B.
 
@@ -269,7 +262,7 @@ def _poly_drag(A, B, C, q, eps, tol, radius=None):
     """
     qs, c, r = q
     for shrink in range(60):
-        Bt = _pair_split(A, B, eps * 0.5**shrink, tol, radius=radius)
+        Bt = _pair_split(A, B, eps * 0.5**shrink, radius=radius)
         Mt = (np.linalg.solve(A, Bt) - c * np.eye(A.shape[0])) / r
         acc = np.zeros_like(A)
         power = np.eye(A.shape[0])
@@ -286,7 +279,7 @@ def _poly_drag(A, B, C, q, eps, tol, radius=None):
     raise errors.CertificationFailed("polynomial drag could not fit the budget")
 
 
-def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, tol, steps, depth):
+def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
     """Split every block of the commutant projection apart in one shot.
 
     Size groups get staggered scalar shifts; groups with several blocks
@@ -299,9 +292,7 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, tol, steps, dept
     n = A.shape[0]
     sizes = tuple(size for _, size in blocks)
     sigmas = tuple(sigma for sigma, _ in blocks)
-    offsets = [0]
-    for _, size in blocks:
-        offsets.append(offsets[-1] + size)
+    offsets = part.offsets()
     groups: dict[int, list[int]] = {}
     for b, size in enumerate(sizes):
         groups.setdefault(size, []).append(b)
@@ -330,7 +321,7 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, tol, steps, dept
         Abar = np.diag(np.array([float(sigmas[b]) for b in idxs]))
         Cbar = 0.5 * ((Abar @ Pi) + (Abar @ Pi).T)
         try:
-            Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar, tol)
+            Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar)
         except errors.SdckitError:
             return None
         Wbi = np.linalg.inv(Wb)
@@ -383,13 +374,13 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, tol, steps, dept
         return None
     steps.append(f"flatten@{depth}")
     hint = scale * min_gap
-    Ct2, Bt = _poly_drag(A, Ct, B, q, 0.5 * eps, tol, radius=0.45 * hint)
+    Ct2, Bt = _poly_drag(A, Ct, B, q, 0.5 * eps, radius=0.45 * hint)
     if np.linalg.norm(Ct2 - C, 2) > eps * (1 + 1e-9):
         return None
     return Bt, Ct2
 
 
-def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
+def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
     n = A.shape[0]
     if n == 1:
         return B, C
@@ -409,29 +400,29 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
         return B, C
     if zeroB:
         steps.append(f"pair-split-C@{depth}")
-        return B, _pair_split(A, C, eps, tol)
+        return B, _pair_split(A, C, eps)
     if zeroC:
         steps.append(f"pair-split-B@{depth}")
-        return _pair_split(A, B, eps, tol), C
+        return _pair_split(A, B, eps), C
     radius = 0.45 * gap_hint if gap_hint is not None else None
     q = _poly_fit(MB, MC)
     if q is not None:
         steps.append(f"poly-drag@{depth}")
-        return _poly_drag(A, B, C, q, eps, tol, radius=radius)
+        return _poly_drag(A, B, C, q, eps, radius=radius)
     qr = _poly_fit(MC, MB)
     if qr is not None:
         steps.append(f"poly-drag-swapped@{depth}")
-        Ct, Bt = _poly_drag(A, C, B, qr, eps, tol, radius=radius)
+        Ct, Bt = _poly_drag(A, C, B, qr, eps, radius=radius)
         return Bt, Ct
 
     # a construction that knows the size of the split it just planted
     # passes gap_hint to keep the clusters below it
-    wB, clB = defect_clusters(MB, tol, radius)
+    wB, clB = defect_clusters(MB, radius)
     if len(clB) > 1:
-        return _split_by(A, B, C, MB, wB, clB, eps, tol, steps, depth)
-    wC, clC = defect_clusters(MC, tol, radius)
+        return _split_by(A, B, C, MB, wB, clB, eps, steps, depth)
+    wC, clC = defect_clusters(MC, radius)
     if len(clC) > 1:
-        return _split_by(A, C, B, MC, wC, clC, eps, tol, steps, depth)[::-1]
+        return _split_by(A, C, B, MC, wC, clC, eps, steps, depth)[::-1]
 
     # single joint eigenvalue: shift both to nilpotency
     thB = float(np.mean(wB).real)
@@ -441,7 +432,7 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
 
     # both nilpotent, neither polynomial in the other: canonicalize the
     # (A, B0) pair and dispatch on the block layout
-    W, blocks = canonicalize_nilpotent_pair(A, B0, tol)
+    W, blocks = canonicalize_nilpotent_pair(A, B0)
     Winv = np.linalg.inv(W)
     sizes = tuple(size for _, size in blocks)
     sigmas = tuple(sigma for sigma, _ in blocks)
@@ -449,7 +440,7 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
     Cp = W.T @ C0 @ W
     Ap, _ = jordan_pair([(sigma, size, 0.0) for sigma, size in blocks])
     Tc = np.linalg.solve(Ap, Cp)
-    if not is_block_toeplitz(Tc, part, tol):
+    if not is_block_toeplitz(Tc, part):
         raise errors.StructureMismatch(
             "A^-1 C is not in the Toeplitz commutant of A^-1 B"
         )
@@ -458,24 +449,19 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
     # projection all-distinct eigenvalues, which makes A^{-1}C nonderogatory
     # and A^{-1}B a polynomial in it; the drag then finishes without any
     # further restriction (so no compounding of subspace tilts)
-    flat = _nilpotent_flatten(
-        A, B, C, W, Winv, blocks, Tc, part, eps, tol, steps, depth
-    )
+    flat = _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth)
     if flat is not None:
         return flat
 
     if len(set(sizes)) >= 2:
         # case 2: shift the minimal-size blocks of C
         steps.append(f"case2@{depth}")
-        eta = min(sizes)
-        D = direct_sum(*(sigma * f_mat(size) if size == eta else np.zeros((size, size))
-                         for sigma, size in blocks))
-        delta_unit = Winv.T @ D @ Winv
+        delta_unit = Winv.T @ _min_size_shift(blocks) @ Winv
         amp = float(np.linalg.norm(delta_unit, 2))
         eff = min(1.0, 0.5 * eps / amp)
         Ct = C + eff * delta_unit
         # Pi of the shifted commutant is Diag(eff I, nilpotent): the split is eff
-        return _recurse(A, B, Ct, 0.5 * eps, tol, steps, depth + 1, gap_hint=eff)
+        return _recurse(A, B, Ct, 0.5 * eps, steps, depth + 1, gap_hint=eff)
 
     if len(blocks) >= 2:
         # case 3: split the k x k leading pair and lift through kron F_eta
@@ -490,7 +476,7 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
         Abar = np.diag(np.array(sigmas, dtype=float))
         Cbar = Abar @ Pi
         Cbar = 0.5 * (Cbar + Cbar.T)
-        Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar, tol)
+        Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar)
         Wbi = np.linalg.inv(Wb)
         dbar_unit = Wbi.T @ splitting_perturbation(
             [(s, z, 0.0) for s, z in blks], 1.0
@@ -502,7 +488,7 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
         wbar = np.linalg.eigvals(np.linalg.solve(Abar, Cbar + eff * dbar_unit))
         gaps = np.abs(wbar[:, None] - wbar[None, :])[~np.eye(len(wbar), dtype=bool)]
         hint = float(np.min(gaps)) if gaps.size else None
-        return _recurse(A, B, Ct, 0.5 * eps, tol, steps, depth + 1, gap_hint=hint)
+        return _recurse(A, B, Ct, 0.5 * eps, steps, depth + 1, gap_hint=hint)
 
     # single block without a polynomial fit should be impossible; the
     # corner construction still applies as a fallback
@@ -525,5 +511,5 @@ def _recurse(A, B, C, eps, tol, steps, depth, gap_hint=None):
     else:
         raise errors.CertificationFailed("case 4 could not fit the budget")
     # canonical-coordinate corner value eff is the exact eigenvalue split
-    return _recurse(A, B + dB, C + dC, 0.5 * eps, tol, steps, depth + 1,
+    return _recurse(A, B + dB, C + dC, 0.5 * eps, steps, depth + 1,
                     gap_hint=eff)

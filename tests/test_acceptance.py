@@ -16,7 +16,7 @@ from conftest import (
 )
 from sdckit.asdc import asdc_pair_check, perturb_pair
 from sdckit.canonical import pencil_canonical
-from sdckit.matcore import Congruence, commutator, direct_sum, f_mat, g_mat
+from sdckit.matcore import Congruence, commutator, direct_sum, f_mat, g_mat, jordan_pair
 from sdckit.obstruct import (
     builtin_counterexamples,
     commutator_obstruction,
@@ -40,7 +40,6 @@ from sdckit.toeplitz import (
 )
 from sdckit.triples import (
     JordanTripleSpec,
-    build_jordan_pencil,
     perturb_triple_blocks,
     triple_case2,
     triple_case4,
@@ -327,7 +326,7 @@ def test_criterion_9_structured_triple_cases():
     # case 2 exactness on the stated size patterns
     for sizes, sigmas in [((1, 1, 2), (1, -1, 1)), ((2, 2, 3), (1, -1, 1))]:
         spec = JordanTripleSpec(tuple((s, z, 0.0) for s, z in zip(sigmas, sizes)))
-        A, _ = build_jordan_pencil(spec)
+        A, _ = jordan_pair(spec.blocks)
         for eps in (0.25, 0.0625):
             C = random_commutant_symmetric(sizes, sigmas, rng)
             Ct = triple_case2(spec, C, eps)

@@ -76,7 +76,7 @@ def test_check_asdc_singular_triple(tmp_path, capsys):
                           np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])])
     assert run(["check-asdc", "-i", str(path)]) == 2
     assert "NoInvertibleElement" in capsys.readouterr().err
-    # singular at rank_tol for the verdict's seed-0 search (an element
+    # singular at RANK_TOL for the verdict's seed-0 search (an element
     # diag(c1, 1e-12 c2) is invertible only when |c2/c1| > 100), which
     # --seed does not change
     write_matrices(path, [np.diag([1.0, 0.0]), np.diag([0.0, 1e-12]), np.zeros((2, 2))])
@@ -120,6 +120,22 @@ def test_malformed_input(tmp_path):
     assert run(["check-sdc", "-i", str(bad)]) == 1
     missing = tmp_path / "missing.json"
     assert run(["check-sdc", "-i", str(missing)]) == 1
+
+
+def test_no_flag_loosens_the_certificates(tmp_path, capsys):
+    # k = 1 plants a complex eigenvalue pair, so the verdict is NotSDC;
+    # the tolerances are fixed, so no flag can loosen the realness,
+    # residual or clustering threshold into an SDC verdict: a tolerance
+    # flag is an unknown argument (malformed input)
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--n", "6", "--k", "1", "--seed", "3", "-o", str(inst)]) == 0
+    assert run(["check-sdc", "-i", str(inst)]) == 10
+    assert "non-real-eigenvalue" in capsys.readouterr().out
+    assert run(["check-sdc", "-i", str(inst), "--eig-real-tol", "100",
+                "--resid-tol", "1e8", "--cluster-tol", "10"]) == 1
+    for flag in ("--rank-tol", "--eig-real-tol", "--resid-tol", "--cluster-tol"):
+        assert run(["check-sdc", "-i", str(inst), flag, "1e8"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_counterexamples(tmp_path, capsys):

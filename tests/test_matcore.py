@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from sdckit import errors
 from sdckit.matcore import (
-    DEFAULT_TOL,
+    CLUSTER_TOL,
+    EIG_REAL_TOL,
+    RANK_TOL,
+    RESID_TOL,
     Congruence,
     SymMat,
-    Tolerances,
     _dot2,
     commutator,
     cond_number,
@@ -184,10 +186,8 @@ def test_commutator_antisymmetry(n, seed):
     assert np.array_equal(commutator(A, B), -commutator(B, A))
 
 
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(rank_tol=0.0)
-    assert DEFAULT_TOL.rank_tol == 1e-10
-    assert DEFAULT_TOL.eig_real_tol == 1e-8
-    assert DEFAULT_TOL.resid_tol == 1e-8
-    assert DEFAULT_TOL.cluster_tol == 1e-7
+def test_tolerance_constants():
+    assert RANK_TOL == 1e-10
+    assert EIG_REAL_TOL == 1e-8
+    assert RESID_TOL == 1e-8
+    assert CLUSTER_TOL == 1e-7

@@ -11,7 +11,7 @@ from sdckit import _chains, errors, rsdc
 from sdckit import sdc as sdc_module
 from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
 from sdckit.canonical import tmat
-from sdckit.matcore import DEFAULT_TOL, direct_sum, f_mat, g_mat
+from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat
 from sdckit.sdc import (
     _joint_eigenvalue_groups,
     _scaled_group_columns,
@@ -291,7 +291,7 @@ def test_simple_spectrum_needs_no_schur(rng, monkeypatch):
     assert len(calls) >= 1
 
 
-def _greedy_groups_reference(diags, tol):
+def _greedy_groups_reference(diags):
     # the pairwise loop the vectorized grouping replaced
     m, n = diags.shape
     remaining = list(range(n))
@@ -303,7 +303,7 @@ def _greedy_groups_reference(diags, tol):
             close = True
             for t in range(m):
                 scale = max(1.0, float(np.max(np.abs(diags[t]))))
-                if abs(diags[t, i] - diags[t, j]) > 10 * tol.cluster_tol * scale:
+                if abs(diags[t, i] - diags[t, j]) > 10 * CLUSTER_TOL * scale:
                     close = False
                     break
             (grp if close else rest).append(j)
@@ -313,8 +313,7 @@ def _greedy_groups_reference(diags, tol):
 
 
 def test_joint_eigenvalue_groups_match_greedy_loop(rng):
-    tol = DEFAULT_TOL
-    h = 10 * tol.cluster_tol  # the grouping threshold at scale 1
+    h = 10 * CLUSTER_TOL  # the grouping threshold at scale 1
     cases = [
         # ties, a near-tie just inside and one just outside the threshold
         np.array([[1.0, 2.0, 1.0, 1.0 + 0.9 * h, 1.0 + 1.1 * h, 2.0]]),
@@ -332,12 +331,12 @@ def test_joint_eigenvalue_groups_match_greedy_loop(rng):
         m, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
         cases.append(rng.integers(0, 3, (m, n)) + rng.choice([0.0, 0.4 * h, 2 * h], (m, n)))
     for diags in cases:
-        got = _joint_eigenvalue_groups(diags, tol)
-        want = _greedy_groups_reference(diags, tol)
+        got = _joint_eigenvalue_groups(diags)
+        want = _greedy_groups_reference(diags)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    groups = _joint_eigenvalue_groups(cases[2], tol)
+    groups = _joint_eigenvalue_groups(cases[2])
     assert [g.tolist() for g in groups] == [[0, 1], [2], [3]]
 
 
@@ -506,7 +505,7 @@ def test_jordan_clusters_match_sorted_schur(monkeypatch):
                     np.diag([2.0, 1.0]))
     A, B = _scrambled_pair(A0, B0, random_congruence(np.random.default_rng(3), 7, 5.0))
     counts = _checked_against_reference(monkeypatch, _chains)
-    W, blocks = _chains.canonicalize_real_pencil(A, B, DEFAULT_TOL)
+    W, blocks = _chains.canonicalize_real_pencil(A, B)
     assert counts == [1, 4]
     assert sorted(size for _, size, _ in blocks) == [1, 1, 2, 3]
 

@@ -3,11 +3,10 @@ import pytest
 
 from conftest import random_commutant_symmetric
 from sdckit import errors
-from sdckit.matcore import commutator, f_mat, g_mat
+from sdckit.matcore import commutator, f_mat, g_mat, jordan_pair
 from sdckit.sdc import sdc_check
 from sdckit.triples import (
     JordanTripleSpec,
-    build_jordan_pencil,
     perturb_triple_blocks,
     triple_case2,
     triple_case4,
@@ -22,7 +21,7 @@ class TestCase2:
     @pytest.mark.parametrize("sizes,sigmas", [((1, 1, 2), (1, -1, 1)), ((2, 2, 3), (1, -1, 1))])
     def test_eigenvalues_exact(self, sizes, sigmas, rng):
         spec = nilpotent_spec(sizes, sigmas)
-        A, _ = build_jordan_pencil(spec)
+        A, _ = jordan_pair(spec.blocks)
         for eps in (0.25, 0.1):
             C = random_commutant_symmetric(sizes, sigmas, rng)
             Ct = triple_case2(spec, C, eps)
@@ -123,7 +122,7 @@ class TestFullPipeline:
 
     def test_scalar_c_works(self):
         spec = nilpotent_spec((3,), (1,))
-        A, B = build_jordan_pencil(spec)
+        A, B = jordan_pair(spec.blocks)
         pt = perturb_triple_blocks(spec, 0.7 * A, 0.3)
         assert pt.distance <= 0.3
 
