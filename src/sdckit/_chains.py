@@ -88,6 +88,11 @@ def nilpotent_jordan_chains(M: np.ndarray) -> list[list[np.ndarray]]:
         expected = (dims[p] - dims[p - 1]) - (
             (dims[p + 1] - dims[p]) if p < d else 0
         )
+        if expected < 0:
+            raise errors.StructureMismatch(
+                f"inconsistent kernel filtration {dims}: "
+                f"{expected} chains of length {p}"
+            )
         if count < expected:
             raise errors.StructureMismatch(
                 f"chain extraction at height {p}: found {count}, expected {expected}"

@@ -24,7 +24,7 @@ from .matcore import (
     h_mat,
     numeric_rank,
 )
-from .rsdc import choose_xi_points, solve_border_system
+from .rsdc import border, choose_xi
 from .sdc import find_max_rank_element, range_reduction, sdc_check
 
 __all__ = [
@@ -234,9 +234,7 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon) -> PerturbedPair:
     Tbar = Ur.T @ T @ Ur
     Tbar = 0.5 * (Tbar + Tbar.T)
 
-    w = np.linalg.eigvals(np.linalg.solve(Sbar, Tbar))
-    scale = spectral_scale(w)
-    if np.max(np.abs(w.imag)) <= EIG_REAL_TOL * scale:
+    if _spectrum_is_real(Sbar, Tbar):
         # all-real restricted spectrum: padding with zeros preserves SDC,
         # so the nonsingular splitting suffices
         delta_unit = Ur @ _unit_splitting(Sbar, Tbar) @ Ur.T
@@ -252,15 +250,8 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon) -> PerturbedPair:
             "perturb_blocks with an exact descriptor"
         ) from exc
 
-    lams = list(form.complex_blocks)
-    k = len(lams)
-    r = form.r
-    xi = choose_xi_points(
-        [mu for _, mu in form.real_blocks], lams, 2 * k + 1, "spread", 0
-    )
-    gamma_can = np.zeros(r + 2 * k)
-    gamma_can[r:], z = solve_border_system(lams, xi)
-    g = Ur @ (form.P.inv().T @ gamma_can)
+    _, g, z = border(form, choose_xi(form, 2 * form.k + 1, "spread"))
+    g = Ur @ g
     v1 = Un[:, 0]
 
     eps_eff = (1 - 1e-9) * epsilon
@@ -401,23 +392,19 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy):
         raise errors.StructureMismatch(
             "complex sub-pencil produced real eigenvalues"
         )
-    lams = list(form.complex_blocks)
-    k = len(lams)
-    xi = choose_xi_points([], lams, 2 * k + 1, xi_variant[0], xi_variant[1])
+    xi = choose_xi(form, 2 * form.k + 1, *xi_variant)
     if host[0] == "t3":
         # the type 3 chains own the zero eigenvalue
         span = max(xi) - min(xi) if len(xi) > 1 else 1.0
         if np.min(np.abs(xi)) < 1e-3 * span:
             xi = xi + 0.1 * span
-    gamma_can, z = solve_border_system(lams, xi)
-    g = form.P.inv().T @ gamma_can
-
+    _, g, z = border(form, xi)
+    # host coordinate: the type 4 block's first, or the type 3 center
     bi = host[1]
-    nm = spec.blocks[bi].size
-    t = off[bi] + (0 if host[0] == "t4" else nm)
+    t = off[bi] + (0 if host[0] == "t4" else spec.blocks[bi].size)
 
     if strategy == "gauge":
-        return _border_with_gauge(spec, a, b, dA, dB, idx, g, z, host, off, eps)
+        return _border_with_gauge(spec, a, b, dA, dB, idx, t, g, z, host, off, eps)
 
     # moderate-budget fallback: border at the working scale and split the
     # leftover defective chains of the bordered pair in place
@@ -425,10 +412,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy):
     gnorm = max(float(np.linalg.norm(g)), 1e-12)
     eps_b = min(budget, (budget / (2.0 * gnorm)) ** 2,
                 budget / max(abs(z), 1.0))
-    dA[t, t] += eps_b
-    dB[idx, t] += np.sqrt(eps_b) * g
-    dB[t, idx] += np.sqrt(eps_b) * g
-    dB[t, t] += eps_b * z
+    _border_at(dA, dB, idx, t, g, z, eps_b)
     At = a + dA
     Bt = 0.5 * ((b + dB) + (b + dB).T)
     if host[0] == "t3":
@@ -439,11 +423,20 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy):
     return At, Bt
 
 
+def _border_at(dA, dB, idx, t, g, z, s):
+    """Add the order-1 border (g, z) at scale s through the host
+    coordinate t to the coordinates idx, in place."""
+    dA[t, t] += s
+    dB[idx, t] += np.sqrt(s) * g
+    dB[t, idx] += np.sqrt(s) * g
+    dB[t, t] += s * z
+
+
 # fixed comfortable border scale for the gauge construction
 GAUGE_SCALE = 0.25
 
 
-def _border_with_gauge(spec, a, b, dA, dB, idx, g, z, host, off, eps):
+def _border_with_gauge(spec, a, b, dA, dB, idx, t, g, z, host, off, eps):
     """Border at a comfortable scale, then conjugate down to the budget.
 
     The assembled pair is exactly invariant under the host block's
@@ -452,19 +445,13 @@ def _border_with_gauge(spec, a, b, dA, dB, idx, g, z, host, off, eps):
     the border scale is a gauge choice.  All perturbation components
     are supported where the conjugation contracts, which turns one
     certified comfortable-scale construction into a certified one at
-    any requested budget.
+    any requested budget.  The border is added to dA and dB in place.
     """
     n = spec.n
     bi = host[1]
     nm = spec.blocks[bi].size
-    t = off[bi] + (0 if host[0] == "t4" else nm)
     EB = GAUGE_SCALE
-    dA = dA.copy()
-    dB = dB.copy()
-    dA[t, t] += EB
-    dB[idx, t] += np.sqrt(EB) * g
-    dB[t, idx] += np.sqrt(EB) * g
-    dB[t, t] += EB * z
+    _border_at(dA, dB, idx, t, g, z, EB)
 
     if host[0] == "t3":
         # split the leftover defective chains with a coupling into the

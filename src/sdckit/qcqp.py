@@ -234,55 +234,14 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
 
 
 def reformulate(inst: QcqpInstance, method: str) -> Reformulation:
-    """Build the diagonal reformulation for the requested method."""
+    """Build the diagonal reformulation for the requested method.
+
+    sdc, rsdc1 and rsdc2 share one congruence reformulation: P
+    diagonalizes the pair extended by d = 0, 1 or 2 zero-data
+    coordinates, and the last d rows of P pin those coordinates to 0.
+    """
     n = inst.n
     A1, A2 = inst.A1.a, inst.A2.a
-    if method == "sdc":
-        res = sdc_check([A1, A2])
-        if not res.is_sdc:
-            raise errors.MethodInapplicable(
-                f"pair is not SDC ({res.witness}); sdc reformulation needs k = 0"
-            )
-        P = res.congruence
-        return Reformulation(
-            method="sdc",
-            dim=n,
-            quad_obj=res.diagonals[0],
-            quad_con=res.diagonals[1],
-            lin_obj=P.P.T @ inst.b1,
-            lin_con=P.P.T @ inst.b2,
-            poly=inst.L @ P.P,
-            equalities=tuple(),
-            P=P,
-            kappa=P.kappa,
-        )
-    if method in ("rsdc1", "rsdc2"):
-        build = rsdc1_construct if method == "rsdc1" else rsdc2_construct
-        try:
-            cert = build(A1, A2)
-        except errors.SdckitError as exc:
-            raise errors.MethodInapplicable(str(exc)) from exc
-        d = cert.order_added
-        P = cert.congruence
-        bt1 = np.concatenate([inst.b1, np.zeros(d)])
-        bt2 = np.concatenate([inst.b2, np.zeros(d)])
-        Lt = np.hstack([inst.L, np.zeros((inst.L.shape[0], d))])
-        dA1 = np.diag(P.P.T @ cert.A_tilde.a @ P.P).copy()
-        dA2 = np.diag(P.P.T @ cert.B_tilde.a @ P.P).copy()
-        equalities = tuple(P.P[n + i, :].copy() for i in range(d))
-        return Reformulation(
-            method=method,
-            dim=n + d,
-            quad_obj=dA1,
-            quad_con=dA2,
-            lin_obj=P.P.T @ bt1,
-            lin_con=P.P.T @ bt2,
-            poly=Lt @ P.P,
-            equalities=equalities,
-            P=P,
-            kappa=cert.kappa,
-            aux={"certificate": cert},
-        )
     if method == "eig":
         w1, P1 = np.linalg.eigh(A1)
         A2t = P1.T @ A2 @ P1
@@ -305,7 +264,37 @@ def reformulate(inst: QcqpInstance, method: str) -> Reformulation:
             kappa=float(np.linalg.cond(P2)),
             aux={"P1": P1.tolist(), "P2": P2.tolist()},
         )
-    raise ValueError(f"unknown method {method!r}")
+    if method == "sdc":
+        res = sdc_check([A1, A2])
+        if not res.is_sdc:
+            raise errors.MethodInapplicable(
+                f"pair is not SDC ({res.witness}); sdc reformulation needs k = 0"
+            )
+        P, d, diagonals, aux = res.congruence, 0, res.diagonals, {}
+    elif method in ("rsdc1", "rsdc2"):
+        build = rsdc1_construct if method == "rsdc1" else rsdc2_construct
+        try:
+            cert = build(A1, A2)
+        except errors.SdckitError as exc:
+            raise errors.MethodInapplicable(str(exc)) from exc
+        P, d, aux = cert.congruence, cert.order_added, {"certificate": cert}
+        diagonals = [np.diag(P.P.T @ M.a @ P.P).copy() for M in (cert.A_tilde, cert.B_tilde)]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    pad = np.zeros(d)
+    return Reformulation(
+        method=method,
+        dim=n + d,
+        quad_obj=diagonals[0],
+        quad_con=diagonals[1],
+        lin_obj=P.P.T @ np.concatenate([inst.b1, pad]),
+        lin_con=P.P.T @ np.concatenate([inst.b2, pad]),
+        poly=np.hstack([inst.L, np.zeros((inst.L.shape[0], d))]) @ P.P,
+        equalities=tuple(P.P[n + i, :].copy() for i in range(d)),
+        P=P,
+        kappa=P.kappa,
+        aux=aux,
+    )
 
 
 def _box_solver(L: np.ndarray):

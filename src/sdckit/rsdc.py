@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from ._pencil import certify_invertible
 from .canonical import PencilForm, pencil_canonical
 from .matcore import (
     Congruence,
@@ -37,6 +36,7 @@ __all__ = [
     "choose_xi_points",
     "solve_border_system",
     "solve_border_system2",
+    "border",
     "rsdc1_construct",
     "rsdc2_construct",
 ]
@@ -162,6 +162,15 @@ def solve_border_system(lams, xi) -> tuple[np.ndarray, float]:
     return g, float(np.sum(xi) - 2.0 * np.sum(lams.real))
 
 
+def border(form: PencilForm, xi) -> tuple[np.ndarray, np.ndarray, float]:
+    """The order-1 border (gamma, g, z) placing xi: the column gamma in
+    canonical coordinates (zero on the real blocks), g = P^{-T} gamma
+    and the corner z."""
+    gamma = np.zeros(form.n)
+    gamma[form.r :], z = solve_border_system(form.complex_blocks, xi)
+    return gamma, form.P.inv().T @ gamma, z
+
+
 def solve_border_system2(lams, xi) -> np.ndarray:
     """Border entries of the order-2 construction in closed form.
 
@@ -280,8 +289,6 @@ def _padded_pencil(A, B, d: int):
     a, b = asmat(A), asmat(B)
     if a.shape != b.shape:
         raise errors.OrderMismatch("pair must share an order")
-    if not certify_invertible(a):
-        raise errors.SingularA("leading matrix is not certified invertible")
     n = a.shape[0]
     form = pencil_canonical(a, b)
     At = np.zeros((n + d, n + d))
@@ -296,16 +303,12 @@ def rsdc1_construct(A, B, strategy: str = "chebyshev", seed: int = 0) -> RsdcCer
     a, b, form, mus, At, Bt = _padded_pencil(A, B, 1)
     n, r, k = a.shape[0], form.r, form.k
     At[n, n] = 1.0
-    gamma = np.zeros(n)
-    if k == 0:
-        xi = np.array([0.0])
-    else:
-        xi = choose_xi(form, 2 * k + 1, strategy, seed)
-        gamma[r:], z = solve_border_system(form.complex_blocks, xi)
-        border = form.P.inv().T @ gamma
-        Bt[:n, n] = border
-        Bt[n, :n] = border
-        Bt[n, n] = z
+    # with no complex eigenvalue the border is zero and xi = 0 the new root
+    xi = choose_xi(form, 2 * k + 1, strategy, seed) if k else np.array([0.0])
+    gamma, g, z = border(form, xi)
+    Bt[:n, n] = g
+    Bt[n, :n] = g
+    Bt[n, n] = z
 
     expected = mus + list(xi)
     return _finish(a, b, At, Bt, 1, xi, gamma[r::2], gamma[r + 1 :: 2], gamma, expected)

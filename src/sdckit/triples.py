@@ -2,11 +2,15 @@
 
 Input is the canonical shape of the triple characterization proof:
 A = Diag(sigma_i F_{n_i}), B makes A^{-1}B a real Jordan form, and C is
-symmetric with A^{-1}C in the block-Toeplitz commutant.  The four case
-perturbations (eigenvalue split of B or C, minimal-size shift, k x k
-lift, single-block corner construction) are applied recursively until
-the triple splits into SDC pieces, and the result is certified by the
-SDC oracle.
+symmetric with A^{-1}C in the block-Toeplitz commutant.  Separate
+eigenvalues split the triple blockwise (case 1); a nilpotent core is
+flattened in one step, staggered shifts per block size plus the k x k
+lift within each size, so that A^{-1}B becomes a polynomial in the
+shifted A^{-1}C.  When that fit fails, the minimal-size shift (case 2,
+distinct sizes) or the k x k lift alone (case 3, one size) is applied
+and the recursion continues.  The assembled triple is certified by the
+SDC oracle.  The proof's case 2 and single-block case 4 constructions
+are also public as `triple_case2` and `triple_case4`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from ._pencil import noncommuting_pair
 from .asdc import _spectrum_is_real, _unit_splitting
 from .matcore import SymMat, asmat, direct_sum, f_mat, g_mat, jordan_pair
 from .sdc import sdc_check
-from .toeplitz import ToeplitzPartition, is_block_toeplitz, toeplitz_coefficients
+from .toeplitz import ToeplitzPartition, is_block_toeplitz, pi_map, toeplitz_coefficients
 
 __all__ = [
     "JordanTripleSpec",
@@ -140,11 +144,13 @@ def perturb_triple_blocks(spec: JordanTripleSpec, C, epsilon: float) -> Perturbe
     """SDC-certified perturbation of a structured nonsingular triple.
 
     Case dispatch follows the characterization proof: eigenvalue
-    multiplicity splits recurse blockwise; nilpotent cores are shifted
-    (distinct sizes), lifted through the k x k leading pair (uniform
-    sizes), or bordered at the corners (single block).  Every step
-    preserves commutation and real spectra; the assembled triple is
-    certified before return.
+    multiplicity splits recurse blockwise; a nilpotent core is
+    flattened (staggered shifts per block size and the k x k lift
+    within each size) and, when the flattened C does not carry B as a
+    polynomial, shifted at its minimal-size blocks (distinct sizes) or
+    lifted through the k x k leading pair (one size) before the
+    recursion goes on.  Every step preserves commutation and real
+    spectra; the assembled triple is certified before return.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -279,6 +285,18 @@ def _poly_drag(A, B, C, q, eps, radius=None):
     raise errors.CertificationFailed("polynomial drag could not fit the budget")
 
 
+def _leading_split(sigmas, Pi):
+    """The k x k leading pair (Abar, Cbar) = (Diag(sigma), sym(Abar Pi))
+    of one block size and its unit eigenvalue splitting, mapped back
+    from the pair's canonical coordinates."""
+    Abar = np.diag(np.array(sigmas, dtype=float))
+    Cbar = 0.5 * ((Abar @ Pi) + (Abar @ Pi).T)
+    Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar)
+    Wbi = np.linalg.inv(Wb)
+    dbar = Wbi.T @ splitting_perturbation([(s, z, 0.0) for s, z in blks], 1.0) @ Wbi
+    return Abar, Cbar, dbar
+
+
 def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
     """Split every block of the commutant projection apart in one shot.
 
@@ -287,7 +305,7 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
     resulting projection has all-distinct real eigenvalues, so A^{-1}C
     becomes nonderogatory and A^{-1}B is dragged as a polynomial in it.
     Returns None when the polynomial fit does not certify (the caller
-    falls back to the casewise recursion).
+    falls back to case 2 or case 3).
     """
     n = A.shape[0]
     sizes = tuple(size for _, size in blocks)
@@ -312,22 +330,12 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
             centers.append(shift)
             continue
         # within-group split, kept an order below the group spacing
-        g = len(idxs)
-        co = toeplitz_coefficients(Tc, part)
-        Pi = np.zeros((g, g))
-        for i, bi in enumerate(idxs):
-            for j, bj in enumerate(idxs):
-                Pi[i, j] = co[(bi, bj)][0]
-        Abar = np.diag(np.array([float(sigmas[b]) for b in idxs]))
-        Cbar = 0.5 * ((Abar @ Pi) + (Abar @ Pi).T)
         try:
-            Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar)
+            Abar, Cbar, dbar = _leading_split(
+                [sigmas[b] for b in idxs], pi_map(Tc, part)[np.ix_(idxs, idxs)]
+            )
         except errors.SdckitError:
             return None
-        Wbi = np.linalg.inv(Wb)
-        dbar = Wbi.T @ splitting_perturbation(
-            [(s, z, 0.0) for s, z in blks], 1.0
-        ) @ Wbi
         # aim the within-group split at a quarter of the group spacing
         wscale = 1.0 / (8.0 * G * max(1.0, float(np.linalg.norm(dbar, 2))))
         wbar = np.linalg.eigvals(np.linalg.solve(Abar, Cbar + wscale * dbar))
@@ -435,7 +443,6 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
     W, blocks = canonicalize_nilpotent_pair(A, B0)
     Winv = np.linalg.inv(W)
     sizes = tuple(size for _, size in blocks)
-    sigmas = tuple(sigma for sigma, _ in blocks)
     part = ToeplitzPartition(sizes)
     Cp = W.T @ C0 @ W
     Ap, _ = jordan_pair([(sigma, size, 0.0) for sigma, size in blocks])
@@ -466,50 +473,12 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
     if len(blocks) >= 2:
         # case 3: split the k x k leading pair and lift through kron F_eta
         steps.append(f"case3@{depth}")
-        eta = sizes[0]
-        g = len(blocks)
-        Pi = np.zeros((g, g))
-        co = toeplitz_coefficients(Tc, part)
-        for i in range(g):
-            for j in range(g):
-                Pi[i, j] = co[(i, j)][0]
-        Abar = np.diag(np.array(sigmas, dtype=float))
-        Cbar = Abar @ Pi
-        Cbar = 0.5 * (Cbar + Cbar.T)
-        Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar)
-        Wbi = np.linalg.inv(Wb)
-        dbar_unit = Wbi.T @ splitting_perturbation(
-            [(s, z, 0.0) for s, z in blks], 1.0
-        ) @ Wbi
-        lift_unit = Winv.T @ np.kron(dbar_unit, f_mat(eta)) @ Winv
-        amp = float(np.linalg.norm(lift_unit, 2))
-        eff = min(1.0, 0.5 * eps / amp)
-        Ct = C + eff * lift_unit
-        wbar = np.linalg.eigvals(np.linalg.solve(Abar, Cbar + eff * dbar_unit))
+        Abar, Cbar, dbar = _leading_split([sigma for sigma, _ in blocks], pi_map(Tc, part))
+        lift_unit = Winv.T @ np.kron(dbar, f_mat(sizes[0])) @ Winv
+        eff = min(1.0, 0.5 * eps / float(np.linalg.norm(lift_unit, 2)))
+        wbar = np.linalg.eigvals(np.linalg.solve(Abar, Cbar + eff * dbar))
         gaps = np.abs(wbar[:, None] - wbar[None, :])[~np.eye(len(wbar), dtype=bool)]
-        hint = float(np.min(gaps)) if gaps.size else None
-        return _recurse(A, B, Ct, 0.5 * eps, steps, depth + 1, gap_hint=hint)
+        return _recurse(A, B, C + eff * lift_unit, 0.5 * eps, steps, depth + 1,
+                        gap_hint=float(np.min(gaps)))
 
-    # single block without a polynomial fit should be impossible; the
-    # corner construction still applies as a fallback
-    sigma, size = blocks[0]
-    if size < 3:
-        raise errors.StructureMismatch(
-            "single-block core escaped the polynomial path"
-        )
-    steps.append(f"case4@{depth}")
-    Cp_sym = 0.5 * (Cp + Cp.T)
-    eff = 0.5 * eps
-    for _ in range(80):
-        Btp, Ctp = triple_case4(sigma, size, Cp_sym, eff)
-        dB = Winv.T @ (Btp - sigma * g_mat(size)) @ Winv
-        dC = Winv.T @ (Ctp - Cp_sym) @ Winv
-        dist = max(float(np.linalg.norm(dB, 2)), float(np.linalg.norm(dC, 2)))
-        if dist <= 0.5 * eps:
-            break
-        eff /= 4.0
-    else:
-        raise errors.CertificationFailed("case 4 could not fit the budget")
-    # canonical-coordinate corner value eff is the exact eigenvalue split
-    return _recurse(A, B + dB, C + dC, 0.5 * eps, steps, depth + 1,
-                    gap_hint=eff)
+    raise errors.CertificationFailed("nilpotent core did not flatten")

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_congruence
 from sdckit import errors
+from sdckit._chains import nilpotent_jordan_chains
 from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_blocks, perturb_pair
 from sdckit.canonical import Block, BlockSpec, assemble_blocks
 from sdckit.matcore import direct_sum, f_mat, g_mat
@@ -115,6 +116,17 @@ class TestPerturbPair:
         assert pp.distance <= 1e-3
         assert sdc_check([pp.A_tilde.a, pp.B_tilde.a]).is_sdc
 
+    def test_scrambled_singular_jordan_pair(self):
+        # the restricted Jordan eigenvalue 1 splits to 1 +- 1.2e-8i, just
+        # above the realness threshold; the certified real-Jordan
+        # canonicalization reads it as real, so the pair is split
+        Q = random_congruence(np.random.default_rng(5), 3, 5.0)
+        A = Q.T @ padded(F2) @ Q
+        B = Q.T @ padded(JORDAN_B) @ Q
+        pp = perturb_pair(0.5 * (A + A.T), 0.5 * (B + B.T), 1e-3)
+        assert pp.distance <= 1e-3
+        assert sdc_check([pp.A_tilde.a, pp.B_tilde.a]).is_sdc
+
     def test_type3_structure_refused(self):
         S, T = assemble_blocks(BlockSpec((Block(3, 1),)))
         with pytest.raises(errors.UnsupportedStructure):
@@ -223,6 +235,15 @@ class TestStructureBoundaries:
             perturb_pair(S.a, T.a, 1e-2)
         pp = perturb_blocks(spec, 1e-2)
         assert pp.distance <= 1e-2
+
+    def test_inconsistent_kernel_filtration_raises(self):
+        # weighted shift with superdiagonal (100, 1, 1e-3, 1e-3): at the
+        # |M|^p-scaled rank cutoffs the kernels of M^p have dimensions
+        # 1, 3, 4, 5, which no nilpotent matrix has (height 1 would need
+        # -1 chains)
+        M = np.diag([100.0, 1.0, 1e-3, 1e-3], 1)
+        with pytest.raises(errors.StructureMismatch, match="kernel filtration"):
+            nilpotent_jordan_chains(M)
 
 
 class TestBlockGaugeEnvelope:

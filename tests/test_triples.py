@@ -103,6 +103,23 @@ class TestFullPipeline:
             assert pt.distance <= 0.5
             assert sdc_check([pt.A_tilde.a, pt.B_tilde.a, pt.C_tilde.a]).is_sdc
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2,), (1, 1), (3,), (2, 1), (1, 1, 1),
+         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)],
+    )
+    def test_every_small_partition_certifies(self, sizes, rng):
+        # flatten and the minimal-size shift settle every nilpotent core
+        # of order up to 4
+        for _ in range(4):
+            sigmas = tuple(int(s) for s in rng.choice([-1, 1], size=len(sizes)))
+            C = random_commutant_symmetric(sizes, sigmas, rng)
+            spec = nilpotent_spec(sizes, sigmas)
+            for eps in (0.5, 0.1):
+                pt = perturb_triple_blocks(spec, C, eps)
+                assert pt.distance <= eps
+                assert sdc_check([pt.A_tilde.a, pt.B_tilde.a, pt.C_tilde.a]).is_sdc
+
     def test_multiple_eigenvalues_split_first(self, rng):
         spec = JordanTripleSpec(((1, 2, 1.0), (-1, 2, -1.0), (1, 1, 0.5)))
         C = np.zeros((5, 5))
