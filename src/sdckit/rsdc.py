@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .canonical import PencilForm, pencil_canonical
+from .canonical import PencilForm, pencil_canonical, tmat
 from .matcore import (
     Congruence,
     SymMat,
@@ -59,8 +59,6 @@ class RsdcCertificate:
     A_tilde: SymMat
     B_tilde: SymMat
     xi: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     gamma: np.ndarray  # border column(s) in canonical coordinates
     congruence: Congruence
     kappa: float
@@ -72,8 +70,6 @@ class RsdcCertificate:
             "A_tilde": self.A_tilde.a.tolist(),
             "B_tilde": self.B_tilde.a.tolist(),
             "xi": self.xi.tolist(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
             "gamma": self.gamma.tolist(),
             "P": self.congruence.P.tolist(),
             "kappa": self.kappa,
@@ -252,10 +248,43 @@ def _refine_congruence(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> np.ndarra
     return P + Pl
 
 
-def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected) -> RsdcCertificate:
-    n = a.shape[0]
+def _border2(form: PencilForm, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order-2 border (gamma, g, corner) placing xi twice: the n x 2
+    block gamma in canonical coordinates (zero on the real blocks),
+    g = P^{-T} gamma and the 2 x 2 corner tmat(z_k)."""
+    r, k = form.r, form.k
+    z = solve_border_system2(form.complex_blocks, xi)
+    a_k, b_k = z.real[:k], z.imag[:k]
+    gamma = np.zeros((form.n, 2))
+    gamma[r::2] = np.column_stack([b_k, a_k])
+    gamma[r + 1 :: 2] = np.column_stack([a_k, -b_k])
+    return gamma, form.P.inv().T @ gamma, tmat(z[k])
+
+
+def _construct(A, B, d: int, strategy: str, seed: int) -> RsdcCertificate:
+    """The order-d extension: pad the pair by d coordinates, set the
+    corner of A_tilde to F_d and border B_tilde so that each xi is a
+    pencil eigenvalue of multiplicity d; then certify."""
+    a, b = asmat(A), asmat(B)
+    if a.shape != b.shape:
+        raise errors.OrderMismatch("pair must share an order")
+    n, form = a.shape[0], pencil_canonical(a, b)
+    At, Bt = np.zeros((n + d, n + d)), np.zeros((n + d, n + d))
+    At[:n, :n], Bt[:n, :n], At[n:, n:] = a, b, f_mat(d)
+    # the 2k complex eigenvalues and the d new coordinates become 2k/d + 1
+    # real points of multiplicity d; with none, xi = 0 is the new root
+    xi = choose_xi(form, 2 * form.k // d + 1, strategy, seed) if form.k else np.array([0.0])
+    # the order-2 border of a real spectrum is zero (tmat(0) holds a -0.0)
+    gamma = np.zeros((n, 2))
+    if d == 1 or form.k:
+        gamma, g, corner = (border if d == 1 else _border2)(form, xi)
+        Bt[:n, n:] = g.reshape(n, d)
+        Bt[n:, :n] = Bt[:n, n:].T
+        Bt[n:, n:] = corner
+
     if not (np.array_equal(At[:n, :n], a) and np.array_equal(Bt[:n, :n], b)):
         raise errors.CertificationFailed("top-left restriction is not exact")
+    expected = [mu for _, mu in form.real_blocks] + list(xi) * d
     resid = _eig_placement_residual(At, Bt, expected)
     if resid > EIG_PLACEMENT_RTOL:
         raise errors.CertificationFailed(
@@ -274,8 +303,6 @@ def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected) -> RsdcCertificat
         A_tilde=SymMat(At),
         B_tilde=SymMat(Bt),
         xi=np.asarray(xi, dtype=float),
-        alpha=np.asarray(alpha, dtype=float),
-        beta=np.asarray(beta, dtype=float),
         gamma=np.asarray(gamma),
         congruence=refined.congruence,
         kappa=refined.congruence.kappa,
@@ -283,35 +310,9 @@ def _finish(a, b, At, Bt, d, xi, alpha, beta, gamma, expected) -> RsdcCertificat
     )
 
 
-def _padded_pencil(A, B, d: int):
-    """The validated pair, its canonical form, its real eigenvalues and
-    the pair zero-padded by d rows and columns."""
-    a, b = asmat(A), asmat(B)
-    if a.shape != b.shape:
-        raise errors.OrderMismatch("pair must share an order")
-    n = a.shape[0]
-    form = pencil_canonical(a, b)
-    At = np.zeros((n + d, n + d))
-    Bt = np.zeros((n + d, n + d))
-    At[:n, :n] = a
-    Bt[:n, :n] = b
-    return a, b, form, [mu for _, mu in form.real_blocks], At, Bt
-
-
 def rsdc1_construct(A, B, strategy: str = "chebyshev", seed: int = 0) -> RsdcCertificate:
     """One-dimension restricted-SDC extension of a simple pencil pair."""
-    a, b, form, mus, At, Bt = _padded_pencil(A, B, 1)
-    n, r, k = a.shape[0], form.r, form.k
-    At[n, n] = 1.0
-    # with no complex eigenvalue the border is zero and xi = 0 the new root
-    xi = choose_xi(form, 2 * k + 1, strategy, seed) if k else np.array([0.0])
-    gamma, g, z = border(form, xi)
-    Bt[:n, n] = g
-    Bt[n, :n] = g
-    Bt[n, n] = z
-
-    expected = mus + list(xi)
-    return _finish(a, b, At, Bt, 1, xi, gamma[r::2], gamma[r + 1 :: 2], gamma, expected)
+    return _construct(A, B, 1, strategy, seed)
 
 
 def rsdc2_construct(A, B, strategy: str = "chebyshev", seed: int = 0) -> RsdcCertificate:
@@ -322,26 +323,4 @@ def rsdc2_construct(A, B, strategy: str = "chebyshev", seed: int = 0) -> RsdcCer
     resulting congruences are typically much smaller than for the
     one-dimension construction.
     """
-    a, b, form, mus, At, Bt = _padded_pencil(A, B, 2)
-    n, r, k = a.shape[0], form.r, form.k
-    At[n:, n:] = f_mat(2)
-    gamma = np.zeros((n, 2))
-    if k == 0:
-        xi = np.array([0.0])
-        zvec = np.zeros(1, dtype=complex)
-    else:
-        xi = choose_xi(form, k + 1, strategy, seed)
-        zvec = solve_border_system2(form.complex_blocks, xi)
-        a_k, b_k = zvec.real[:k], zvec.imag[:k]
-        gamma[r::2] = np.column_stack([b_k, a_k])
-        gamma[r + 1 :: 2] = np.column_stack([a_k, -b_k])
-        border = form.P.inv().T @ gamma
-        Bt[:n, n:] = border
-        Bt[n:, :n] = border.T
-        Bt[n, n] = zvec[k].imag
-        Bt[n, n + 1] = zvec[k].real
-        Bt[n + 1, n] = zvec[k].real
-        Bt[n + 1, n + 1] = -zvec[k].imag
-
-    expected = mus + list(xi) + list(xi)
-    return _finish(a, b, At, Bt, 2, xi, zvec.real, zvec.imag, gamma, expected)
+    return _construct(A, B, 2, strategy, seed)

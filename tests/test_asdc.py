@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_congruence
-from sdckit import errors
+from sdckit import asdc, errors
 from sdckit._chains import nilpotent_jordan_chains
 from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_blocks, perturb_pair
 from sdckit.canonical import Block, BlockSpec, assemble_blocks
@@ -131,6 +131,29 @@ class TestPerturbPair:
         S, T = assemble_blocks(BlockSpec((Block(3, 1),)))
         with pytest.raises(errors.UnsupportedStructure):
             perturb_pair(S.a, T.a, 1e-2)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [
+            (f_mat(3), 0.7 * f_mat(3) + g_mat(3)),  # nonsingular Jordan pair
+            (padded(F2), padded(JORDAN_B)),  # zero row and column
+        ],
+        ids=["nonsingular", "singular"],
+    )
+    def test_one_span_search(self, A, B, monkeypatch):
+        # the classification's max-rank element is the one the
+        # perturbation uses, so the span is searched once
+        calls = []
+        search = asdc.find_max_rank_element
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(asdc, "find_max_rank_element", counted)
+        pp = perturb_pair(A, B, 1e-3)
+        assert pp.distance <= 1e-3
+        assert len(calls) == 1
 
 
 class TestPerturbBlocks:
@@ -270,6 +293,16 @@ class TestBlockGaugeEnvelope:
                 except errors.CertificationFailed:
                     pass
         assert ok >= 0.7 * tot
+
+    def test_size2_block_on_size1_host_fails_by_name(self):
+        # one of the measured failures (see the docstring): every retry
+        # fails, the last on a degenerate leading Hankel coefficient
+        lam = -0.0740182566558742 + 1.6840661182768746j
+        spec = BlockSpec((Block(2, 2, lam=lam), Block(3, 1)))
+        with pytest.raises(
+            errors.CertificationFailed, match="degenerate leading Hankel coefficient"
+        ):
+            perturb_blocks(spec, 1e-3)
 
     def test_two_complex_pairs_size1_host(self):
         spec = BlockSpec(

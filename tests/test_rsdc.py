@@ -393,6 +393,21 @@ class TestRsdc2:
         assert wins >= 7
 
 
+@pytest.mark.parametrize("build", [rsdc1_construct, rsdc2_construct])
+def test_certificate_border_is_gamma(build, rng):
+    # gamma is the border in canonical coordinates: B_tilde's border is
+    # P^{-T} gamma bitwise, and gamma vanishes on the real blocks
+    for n, k in [(6, 1), (10, 2), (9, 3)]:
+        A, B = planted_pair(rng, n, k)
+        cert = build(A, B)
+        form = pencil_canonical(A, B)
+        gamma = cert.gamma.reshape(n, -1)
+        assert gamma.shape == (n, cert.order_added)
+        assert np.array_equal(cert.B_tilde.a[:n, n:], form.P.inv().T @ gamma)
+        assert not np.any(gamma[: form.r])
+        assert np.any(gamma[form.r :])
+
+
 def refine_congruence_longdouble(A, B, P, hits=None):
     """The long-double refinement that the error-free split products
     replaced, kept as the reference; `hits` collects the branches taken."""
