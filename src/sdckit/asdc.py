@@ -19,8 +19,8 @@ from .canonical import BlockSpec, assemble_blocks, pencil_canonical
 from .matcore import (
     EIG_REAL_TOL,
     SymMat,
-    asmat,
     f_mat,
+    form_family,
     h_mat,
     numeric_rank,
 )
@@ -76,7 +76,7 @@ def _spectrum_is_real(S: np.ndarray, T: np.ndarray) -> bool:
 
 
 def _verdict(mats):
-    """ASDC verdict of a validated pair or triple and its pivot
+    """ASDC verdict of a checked pair or triple and its pivot
     (coeffs, S, rank, drop): S = sum c_i M_i of max rank in the span,
     and drop = argmax |c_i| (the first on ties) is the member S replaces.
 
@@ -115,10 +115,7 @@ def asdc_pair_check(A, B) -> AsdcVerdict:
     when the spectrum of S^{-1}B' is real.  The status upgrades to SDC
     when the SDC oracle confirms it.
     """
-    a, b = asmat(A), asmat(B)
-    if a.shape != b.shape:
-        raise errors.OrderMismatch("pair must share an order")
-    return _verdict([a, b])[0]
+    return _verdict(form_family([A, B]))[0]
 
 
 def asdc_triple_check(A, B, C) -> AsdcVerdict:
@@ -129,10 +126,7 @@ def asdc_triple_check(A, B, C) -> AsdcVerdict:
     both have real spectra.  Singular triples are out of decision scope
     (they may fail ASDC; see the obstruction module) and raise.
     """
-    a, b, c = asmat(A), asmat(B), asmat(C)
-    if b.shape != a.shape or c.shape != a.shape:
-        raise errors.OrderMismatch("triple must share an order")
-    return _verdict([a, b, c])[0]
+    return _verdict(form_family([A, B, C]))[0]
 
 
 def _certified_pair(a, b, At, Bt, epsilon) -> PerturbedPair:
@@ -164,9 +158,7 @@ def perturb_pair(A, B, epsilon: float) -> PerturbedPair:
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    a, b = asmat(A), asmat(B)
-    if a.shape != b.shape:
-        raise errors.OrderMismatch("pair must share an order")
+    a, b = form_family([A, B])
     verdict, pivot = _verdict([a, b])
     if verdict.status == "NotASDC":
         raise errors.NotAsdc(f"pair is not ASDC ({verdict.reason})")

@@ -28,9 +28,9 @@ from .matcore import (
     RESID_TOL,
     Congruence,
     SymMat,
-    asmat,
     direct_sum,
     f_mat,
+    form_family,
     g_mat,
     jordan_pair,
 )
@@ -228,9 +228,7 @@ def pencil_canonical(A, B) -> PencilForm:
     spectral scale) are classified real; a refusal band one decade wide
     raises ClassificationAmbiguous rather than guessing.
     """
-    a, b = asmat(A), asmat(B)
-    if a.shape != b.shape:
-        raise errors.OrderMismatch("pencil matrices must share an order")
+    a, b = form_family([A, B])
     if not certify_invertible(a):
         raise errors.SingularA("leading matrix is not certified invertible")
     M = np.linalg.solve(a, b)

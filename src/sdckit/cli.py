@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import errors
 from .asdc import asdc_pair_check, asdc_triple_check
 from .canonical import pencil_canonical
@@ -36,16 +34,14 @@ EXIT_PRECONDITION = 2
 EXIT_NEGATIVE = 10
 
 
-def _load_matrices(path: str) -> list[np.ndarray]:
-    """Family from an instance file ({A1, A2}) or a {"matrices": []} file."""
+def _load_matrices(path: str) -> list:
+    """Family from an instance file ({A1, A2}) or a {"matrices": []} file,
+    as nested lists: the entry points convert and check them."""
     data = json.loads(Path(path).read_text())
     if "matrices" in data:
-        return [np.asarray(m, dtype=float) for m in data["matrices"]]
+        return data["matrices"]
     if "A1" in data and "A2" in data:
-        return [
-            np.asarray(data["A1"], dtype=float),
-            np.asarray(data["A2"], dtype=float),
-        ]
+        return [data["A1"], data["A2"]]
     raise ValueError("expected an instance file or a matrices file")
 
 
@@ -72,12 +68,8 @@ def _cmd_check_sdc(args) -> int:
 
 def _cmd_check_asdc(args) -> int:
     fam = _load_matrices(args.input)
-    if len(fam) == 2:
-        v = asdc_pair_check(fam[0], fam[1])
-        print(f"{v.status}  reason={v.reason or '-'}")
-        return EXIT_OK if v.is_asdc else EXIT_NEGATIVE
-    if len(fam) == 3:
-        v = asdc_triple_check(fam[0], fam[1], fam[2])
+    if len(fam) in (2, 3):
+        v = (asdc_pair_check if len(fam) == 2 else asdc_triple_check)(*fam)
         print(f"{v.status}  reason={v.reason or '-'}")
         return EXIT_OK if v.is_asdc else EXIT_NEGATIVE
     rep = not_asdc_certificate(fam, seed=args.seed)

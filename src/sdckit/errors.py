@@ -13,6 +13,10 @@ class AsymmetricMatrix(SdckitError):
     """Input matrix is too far from symmetric to be accepted."""
 
 
+class NonFiniteEntry(SdckitError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class OrderMismatch(SdckitError):
     """Matrices in an operation do not share the same order."""
 

@@ -1,6 +1,7 @@
 """Dense real symmetric matrix substrate.
 
-Special matrices, ranks, norms, commutators, direct sums, and the
+The input gate every public entry point passes its matrices through,
+special matrices, ranks, norms, commutators, direct sums, and the
 fixed tolerances every other module reads.
 """
 
@@ -25,11 +26,13 @@ __all__ = [
     "direct_sum",
     "jordan_pair",
     "asmat",
+    "square_family",
+    "form_family",
 ]
 
 # The whole tolerance policy: six fixed constants, which no caller sets.
 
-# Asymmetry accepted at SymMat construction, relative to max(1, |M|_max).
+# Asymmetry accepted in a quadratic form, relative to max(1, |M|_max).
 SYM_TOL = 1e-12
 
 # Certification floor for invertibility: smin > INV_TOL * smax.
@@ -59,25 +62,54 @@ def asmat(x) -> np.ndarray:
     return a
 
 
+def _family(mats, symmetric: bool) -> list[np.ndarray]:
+    """square_family's checks and, for quadratic forms, the symmetry
+    test: asymmetry at most SYM_TOL * max(1, |M|_max)."""
+    arrays = [asmat(m) for m in mats]
+    if not arrays:
+        raise errors.EmptyFamily("need at least one matrix")
+    n = arrays[0].shape[0]
+    for i, a in enumerate(arrays):
+        if a.shape[0] != n:
+            raise errors.OrderMismatch(f"member {i} has order {a.shape[0]} != {n}")
+        # max propagates a NaN, and an inf makes it inf
+        amax = float(np.abs(a).max()) if a.size else 0.0
+        if not math.isfinite(amax):
+            raise errors.NonFiniteEntry(f"member {i} has a non-finite entry")
+        if symmetric and not (a == a.T).all():
+            scale = max(1.0, amax)
+            asym = float(np.abs(a - a.T).max())
+            if asym > SYM_TOL * scale:
+                raise errors.AsymmetricMatrix(
+                    f"asymmetry {asym:.3e} exceeds {SYM_TOL * scale:.3e}"
+                )
+    return arrays
+
+
+def square_family(mats) -> list[np.ndarray]:
+    """The input gate for a family of general matrices: at least one
+    member, each a finite square float array, all of one order.  Returns
+    the members as asmat gives them, neither copied nor symmetrized."""
+    return _family(mats, symmetric=False)
+
+
+def form_family(mats) -> list[np.ndarray]:
+    """The input gate for a family of quadratic forms: square_family's
+    checks, and each member symmetric within SYM_TOL."""
+    return _family(mats, symmetric=True)
+
+
 class SymMat:
     """Dense real symmetric matrix with enforced symmetry.
 
-    The stored form is exactly (M + M^T)/2; construction rejects inputs
-    whose asymmetry exceeds SYM_TOL relative to max(1, |M|_max).
+    The stored form is exactly (M + M^T)/2 of an M that passes
+    form_family.
     """
 
     __slots__ = ("a", "n")
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise errors.OrderMismatch(f"expected a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        if asym > SYM_TOL * scale:
-            raise errors.AsymmetricMatrix(
-                f"asymmetry {asym:.3e} exceeds {SYM_TOL * scale:.3e}"
-            )
+        (m,) = form_family([m])
         a = 0.5 * (m + m.T)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -112,9 +144,7 @@ class Congruence:
     __slots__ = ("P", "kappa", "_Pinv")
 
     def __init__(self, P):
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise errors.OrderMismatch(f"expected a square matrix, got shape {P.shape}")
+        P = asmat(P)
         if not np.all(np.isfinite(P)):
             raise errors.SingularCongruence("congruence has a non-finite entry")
         s = np.linalg.svd(P, compute_uv=False)

@@ -19,10 +19,11 @@ from ._pencil import certify_invertible
 from .matcore import (
     RANK_TOL,
     SymMat,
-    asmat,
     commutator,
     f_mat,
+    form_family,
     numeric_rank,
+    square_family,
 )
 from .sdc import find_max_rank_element
 
@@ -50,9 +51,7 @@ def commutator_obstruction(B, C) -> tuple[int, int]:
     dimensions leaves a family that is not ASDC, and the triple is not
     d-RSDC below that threshold.
     """
-    b, c = asmat(B), asmat(C)
-    if b.shape != c.shape:
-        raise errors.OrderMismatch("pair must share an order")
+    b, c = form_family([B, C])
     rank = numeric_rank(commutator(b, c))
     return rank, math.ceil(rank / 2)
 
@@ -65,13 +64,8 @@ def algebra_dimension(generators, max_products: int | None = None) -> int:
     basis by SVD rank over vectorized matrices, stop at a fixpoint.  The
     fixpoint is certified by one extra round adding nothing.
     """
-    mats = [asmat(g) for g in generators]
-    if not mats:
-        raise errors.EmptyFamily("need at least one generator")
+    mats = square_family(generators)
     n = mats[0].shape[0]
-    for i, g in enumerate(mats):
-        if g.shape[0] != n:
-            raise errors.OrderMismatch(f"generator {i} has order {g.shape[0]} != {n}")
     if max_products is None:
         max_products = n * n
 
@@ -185,9 +179,7 @@ def not_asdc_certificate(family, seed: int = 0) -> ObstructionReport:
     families).  For triples the commutator obstruction of the two
     non-pivot elements is included.
     """
-    mats = [asmat(a) for a in family]
-    if not mats:
-        raise errors.EmptyFamily("need at least one matrix")
+    mats = form_family(family)
     n = mats[0].shape[0]
     coeffs, S = find_max_rank_element(mats, seed=seed)
     if not certify_invertible(S):

@@ -29,8 +29,8 @@ from .matcore import (
     RESID_TOL,
     Congruence,
     SymMat,
-    asmat,
     f_mat,
+    form_family,
     numeric_rank,
 )
 from .rsdc import rsdc1_construct, rsdc2_construct
@@ -55,6 +55,9 @@ __all__ = [
 
 RESAMPLE_LIMIT = 1000
 METHODS = ("sdc", "rsdc1", "rsdc2", "eig")
+# the keys of every bench row, in CSV column order
+_BENCH_FIELDS = ("n", "k", "seed", "method", "dim", "kappa", "deviation",
+                 "eig_residual", "gen_ms", "reform_ms", "error")
 
 
 @dataclass(frozen=True)
@@ -475,7 +478,7 @@ def homogenize_check(A_list, b_list, c_list, seed: int = 0) -> tuple[bool, bool]
     SDC.  When the A-span contains a positive definite element, premise
     implies conclusion; the caller asserts the implication.
     """
-    mats = [asmat(a) for a in A_list]
+    mats = form_family(A_list)
     if not (len(mats) == len(b_list) == len(c_list)):
         raise errors.OrderMismatch("A, b, c lists must align")
     n = mats[0].shape[0]
@@ -516,30 +519,22 @@ class BenchConfig:
 
 
 def _bench_cell(n, k, seed, methods, m, samples):
+    def blank(meth, gen_ms, error):
+        return dict(dict.fromkeys(_BENCH_FIELDS), n=n, k=k, seed=seed, method=meth,
+                    gen_ms=gen_ms, error=error)
+
     t0 = time.perf_counter()
     try:
         inst = generate_instance(n, k, m, seed)
     except errors.SdckitError as exc:
-        return [
-            {
-                "n": n, "k": k, "seed": seed, "method": meth, "dim": None,
-                "kappa": None, "deviation": None, "eig_residual": None,
-                "gen_ms": None, "reform_ms": None, "error": str(exc),
-            }
-            for meth in methods
-        ]
-    gen_ms = 1000.0 * (time.perf_counter() - t0)
+        return [blank(meth, None, str(exc)) for meth in methods]
+    gen_ms = round(1000.0 * (time.perf_counter() - t0), 3)
     # one bounding box serves every method's verification; it is solved
     # only once some reformulation has succeeded
     box = None
     rows = []
     for meth in methods:
-        row = {
-            "n": n, "k": k, "seed": seed, "method": meth,
-            "gen_ms": round(gen_ms, 3), "error": "",
-            "dim": None, "kappa": None, "deviation": None,
-            "eig_residual": None, "reform_ms": None,
-        }
+        row = blank(meth, gen_ms, "")
         t1 = time.perf_counter()
         try:
             ref = reformulate(inst, meth)
@@ -596,12 +591,7 @@ def bench(config: BenchConfig) -> dict:
                 )
 
     buf = io.StringIO()
-    fields = [
-        "n", "k", "seed", "method", "dim", "kappa", "deviation",
-        "eig_residual", "gen_ms", "reform_ms", "error",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer = csv.DictWriter(buf, fieldnames=_BENCH_FIELDS)
     writer.writeheader()
-    for r in rows:
-        writer.writerow({f: r.get(f) for f in fields})
+    writer.writerows(rows)
     return {"rows": rows, "medians": medians, "csv": buf.getvalue()}

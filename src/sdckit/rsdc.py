@@ -25,8 +25,8 @@ from .matcore import (
     Congruence,
     SymMat,
     _dot2,
-    asmat,
     f_mat,
+    form_family,
 )
 from .sdc import _certified, sdc_check
 
@@ -265,9 +265,7 @@ def _construct(A, B, d: int, strategy: str, seed: int) -> RsdcCertificate:
     """The order-d extension: pad the pair by d coordinates, set the
     corner of A_tilde to F_d and border B_tilde so that each xi is a
     pencil eigenvalue of multiplicity d; then certify."""
-    a, b = asmat(A), asmat(B)
-    if a.shape != b.shape:
-        raise errors.OrderMismatch("pair must share an order")
+    a, b = form_family([A, B])
     n, form = a.shape[0], pencil_canonical(a, b)
     At, Bt = np.zeros((n + d, n + d)), np.zeros((n + d, n + d))
     At[:n, :n], Bt[:n, :n], At[n:, n:] = a, b, f_mat(d)

@@ -29,8 +29,9 @@ from .matcore import (
     RESID_TOL,
     Congruence,
     SymMat,
-    asmat,
+    form_family,
     numeric_rank,
+    square_family,
 )
 
 __all__ = [
@@ -94,9 +95,11 @@ def find_max_rank_element(family, seed: int = 0):
     (coefficients, S).  A family of zero matrices yields rank 0, which
     is not an error; an empty family is.
     """
-    mats = [asmat(a) for a in family]
-    if not mats:
-        raise errors.EmptyFamily("need at least one matrix")
+    return _max_rank_element(form_family(family), seed)
+
+
+def _max_rank_element(mats, seed):
+    """find_max_rank_element of checked forms (see _sdc_check)."""
     n = mats[0].shape[0]
     m = len(mats)
     best_rank = -1
@@ -118,13 +121,7 @@ def simdiag_commuting(family) -> np.ndarray:
     eigenvalue cluster further.  Returns invertible V with V^{-1} M V
     diagonal for every member.
     """
-    mats = [asmat(m) for m in family]
-    if not mats:
-        raise errors.EmptyFamily("need at least one matrix")
-    n = mats[0].shape[0]
-    for i, (Mi) in enumerate(mats):
-        if Mi.shape[0] != n:
-            raise errors.OrderMismatch(f"member {i} has order {Mi.shape[0]} != {n}")
+    mats = square_family(family)
     norms = [np.linalg.norm(M, 2) for M in mats]
     pair = noncommuting_pair(mats, norms=norms)
     if pair is not None:
@@ -334,13 +331,14 @@ def sdc_check(family, seed: int = 0) -> SdcResult:
     through commutation, realness and joint diagonalizability of
     S^{-1} A_i.
     """
-    mats = [asmat(a) for a in family]
-    if not mats:
-        raise errors.EmptyFamily("need at least one matrix")
+    return _sdc_check(form_family(family), seed)
+
+
+def _sdc_check(mats, seed: int) -> SdcResult:
+    """sdc_check of checked forms.  The equilibrated family D A_i D
+    recurses here, past the gate: row scaling can lift an asymmetry the
+    gate accepted above SYM_TOL."""
     n = mats[0].shape[0]
-    for i, A in enumerate(mats):
-        if A.shape[0] != n:
-            raise errors.OrderMismatch(f"member {i} has order {A.shape[0]} != {n}")
     if n == 0:
         return SdcResult("SDC", congruence=None, diagonals=tuple())
 
@@ -355,12 +353,12 @@ def sdc_check(family, seed: int = 0) -> SdcResult:
         if ratio > 1e4:
             d = np.where(rowmax > 0, 1.0 / np.sqrt(np.maximum(rowmax, 1e-300)), 1.0)
             D = np.diag(d)
-            inner = sdc_check([D @ A @ D for A in mats], seed)
+            inner = _sdc_check([D @ A @ D for A in mats], seed)
             if not inner.is_sdc:
                 return inner
             return _certified(D @ inner.congruence.P, mats)
 
-    _, S = find_max_rank_element(mats, seed=seed)
+    _, S = _max_rank_element(mats, seed)
     rank = numeric_rank(S)
 
     if rank == n:
@@ -402,9 +400,7 @@ def sdc_check_pd(family, pd_coefficients) -> SdcResult:
     when all S^{-1/2} A_i S^{-1/2} commute; the congruence composes the
     joint orthogonal eigenbasis with S^{-1/2}.
     """
-    mats = [asmat(a) for a in family]
-    if not mats:
-        raise errors.EmptyFamily("need at least one matrix")
+    mats = form_family(family)
     c = np.asarray(pd_coefficients, dtype=float)
     if c.shape != (len(mats),):
         raise errors.OrderMismatch("one coefficient per family member required")

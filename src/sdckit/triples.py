@@ -29,7 +29,7 @@ from ._chains import (
 )
 from ._pencil import noncommuting_pair
 from .asdc import _spectrum_is_real, _unit_splitting
-from .matcore import SymMat, asmat, direct_sum, f_mat, g_mat, jordan_pair
+from .matcore import SymMat, direct_sum, f_mat, form_family, g_mat, jordan_pair
 from .sdc import sdc_check
 from .toeplitz import ToeplitzPartition, is_block_toeplitz, pi_map, toeplitz_coefficients
 
@@ -92,7 +92,7 @@ def triple_case2(spec: JordanTripleSpec, C, eps: float) -> np.ndarray:
     sizes = set(spec.sizes)
     if len(sizes) < 2:
         raise errors.StructureMismatch("case 2 needs at least two block sizes")
-    return asmat(C) + eps * _min_size_shift(spec.blocks)
+    return form_family([C])[0] + eps * _min_size_shift(spec.blocks)
 
 
 def triple_case4(sigma: int, n: int, C, eps: float):
@@ -107,7 +107,7 @@ def triple_case4(sigma: int, n: int, C, eps: float):
         raise errors.StructureMismatch("case 4 construction needs n >= 3")
     A = sigma * f_mat(n)
     B = sigma * g_mat(n)
-    c = asmat(C)
+    (c,) = form_family([C])
     T = np.linalg.solve(A, c)
     part = ToeplitzPartition((n,))
     if not is_block_toeplitz(T, part):
@@ -155,7 +155,7 @@ def perturb_triple_blocks(spec: JordanTripleSpec, C, epsilon: float) -> Perturbe
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     A, B = jordan_pair(spec.blocks)
-    c = asmat(C)
+    (c,) = form_family([C])
     if c.shape != A.shape:
         raise errors.OrderMismatch("C order does not match the descriptor")
     c = 0.5 * (c + c.T)
@@ -227,12 +227,13 @@ def _split_by(A, B, C, M, w, clusters, eps, steps, depth):
     raise errors.CertificationFailed("block split could not fit the budget")
 
 
-def _pair_split(A, T, eps, radius=None):
-    """Perturbation of the pair (A, T) to real simple spectrum."""
+def _pair_split(A, T, radius=None):
+    """eps -> T perturbed by at most eps so that (A, T) has a real simple
+    spectrum: the unit eigenvalue splitting of the pair, scaled.  The
+    pencil is canonicalized once, however many budgets are tried."""
     delta_unit = _unit_splitting(A, T, cluster_radius=radius)
     amp = float(np.linalg.norm(delta_unit, 2))
-    eff = min(1.0, eps / amp) if amp > 0 else eps
-    return T + eff * delta_unit
+    return lambda eps: T + (min(1.0, eps / amp) if amp > 0 else eps) * delta_unit
 
 
 def _poly_fit(MB: np.ndarray, MC: np.ndarray):
@@ -267,8 +268,9 @@ def _poly_drag(A, B, C, q, eps, radius=None):
     triple is SDC in one step with no further recursion.
     """
     qs, c, r = q
+    split = _pair_split(A, B, radius)
     for shrink in range(60):
-        Bt = _pair_split(A, B, eps * 0.5**shrink, radius=radius)
+        Bt = split(eps * 0.5**shrink)
         Mt = (np.linalg.solve(A, Bt) - c * np.eye(A.shape[0])) / r
         acc = np.zeros_like(A)
         power = np.eye(A.shape[0])
@@ -408,10 +410,10 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
         return B, C
     if zeroB:
         steps.append(f"pair-split-C@{depth}")
-        return B, _pair_split(A, C, eps)
+        return B, _pair_split(A, C)(eps)
     if zeroC:
         steps.append(f"pair-split-B@{depth}")
-        return _pair_split(A, B, eps), C
+        return _pair_split(A, B)(eps), C
     radius = 0.45 * gap_hint if gap_hint is not None else None
     q = _poly_fit(MB, MC)
     if q is not None:

@@ -114,6 +114,19 @@ def test_precondition_exit_code(tmp_path):
     assert run(["canon", "-i", str(pair)]) == 2
 
 
+def test_asymmetric_or_non_finite_matrices_exit_2(tmp_path, capsys):
+    # the input gate names the fault; an asymmetric pair used to get a
+    # verdict and a NaN used to leak numpy's LinAlgError (exit 1)
+    asym = tmp_path / "asym.json"
+    write_matrices(asym, [[[1.0, 2.0], [0.0, 1.0]], np.eye(2)])
+    nan = tmp_path / "nan.json"
+    write_matrices(nan, [[[float("nan"), 0.0], [0.0, 1.0]], np.eye(2)])
+    for path, name in ((asym, "AsymmetricMatrix"), (nan, "NonFiniteEntry")):
+        for cmd in ("check-sdc", "check-asdc"):
+            assert run([cmd, "-i", str(path)]) == 2
+            assert name in capsys.readouterr().err
+
+
 def test_malformed_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
