@@ -1,9 +1,9 @@
 """Internal helpers for real symmetric pencils.
 
-Shared by the canonical-form, SDC, ASDC and RSDC modules: certified
-invertibility, the congruence-residual certificate, the pairwise
-commutation test, eigenvalue clustering, invariant subspace extraction
-and the column-sign convention.
+Shared by the canonical-form, SDC, ASDC and RSDC modules: the
+congruence-residual certificate, the pairwise commutation test,
+eigenvalue clustering, invariant subspace extraction and the
+column-sign convention.
 Invariant subspaces come from one real Schur form per matrix, reordered
 by LAPACK's trsen for each eigenvalue cluster, as a sorted Schur form
 would be without refactoring the matrix for every cluster.
@@ -15,10 +15,9 @@ import numpy as np
 import scipy.linalg
 
 from . import errors
-from .matcore import RESID_TOL, asmat, commutator, numeric_rank
+from .matcore import RESID_TOL, commutator
 
 __all__ = [
-    "certify_invertible",
     "certify_residuals",
     "noncommuting_pair",
     "spectral_scale",
@@ -27,12 +26,6 @@ __all__ = [
     "invariant_subspace",
     "fix_column_signs",
 ]
-
-
-def certify_invertible(M) -> bool:
-    """True when smin > RANK_TOL * smax."""
-    a = asmat(M)
-    return a.shape[0] > 0 and numeric_rank(a) == a.shape[0]
 
 
 def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,

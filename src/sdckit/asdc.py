@@ -22,10 +22,9 @@ from .matcore import (
     f_mat,
     form_family,
     h_mat,
-    numeric_rank,
 )
 from .rsdc import border, choose_xi
-from .sdc import find_max_rank_element, range_reduction, sdc_check
+from .sdc import _range_reduction, _sdc_check, pivot, sdc_check
 
 __all__ = [
     "AsdcVerdict",
@@ -76,36 +75,32 @@ def _spectrum_is_real(S: np.ndarray, T: np.ndarray) -> bool:
 
 
 def _verdict(mats):
-    """ASDC verdict of a checked pair or triple and its pivot
-    (coeffs, S, rank, drop): S = sum c_i M_i of max rank in the span,
-    and drop = argmax |c_i| (the first on ties) is the member S replaces.
+    """ASDC verdict of a checked pair or triple and the one pivot of its
+    span (sdc.Pivot), which the SDC oracle and perturb_pair reuse.
 
     A singular pair is ASDC and a singular triple raises; otherwise
     the family is ASDC exactly when the other members commute through
     S^{-1} and have real spectra.
     """
-    coeffs, S = find_max_rank_element(mats, seed=0)
-    rank = numeric_rank(S)
-    drop = int(np.argmax(np.abs(coeffs)))
-    pivot = (coeffs, S.a, rank, drop)
-    rest = [m for i, m in enumerate(mats) if i != drop]
-    singular = rank < S.n
+    p = pivot(mats, seed=0)
+    rest = [m for i, m in enumerate(mats) if i != p.drop]
+    singular = p.rank < len(p.S)
     if singular and len(mats) > 2:
         raise errors.NoInvertibleElement(
             "no certified-invertible element in the span; singular triples "
             "are outside the decision scope"
         )
     if not singular:
-        Ms = [np.linalg.solve(S.a, m) for m in rest] if len(rest) > 1 else []
+        Ms = [np.linalg.solve(p.S, m) for m in rest] if len(rest) > 1 else []
         if noncommuting_pair(Ms) is not None:
-            return AsdcVerdict("NotASDC", reason="noncommuting"), pivot
-        if not all(_spectrum_is_real(S.a, m) for m in rest):
-            return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue"), pivot
-    res = sdc_check(mats)
+            return AsdcVerdict("NotASDC", reason="noncommuting"), p
+        if not all(_spectrum_is_real(p.S, m) for m in rest):
+            return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue"), p
+    res = _sdc_check(mats, 0, p)
     if res.is_sdc:
-        return AsdcVerdict("SDC"), pivot
+        return AsdcVerdict("SDC"), p
     reason = "singular-pair" if singular else getattr(res.witness, "kind", "")
-    return AsdcVerdict("ASDC_not_SDC", reason=reason), pivot
+    return AsdcVerdict("ASDC_not_SDC", reason=reason), p
 
 
 def asdc_pair_check(A, B) -> AsdcVerdict:
@@ -159,15 +154,14 @@ def perturb_pair(A, B, epsilon: float) -> PerturbedPair:
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     a, b = form_family([A, B])
-    verdict, pivot = _verdict([a, b])
+    verdict, p = _verdict([a, b])
     if verdict.status == "NotASDC":
         raise errors.NotAsdc(f"pair is not ASDC ({verdict.reason})")
     if verdict.status == "SDC":
         return PerturbedPair(SymMat(a), SymMat(b), epsilon, 0.0)
-    _, S, rank, drop = pivot
-    if rank == a.shape[0]:
-        return _split_pair(a, b, pivot, _unit_splitting(S, (a, b)[1 - drop]), epsilon)
-    return _perturb_singular(a, b, pivot, epsilon)
+    if p.rank == a.shape[0]:
+        return _split_pair(a, b, p, _unit_splitting(p.S, (a, b)[1 - p.drop]), epsilon)
+    return _perturb_singular(a, b, p, epsilon)
 
 
 def _unit_splitting(S, T, cluster_radius=None) -> np.ndarray:
@@ -178,14 +172,14 @@ def _unit_splitting(S, T, cluster_radius=None) -> np.ndarray:
     return Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
 
 
-def _split_pair(a, b, pivot, delta_unit, epsilon) -> PerturbedPair:
+def _split_pair(a, b, p, delta_unit, epsilon) -> PerturbedPair:
     """Eigenvalue splitting for a real-spectrum pair.
 
     The perturbation lands on the member complementary to the pivot's
     dropped one, so the max-rank combination S = c0 A + c1 B stays
     fixed; it is scaled so both originals move by at most the budget.
     """
-    coeffs, _, _, drop = pivot
+    coeffs, _, _, drop = p
     ratio = abs(coeffs[1 - drop] / coeffs[drop])
     amp = float(np.linalg.norm(delta_unit, 2)) * max(1.0, ratio)
     eps_eff = min(1.0, (1 - 1e-9) * epsilon / amp) if amp > 0 else epsilon
@@ -197,10 +191,10 @@ def _split_pair(a, b, pivot, delta_unit, epsilon) -> PerturbedPair:
     return _certified_pair(a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon)
 
 
-def _perturb_singular(a, b, pivot, epsilon) -> PerturbedPair:
+def _perturb_singular(a, b, p, epsilon) -> PerturbedPair:
     """Range-reduce, then split or border depending on the spectrum."""
-    coeffs, S, rank, drop = pivot
-    U, violation = range_reduction((a, b), S, rank)
+    coeffs, S, rank, drop = p
+    U, violation = _range_reduction((a, b), S, rank)
     if violation is not None:
         raise errors.UnsupportedStructure(
             "range violation: the canonical form contains type 3 blocks; "
@@ -216,7 +210,7 @@ def _perturb_singular(a, b, pivot, epsilon) -> PerturbedPair:
         # all-real restricted spectrum: padding with zeros preserves SDC,
         # so the nonsingular splitting suffices
         delta_unit = Ur @ _unit_splitting(Sbar, Tbar) @ Ur.T
-        return _split_pair(a, b, pivot, delta_unit, epsilon)
+        return _split_pair(a, b, p, delta_unit, epsilon)
 
     # complex eigenvalues present: bordered construction through a zero
     # coordinate (the generic singular path)

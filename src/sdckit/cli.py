@@ -45,6 +45,14 @@ def _load_matrices(path: str) -> list:
     raise ValueError("expected an instance file or a matrices file")
 
 
+def _load_pair(args) -> list:
+    """The pair that args.command reads from args.input."""
+    fam = _load_matrices(args.input)
+    if len(fam) != 2:
+        raise ValueError(f"{args.command} expects a pair")
+    return fam
+
+
 def _load_instance(path: str) -> QcqpInstance:
     return QcqpInstance.from_json(Path(path).read_text())
 
@@ -81,9 +89,7 @@ def _cmd_check_asdc(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    fam = _load_matrices(args.input)
-    if len(fam) != 2:
-        raise ValueError("canon expects a pair")
+    fam = _load_pair(args)
     form = pencil_canonical(fam[0], fam[1])
     out = {
         "r": form.r,
@@ -98,7 +104,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_rsdc(args, order: int) -> int:
-    fam = _load_matrices(args.input)
+    fam = _load_pair(args)
     build = rsdc1_construct if order == 1 else rsdc2_construct
     cert = build(fam[0], fam[1], strategy=args.strategy, seed=args.seed)
     Path(args.output).write_text(cert.to_json())

@@ -229,6 +229,21 @@ def commutator(A, B) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a, naming a NaN or inf by NonFiniteEntry; the
+    entries are scanned only when the SVD fails or is not finite."""
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+        if np.isfinite(s).all():
+            return s
+    except np.linalg.LinAlgError:
+        if np.isfinite(a).all():
+            raise
+    if not np.isfinite(a).all():
+        raise errors.NonFiniteEntry("matrix has a non-finite entry")
+    return s
+
+
 def numeric_rank(M) -> int:
     """Number of singular values above RANK_TOL times the largest.
 
@@ -239,7 +254,7 @@ def numeric_rank(M) -> int:
         raise errors.OrderMismatch(f"expected a matrix, got shape {a.shape}")
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _singular_values(a)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_TOL * s[0]))
@@ -250,7 +265,7 @@ def cond_number(P) -> float:
     a = asmat(P)
     if a.size == 0:
         return 1.0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _singular_values(a)
     if s[-1] <= INV_TOL * s[0] or s[0] == 0.0:
         return float("inf")
     return float(s[0] / s[-1])

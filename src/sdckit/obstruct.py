@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from ._pencil import certify_invertible
 from .matcore import (
     RANK_TOL,
     SymMat,
@@ -25,7 +24,7 @@ from .matcore import (
     numeric_rank,
     square_family,
 )
-from .sdc import find_max_rank_element
+from .sdc import pivot
 
 __all__ = [
     "ObstructionReport",
@@ -176,24 +175,24 @@ def not_asdc_certificate(family, seed: int = 0) -> ObstructionReport:
 
     algebra_bound_violated = True proves the family is not ASDC; the
     absence of a violation proves nothing (no converse holds for wide
-    families).  For triples the commutator obstruction of the two
-    non-pivot elements is included.
+    families).  One span search (sdc.pivot) gives the invertible S and,
+    for triples, the dropped member: the commutator obstruction of the
+    two non-pivot elements is included.
     """
     mats = form_family(family)
     n = mats[0].shape[0]
-    coeffs, S = find_max_rank_element(mats, seed=seed)
-    if not certify_invertible(S):
+    p = pivot(mats, seed)
+    if n == 0 or p.rank < n:
         raise errors.NoInvertibleElement(
             "no certified-invertible element in the span"
         )
-    gens = [np.linalg.solve(S.a, A) for A in mats]
+    gens = [np.linalg.solve(p.S, A) for A in mats]
     dim = algebra_dimension(gens)
 
     comm_rank = None
     threshold = None
     if len(mats) == 3:
-        drop = int(np.argmax(np.abs(coeffs)))
-        rest = [m for i, m in enumerate(mats) if i != drop]
+        rest = [m for i, m in enumerate(mats) if i != p.drop]
         comm_rank, threshold = commutator_obstruction(rest[0], rest[1])
 
     return ObstructionReport(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "SdcResult",
     "span_candidates",
     "find_max_rank_element",
-    "range_reduction",
     "sdc_check",
     "sdc_check_pd",
     "simdiag_commuting",
@@ -87,6 +87,15 @@ def span_candidates(m: int, seed: int = 0):
         yield rng.standard_normal(m)
 
 
+class Pivot(NamedTuple):
+    """A max-rank element S = sum coeffs[i] M_i of a family's span."""
+
+    coeffs: np.ndarray
+    S: np.ndarray  # symmetrized and read-only
+    rank: int  # numeric_rank(S)
+    drop: int  # argmax |coeffs|, the first on ties: the member S replaces
+
+
 def find_max_rank_element(family, seed: int = 0):
     """Seeded search for a max-rank element of the span.
 
@@ -95,22 +104,26 @@ def find_max_rank_element(family, seed: int = 0):
     (coefficients, S).  A family of zero matrices yields rank 0, which
     is not an error; an empty family is.
     """
-    return _max_rank_element(form_family(family), seed)
+    coeffs, S, _, _ = pivot(form_family(family), seed)
+    return coeffs, SymMat(S)
 
 
-def _max_rank_element(mats, seed):
-    """find_max_rank_element of checked forms (see _sdc_check)."""
+def pivot(mats, seed: int = 0) -> Pivot:
+    """find_max_rank_element of checked forms, run once per call and shared
+    by its consumers; the first candidate of maximal numeric rank wins."""
     n = mats[0].shape[0]
     m = len(mats)
     best_rank = -1
     for c in islice(span_candidates(m, seed), m + MAX_RANK_TRIALS):
-        r = numeric_rank(sum(ci * Ai for ci, Ai in zip(c, mats)))
+        S = sum(ci * Ai for ci, Ai in zip(c, mats))
+        r = numeric_rank(S)
         if r > best_rank:
-            best_rank, best_c = r, c
+            best_rank, best_c, best_S = r, c, S
         if best_rank == n:
             break
-    S = sum(ci * Ai for ci, Ai in zip(best_c, mats))
-    return best_c, SymMat(0.5 * (S + S.T))
+    S = 0.5 * (best_S + best_S.T)
+    S.flags.writeable = False
+    return Pivot(best_c, S, numeric_rank(S), int(np.argmax(np.abs(best_c))))
 
 
 def simdiag_commuting(family) -> np.ndarray:
@@ -239,7 +252,7 @@ def _certified(P: np.ndarray, mats) -> SdcResult:
     return SdcResult("SDC", congruence=cong, diagonals=tuple(np.diag(D).copy() for D in Ds))
 
 
-def range_reduction(mats, S: np.ndarray, rank: int):
+def _range_reduction(mats, S: np.ndarray, rank: int):
     """Left singular vectors U of S, whose first `rank` columns span its
     range, and the first member (i, residual) reaching outside that range
     by more than 100 * RANK_TOL * |A_i|_2, or None."""
@@ -326,18 +339,18 @@ def _sdc_nonsingular(mats, S) -> SdcResult:
 def sdc_check(family, seed: int = 0) -> SdcResult:
     """Certified SDC decision for a family of symmetric matrices.
 
-    Singular families are reduced to the range of a max-rank element
-    (rejecting on range violations) and the nonsingular core is decided
-    through commutation, realness and joint diagonalizability of
-    S^{-1} A_i.
+    One span search (pivot) finds a max-rank element S.  Singular
+    families are reduced to the range of S (rejecting on range
+    violations) and the nonsingular core is decided through commutation,
+    realness and joint diagonalizability of S^{-1} A_i.
     """
     return _sdc_check(form_family(family), seed)
 
 
-def _sdc_check(mats, seed: int) -> SdcResult:
-    """sdc_check of checked forms.  The equilibrated family D A_i D
-    recurses here, past the gate: row scaling can lift an asymmetry the
-    gate accepted above SYM_TOL."""
+def _sdc_check(mats, seed: int, known: Pivot | None = None) -> SdcResult:
+    """sdc_check of checked forms, given their pivot if known.  The
+    equilibrated family D A_i D recurses here past the gate (row scaling can
+    lift an accepted asymmetry above SYM_TOL) and searches its own span."""
     n = mats[0].shape[0]
     if n == 0:
         return SdcResult("SDC", congruence=None, diagonals=tuple())
@@ -358,11 +371,10 @@ def _sdc_check(mats, seed: int) -> SdcResult:
                 return inner
             return _certified(D @ inner.congruence.P, mats)
 
-    _, S = _max_rank_element(mats, seed)
-    rank = numeric_rank(S)
+    _, S, rank, _ = known if known is not None else pivot(mats, seed)
 
     if rank == n:
-        return _sdc_nonsingular(mats, S.a)
+        return _sdc_nonsingular(mats, S)
 
     if rank == 0:
         # every member numerically zero
@@ -373,13 +385,13 @@ def _sdc_check(mats, seed: int) -> SdcResult:
         )
 
     # singular family: verify range inclusion, restrict, recurse
-    U, violation = range_reduction(mats, S.a, rank)
+    U, violation = _range_reduction(mats, S, rank)
     if violation is not None:
         i, resid = violation
         return SdcResult("NotSDC", witness=Witness("range-violation", i, value=resid))
     Ur = U[:, :rank]
     reduced = [Ur.T @ A @ Ur for A in mats]
-    Sbar = Ur.T @ S.a @ Ur
+    Sbar = Ur.T @ S @ Ur
     inner = _sdc_nonsingular([0.5 * (R + R.T) for R in reduced], 0.5 * (Sbar + Sbar.T))
     if not inner.is_sdc:
         return inner

@@ -1,12 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import random_congruence
-from sdckit import asdc, errors
+from sdckit import errors, sdc
 from sdckit._chains import nilpotent_jordan_chains
 from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_blocks, perturb_pair
 from sdckit.canonical import Block, BlockSpec, assemble_blocks
 from sdckit.matcore import direct_sum, f_mat, g_mat
+from sdckit.obstruct import not_asdc_certificate
 from sdckit.sdc import sdc_check
 
 F2 = f_mat(2)
@@ -16,6 +19,23 @@ INDEF_B = np.diag([1.0, -1.0])  # complex pencil eigenvalues with F2
 
 def padded(m, extra=1):
     return direct_sum(m, np.zeros((extra, extra)))
+
+
+def count_searches(monkeypatch, family):
+    """The list that records each sdc.pivot call on `family` itself, in
+    every sdckit module that imports it."""
+    searches = []
+    search = sdc.pivot
+
+    def counted(mats, *args, **kwargs):
+        if len(mats) == len(family) and all(map(np.array_equal, mats, family)):
+            searches.append(mats)
+        return search(mats, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sdckit") and getattr(module, "pivot", None) is search:
+            monkeypatch.setattr(module, "pivot", counted)
+    return searches
 
 
 class TestPairCheck:
@@ -133,27 +153,46 @@ class TestPerturbPair:
             perturb_pair(S.a, T.a, 1e-2)
 
     @pytest.mark.parametrize(
-        "A, B",
+        "A, B, singular",
         [
-            (f_mat(3), 0.7 * f_mat(3) + g_mat(3)),  # nonsingular Jordan pair
-            (padded(F2), padded(JORDAN_B)),  # zero row and column
+            (f_mat(3), 0.7 * f_mat(3) + g_mat(3), False),  # nonsingular Jordan pair
+            (padded(F2), padded(JORDAN_B), True),  # zero row and column
         ],
         ids=["nonsingular", "singular"],
     )
-    def test_one_span_search(self, A, B, monkeypatch):
-        # the classification's max-rank element is the one the
-        # perturbation uses, so the span is searched once
-        calls = []
-        search = asdc.find_max_rank_element
+    def test_one_span_search(self, A, B, singular, monkeypatch):
+        # one pivot per call feeds the verdict, the SDC oracle, the
+        # perturbation and the obstruction report; the nonsingular pair
+        # and its triple reach the oracle, which used to search again
+        triple = [A, B, A + B]
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return search(*args, **kwargs)
+        def perturbed_within_epsilon():
+            assert perturb_pair(A, B, 1e-3).distance <= 1e-3
 
-        monkeypatch.setattr(asdc, "find_max_rank_element", counted)
-        pp = perturb_pair(A, B, 1e-3)
-        assert pp.distance <= 1e-3
-        assert len(calls) == 1
+        def refused_if_singular(call):
+            # a singular triple has no invertible pivot: refused after
+            # its one search
+            def run():
+                if singular:
+                    with pytest.raises(errors.NoInvertibleElement):
+                        call()
+                else:
+                    call()
+
+            return run
+
+        calls = [
+            (perturbed_within_epsilon, [A, B]),
+            (lambda: asdc_pair_check(A, B), [A, B]),
+            (refused_if_singular(lambda: asdc_triple_check(*triple)), triple),
+            (refused_if_singular(lambda: not_asdc_certificate(triple)), triple),
+            (lambda: sdc_check([A, B]), [A, B]),
+        ]
+        for call, family in calls:
+            searches = count_searches(monkeypatch, family)
+            call()
+            assert len(searches) == 1
+            monkeypatch.undo()
 
 
 class TestPerturbBlocks:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sdckit.cli import run
 from sdckit.matcore import f_mat
@@ -112,6 +113,19 @@ def test_precondition_exit_code(tmp_path):
     pair = tmp_path / "sing.json"
     write_matrices(pair, [np.diag([1.0, 0.0]), np.eye(2)])
     assert run(["canon", "-i", str(pair)]) == 2
+
+
+@pytest.mark.parametrize("command", ["canon", "rsdc1", "rsdc2"])
+def test_pair_commands_refuse_other_families(tmp_path, capsys, command):
+    # rsdc1 and rsdc2 used to die on fam[1] with an IndexError traceback
+    out = tmp_path / "out.json"
+    output = [] if command == "canon" else ["-o", str(out)]
+    for size in (1, 3):
+        path = tmp_path / f"fam{size}.json"
+        write_matrices(path, [np.diag([1.0, 2.0])] * size)
+        assert run([command, "-i", str(path), *output]) == 1
+        assert f"ValueError: {command} expects a pair" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_asymmetric_or_non_finite_matrices_exit_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The one input gate: every public entry point that takes quadratic forms
 (or, for simdiag_commuting and algebra_dimension, general square
-matrices) checks them through matcore.form_family / square_family."""
+matrices) checks them through matcore.form_family / square_family.
+numeric_rank and cond_number, which take one general matrix, name a NaN
+or inf through their SVD instead."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,15 @@ import pytest
 from sdckit import errors
 from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_pair
 from sdckit.canonical import pencil_canonical
-from sdckit.matcore import SymMat, direct_sum, f_mat, form_family, square_family
+from sdckit.matcore import (
+    SymMat,
+    cond_number,
+    direct_sum,
+    f_mat,
+    form_family,
+    numeric_rank,
+    square_family,
+)
 from sdckit.obstruct import algebra_dimension, commutator_obstruction, not_asdc_certificate
 from sdckit.qcqp import homogenize_check
 from sdckit.rsdc import rsdc1_construct, rsdc2_construct
@@ -30,6 +40,8 @@ ENTRIES = [
      lambda fam: homogenize_check(fam, [0.0] * len(fam), [0.0] * len(fam)), None, True),
     ("simdiag_commuting", simdiag_commuting, None, False),
     ("algebra_dimension", algebra_dimension, None, False),
+    ("numeric_rank", lambda fam: numeric_rank(*fam), 1, False),
+    ("cond_number", lambda fam: cond_number(*fam), 1, False),
     ("pencil_canonical", lambda fam: pencil_canonical(*fam), 2, True),
     ("asdc_pair_check", lambda fam: asdc_pair_check(*fam), 2, True),
     ("asdc_triple_check", lambda fam: asdc_triple_check(*fam), 3, True),

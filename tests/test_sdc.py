@@ -44,6 +44,23 @@ def test_max_rank_deterministic():
     assert np.array_equal(c1, c2)
 
 
+def test_equilibrated_family_ignores_a_known_pivot(rng):
+    # row scales from 1e3 to 1e-3 trigger the joint equilibration; its
+    # recursion searches the scaled family, since a pivot handed in
+    # belongs to the unscaled one
+    Q = random_congruence(rng, 4, 10.0)
+    D = np.diag(np.logspace(3, -3, 4))
+    fam = [D @ Q.T @ np.diag(rng.standard_normal(4)) @ Q @ D for _ in range(2)]
+    fam = [0.5 * (M + M.T) for M in fam]
+    rowmax = np.max([np.max(np.abs(M), axis=1) for M in fam], axis=0)
+    assert rowmax.max() / rowmax.min() > 1e4  # the equilibration runs
+    searched = sdc_module._sdc_check(fam, 0)
+    handed = sdc_module._sdc_check(fam, 0, sdc_module.pivot(fam, 0))
+    assert searched.is_sdc and handed.is_sdc
+    assert np.array_equal(searched.congruence.P, handed.congruence.P)
+    assert all(map(np.array_equal, searched.diagonals, handed.diagonals))
+
+
 def test_span_candidates_order():
     # every member alone first, then normals drawn from default_rng(seed)
     cands = list(islice(span_candidates(3, seed=5), 6))
