@@ -291,10 +291,20 @@ def _scaled_group_columns(V: np.ndarray, Sbar: np.ndarray, sizes) -> np.ndarray:
     return P
 
 
+def _sorted_columns(P: np.ndarray, mats) -> np.ndarray:
+    """P's columns in the deterministic order of a certified congruence:
+    lexsorted by the diagonals of every P^T A_i P rounded to six
+    decimals, the first member's leading, each then signed by
+    fix_column_signs."""
+    keys = np.round(np.array([np.diag(P.T @ A @ P) for A in mats]), 6)
+    return fix_column_signs(P[:, np.lexsort(keys[::-1])])
+
+
 def _sdc_nonsingular(mats, S) -> SdcResult:
     """SDC decision when S in the span is certified invertible."""
     # a member that is S itself (a full-rank member) is exactly I
-    Ms = [np.eye(len(S)) if np.array_equal(A, S) else np.linalg.solve(S, A) for A in mats]
+    is_s = [np.array_equal(A, S) for A in mats]
+    Ms = [np.eye(len(S)) if same else np.linalg.solve(S, A) for A, same in zip(mats, is_s)]
 
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
@@ -303,6 +313,8 @@ def _sdc_nonsingular(mats, S) -> SdcResult:
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     for i, M in enumerate(Ms):
+        if is_s[i]:
+            continue  # the identity's spectrum is {1}
         w = np.linalg.eigvals(M)
         scale = spectral_scale(w)
         bad = np.abs(w.imag) > EIG_REAL_TOL * scale
@@ -328,12 +340,7 @@ def _sdc_nonsingular(mats, S) -> SdcResult:
     groups = _joint_eigenvalue_groups(diags)
     V = V[:, np.concatenate(groups)]
     P = _scaled_group_columns(V, V.T @ S @ V, [len(grp) for grp in groups])
-
-    # deterministic ordering by the diagonals of the inputs
-    PtAP = [P.T @ A @ P for A in mats]
-    keys = np.round(np.array([np.diag(D) for D in PtAP]), 6)
-    order = np.lexsort(keys[::-1])
-    return _certified(fix_column_signs(P[:, order]), mats)
+    return _certified(_sorted_columns(P, mats), mats)
 
 
 def sdc_check(family, seed: int = 0) -> SdcResult:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sdc_family
 from sdckit import errors, rsdc
+from sdckit import sdc as sdc_module
 from sdckit.canonical import PencilForm, pencil_canonical, tmat
 from sdckit.matcore import Congruence, direct_sum, f_mat
 from sdckit.qcqp import generate_instance
@@ -535,4 +536,59 @@ class TestRefineCongruence:
         )
         for build in (rsdc1_construct, rsdc2_construct):
             with pytest.raises(errors.CertificationFailed, match="off-diagonal residual"):
+                build(A, B)
+
+
+def grid_and_order80_pairs():
+    """The acceptance grid's seed-0 pairs and two hidden order-80 pairs."""
+    for n in (10, 15, 20):
+        for k in (1, 2, 3):
+            inst = generate_instance(n, k, 100, 0)
+            yield inst.A1.a, inst.A2.a
+    rng = np.random.default_rng(80)
+    for _ in range(2):
+        yield hidden_canonical_pair(rng, 80, 3)
+
+
+class TestConstructiveCongruence:
+    def test_one_decomposition_and_no_oracle(self, rng, monkeypatch):
+        # the canonical form's eig and the placement check's eigvals are
+        # the only decompositions; the extended pair's congruence is built,
+        # not decided
+        def refuse(*args, **kwargs):
+            raise AssertionError("the SDC oracle ran")
+
+        for module in (sdc_module, rsdc):
+            monkeypatch.setattr(module, "sdc_check", refuse)
+        monkeypatch.setattr(sdc_module, "_sdc_check", refuse)
+        calls = []
+        for name in ("eig", "eigvals"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, _fn=fn, _name=name:
+                                calls.append(_name) or _fn(*args))
+        A, B = planted_pair(rng, 10, 2)
+        for build in (rsdc1_construct, rsdc2_construct):
+            calls.clear()
+            build(A, B)
+            assert sorted(calls) == ["eig", "eigvals"]
+
+    def test_oracle_referee(self):
+        # the oracle's congruence for the extended pair, refined the same
+        # way, is the constructed one up to column signs
+        for A, B in grid_and_order80_pairs():
+            for build in (rsdc1_construct, rsdc2_construct):
+                cert = build(A, B)
+                At, Bt = cert.A_tilde.a, cert.B_tilde.a
+                ref = Congruence(_refine_congruence(At, Bt, sdc_check([At, Bt]).congruence.P))
+                assert cert.kappa == pytest.approx(ref.kappa, rel=1e-12, abs=0)
+                P = cert.congruence.P
+                signs = np.where(np.sum(P * ref.P, axis=0) < 0, -1.0, 1.0)
+                assert np.max(np.abs(P - signs * ref.P)) <= 1e-12 * np.max(np.abs(ref.P))
+
+    def test_certified_before_refinement(self, monkeypatch):
+        # the constructed congruence passes the certificate's bound on
+        # its own; the refinement only adds margin
+        monkeypatch.setattr(rsdc, "_refine_congruence", lambda At, Bt, P: P)
+        for A, B in grid_and_order80_pairs():
+            for build in (rsdc1_construct, rsdc2_construct):
                 build(A, B)

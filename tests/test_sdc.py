@@ -505,12 +505,18 @@ def _planted_pair(rng, n, k):
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
+def _rsdc2_extension(rng):
+    # an order-82 pair in which each of the k + 1 = 4 points of the
+    # order-2 construction is a pencil eigenvalue of multiplicity two
+    cert = rsdc.rsdc2_construct(*_planted_pair(rng, 80, 3))
+    return [cert.A_tilde.a, cert.B_tilde.a]
+
+
 def test_doubled_clusters_match_sorted_schur(monkeypatch):
-    # rsdc2 gives each of its k + 1 points multiplicity two: one Schur
-    # form, reordered for each of the four doubled clusters
-    A, B = _planted_pair(np.random.default_rng(901), 80, 3)
+    # one Schur form, reordered for each of the four doubled clusters
+    family = _rsdc2_extension(np.random.default_rng(901))
     counts = _checked_against_reference(monkeypatch, sdc_module)
-    rsdc.rsdc2_construct(A, B)
+    assert sdc_check(family).is_sdc
     assert counts == [1, 4]
 
 
@@ -574,6 +580,7 @@ def test_unconverged_schur_form_is_named(monkeypatch):
 
 
 def test_one_schur_form_per_construction(monkeypatch):
+    # the oracle factors the extension once for its four doubled clusters
     calls = []
     schur = scipy.linalg.schur
 
@@ -581,9 +588,9 @@ def test_one_schur_form_per_construction(monkeypatch):
         calls.append(1)
         return schur(*args, **kwargs)
 
+    family = _rsdc2_extension(np.random.default_rng(902))
     monkeypatch.setattr(scipy.linalg, "schur", counting)
-    A, B = _planted_pair(np.random.default_rng(902), 80, 3)
-    rsdc.rsdc2_construct(A, B)
+    assert sdc_check(family).is_sdc
     assert len(calls) == 1
 
 
