@@ -19,6 +19,7 @@ from .canonical import BlockSpec, assemble_blocks, pencil_canonical
 from .matcore import (
     EIG_REAL_TOL,
     SymMat,
+    _distance,
     f_mat,
     form_family,
     h_mat,
@@ -125,9 +126,7 @@ def asdc_triple_check(A, B, C) -> AsdcVerdict:
 
 
 def _certified_pair(a, b, At, Bt, epsilon) -> PerturbedPair:
-    dist = max(
-        float(np.linalg.norm(At - a, 2)), float(np.linalg.norm(Bt - b, 2))
-    )
+    dist = _distance((At, Bt), (a, b))
     if dist > epsilon * (1 + 1e-9):
         raise errors.CertificationFailed(
             f"achieved distance {dist:.3e} exceeds budget {epsilon:.3e}"
@@ -194,17 +193,14 @@ def _split_pair(a, b, p, delta_unit, epsilon) -> PerturbedPair:
 def _perturb_singular(a, b, p, epsilon) -> PerturbedPair:
     """Range-reduce, then split or border depending on the spectrum."""
     coeffs, S, rank, drop = p
-    U, violation = _range_reduction((a, b), S, rank)
+    U, violation, restricted = _range_reduction((a, b), S, rank)
     if violation is not None:
         raise errors.UnsupportedStructure(
             "range violation: the canonical form contains type 3 blocks; "
             "use perturb_blocks with an exact descriptor"
         )
     Ur, Un = U[:, :rank], U[:, rank:]
-    Sbar = Ur.T @ S @ Ur
-    Sbar = 0.5 * (Sbar + Sbar.T)
-    Tbar = Ur.T @ (a, b)[1 - drop] @ Ur
-    Tbar = 0.5 * (Tbar + Tbar.T)
+    Tbar, Sbar = restricted[0][1 - drop], restricted[1]
 
     if _spectrum_is_real(Sbar, Tbar):
         # all-real restricted spectrum: padding with zeros preserves SDC,
@@ -236,8 +232,7 @@ def _perturb_singular(a, b, p, epsilon) -> PerturbedPair:
         out[1 - drop] = out[1 - drop] + dT
         out[drop] = out[drop] + (dS - coeffs[1 - drop] * dT) / coeffs[drop]
         At, Bt = out
-        dist = max(np.linalg.norm(At - a, 2), np.linalg.norm(Bt - b, 2))
-        if dist <= epsilon:
+        if _distance((At, Bt), (a, b)) <= epsilon:
             return _certified_pair(
                 a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon
             )
@@ -499,10 +494,7 @@ def _border_with_gauge(spec, a, b, dA, dB, idx, t, g, z, host, off, eps):
     tau = 1.0
     for _ in range(200):
         At, Bt = conj(tau)
-        dist = max(
-            float(np.linalg.norm(At - a, 2)), float(np.linalg.norm(Bt - b, 2))
-        )
-        if dist <= eps * (1 - 1e-12):
+        if _distance((At, Bt), (a, b)) <= eps * (1 - 1e-12):
             return At, Bt
         tau *= 0.7
     raise errors.CertificationFailed("gauge conjugation could not fit the budget")

@@ -231,17 +231,10 @@ def commutator(A, B) -> np.ndarray:
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values of a, naming a NaN or inf by NonFiniteEntry; the
-    entries are scanned only when the SVD fails or is not finite."""
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-        if np.isfinite(s).all():
-            return s
-    except np.linalg.LinAlgError:
-        if np.isfinite(a).all():
-            raise
+    scan comes first, since LAPACK prints a complaint about such entries."""
     if not np.isfinite(a).all():
         raise errors.NonFiniteEntry("matrix has a non-finite entry")
-    return s
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def numeric_rank(M) -> int:
@@ -269,6 +262,12 @@ def cond_number(P) -> float:
     if s[-1] <= INV_TOL * s[0] or s[0] == 0.0:
         return float("inf")
     return float(s[0] / s[-1])
+
+
+def _distance(new, old) -> float:
+    """max_i |new_i - old_i|_2: how far a perturbation moved a family,
+    the quantity an epsilon budget bounds."""
+    return max(float(np.linalg.norm(a - b, 2)) for a, b in zip(new, old))
 
 
 def _dot2(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

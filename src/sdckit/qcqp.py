@@ -29,6 +29,7 @@ from .matcore import (
     RESID_TOL,
     Congruence,
     SymMat,
+    direct_sum,
     f_mat,
     form_family,
     numeric_rank,
@@ -210,12 +211,8 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
         sigma = rng.choice([-1.0, 1.0], size=r)
         mu = rng.standard_normal(r)
         xy = rng.standard_normal((k, 2))
-        blocks1 = ([np.diag(sigma)] if r else []) + [f_mat(2) for _ in range(k)]
-        blocks2 = ([np.diag(sigma * mu)] if r else []) + [
-            np.array([[x, y], [y, -x]]) for x, y in xy
-        ]
-        D1 = scipy.linalg.block_diag(*blocks1) if blocks1 else np.zeros((0, 0))
-        D2 = scipy.linalg.block_diag(*blocks2) if blocks2 else np.zeros((0, 0))
+        D1 = direct_sum(np.diag(sigma), *[f_mat(2)] * k)
+        D2 = direct_sum(np.diag(sigma * mu), *[np.array([[x, y], [y, -x]]) for x, y in xy])
         A1 = V.T @ D1 @ V
         A2 = V.T @ D2 @ V
         b1 = rng.standard_normal(n)

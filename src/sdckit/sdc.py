@@ -253,9 +253,11 @@ def _certified(P: np.ndarray, mats) -> SdcResult:
 
 
 def _range_reduction(mats, S: np.ndarray, rank: int):
-    """Left singular vectors U of S, whose first `rank` columns span its
-    range, and the first member (i, residual) reaching outside that range
-    by more than 100 * RANK_TOL * |A_i|_2, or None."""
+    """(U, violation, restricted): the left singular vectors U of S, whose
+    first `rank` columns Ur span its range; the first member (i, residual)
+    reaching outside that range by more than 100 * RANK_TOL * |A_i|_2, or
+    None; and, when there is none, the family and S restricted to the
+    range, ([sym(Ur^T A_i Ur)], sym(Ur^T S Ur)), or else None."""
     U, _, _ = np.linalg.svd(S)
     Ur = U[:, :rank]
     for i, A in enumerate(mats):
@@ -264,8 +266,10 @@ def _range_reduction(mats, S: np.ndarray, rank: int):
             continue
         resid = np.linalg.norm(A - Ur @ (Ur.T @ A), 2)
         if resid > 100 * RANK_TOL * scale:
-            return U, (i, resid)
-    return U, None
+            return U, (i, resid), None
+    restricted = [Ur.T @ X @ Ur for X in (*mats, S)]
+    restricted = [0.5 * (R + R.T) for R in restricted]
+    return U, None, (restricted[:-1], restricted[-1])
 
 
 def _scaled_group_columns(V: np.ndarray, Sbar: np.ndarray, sizes) -> np.ndarray:
@@ -392,20 +396,16 @@ def _sdc_check(mats, seed: int, known: Pivot | None = None) -> SdcResult:
         )
 
     # singular family: verify range inclusion, restrict, recurse
-    U, violation = _range_reduction(mats, S, rank)
+    U, violation, restricted = _range_reduction(mats, S, rank)
     if violation is not None:
         i, resid = violation
         return SdcResult("NotSDC", witness=Witness("range-violation", i, value=resid))
-    Ur = U[:, :rank]
-    reduced = [Ur.T @ A @ Ur for A in mats]
-    Sbar = Ur.T @ S @ Ur
-    inner = _sdc_nonsingular([0.5 * (R + R.T) for R in reduced], 0.5 * (Sbar + Sbar.T))
+    inner = _sdc_nonsingular(*restricted)
     if not inner.is_sdc:
         return inner
     # lift: null-space coordinates stay zero
-    Pbar = inner.congruence.P
-    Un = U[:, rank:]
-    P = np.hstack([Ur @ Pbar, Un])
+    Ur, Un = U[:, :rank], U[:, rank:]
+    P = np.hstack([Ur @ inner.congruence.P, Un])
     diagonals = tuple(
         np.concatenate([d, np.zeros(n - rank)]) for d in inner.diagonals
     )

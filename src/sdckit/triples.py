@@ -29,7 +29,7 @@ from ._chains import (
 )
 from ._pencil import noncommuting_pair
 from .asdc import _spectrum_is_real, _unit_splitting
-from .matcore import SymMat, direct_sum, f_mat, form_family, g_mat, jordan_pair
+from .matcore import SymMat, _distance, direct_sum, f_mat, form_family, g_mat, jordan_pair
 from .sdc import sdc_check
 from .toeplitz import ToeplitzPartition, is_block_toeplitz, pi_map, toeplitz_coefficients
 
@@ -105,10 +105,9 @@ def triple_case4(sigma: int, n: int, C, eps: float):
     """
     if n < 3:
         raise errors.StructureMismatch("case 4 construction needs n >= 3")
-    A = sigma * f_mat(n)
     B = sigma * g_mat(n)
     (c,) = form_family([C])
-    T = np.linalg.solve(A, c)
+    T = sigma * c[::-1]  # A^{-1} c, since A = sigma F_n is its own inverse
     part = ToeplitzPartition((n,))
     if not is_block_toeplitz(T, part):
         raise errors.StructureMismatch("A^{-1}C is not upper triangular Toeplitz")
@@ -129,9 +128,9 @@ def triple_case4(sigma: int, n: int, C, eps: float):
 
 
 def _validate_structured_triple(A, B, C):
-    pair = noncommuting_pair(
-        [np.linalg.solve(A, B), np.linalg.solve(A, C)], factor=10
-    )
+    """Raise unless A^{-1}B and A^{-1}C commute and A^{-1}C has a real
+    spectrum; A = Diag(sigma F) is its own inverse."""
+    pair = noncommuting_pair([A @ B, A @ C], factor=10)
     if pair is not None:
         raise errors.StructureMismatch(
             f"A^-1 B and A^-1 C do not commute (residual {pair[2]:.3e})"
@@ -167,10 +166,7 @@ def perturb_triple_blocks(spec: JordanTripleSpec, C, epsilon: float) -> Perturbe
         steps: list[str] = []
         try:
             Bt, Ct = _recurse(A, B, c, eps_try, steps, depth=0)
-            dist = max(
-                float(np.linalg.norm(Bt - B, 2)),
-                float(np.linalg.norm(Ct - c, 2)),
-            )
+            dist = _distance((Bt, Ct), (B, c))
             if dist > epsilon * (1 + 1e-9):
                 raise errors.CertificationFailed(
                     f"distance {dist:.3e} exceeds {epsilon:.3e}"
@@ -205,16 +201,17 @@ def _split_by(A, B, C, M, w, clusters, eps, steps, depth):
 
     # worst-case budgeting through |Pinv|^2 starves deep branches, so
     # run optimistically and rescale against the measured lifted norm
+    restricted = []
+    for U in Us:
+        Rs = [U.T @ X @ U for X in (A, B, C)]
+        restricted.append([0.5 * (R + R.T) for R in Rs])
     eps_sub = eps / len(Us)
     for _ in range(8):
         dB = np.zeros((n, n))
         dC = np.zeros((n, n))
         pos = 0
-        for U in Us:
+        for U, (Ac, Bc, Cc) in zip(Us, restricted):
             d = U.shape[1]
-            Ac = 0.5 * ((U.T @ A @ U) + (U.T @ A @ U).T)
-            Bc = 0.5 * ((U.T @ B @ U) + (U.T @ B @ U).T)
-            Cc = 0.5 * ((U.T @ C @ U) + (U.T @ C @ U).T)
             Btc, Ctc = _recurse(Ac, Bc, Cc, eps_sub, steps, depth + 1)
             E = Pinv[pos : pos + d, :]
             dB += E.T @ (Btc - Bc) @ E
@@ -279,10 +276,7 @@ def _poly_drag(A, B, C, q, eps, radius=None):
             power = power @ Mt
         Ct = A @ acc
         Ct = 0.5 * (Ct + Ct.T)
-        if (
-            np.linalg.norm(Bt - B, 2) <= eps
-            and np.linalg.norm(Ct - C, 2) <= eps
-        ):
+        if _distance((Bt, Ct), (B, C)) <= eps:
             return Bt, Ct
     raise errors.CertificationFailed("polynomial drag could not fit the budget")
 
@@ -290,7 +284,7 @@ def _poly_drag(A, B, C, q, eps, radius=None):
 def _leading_split(sigmas, Pi):
     """The k x k leading pair (Abar, Cbar) = (Diag(sigma), sym(Abar Pi))
     of one block size and its unit eigenvalue splitting, mapped back
-    from the pair's canonical coordinates."""
+    from the pair's canonical coordinates.  Abar is its own inverse."""
     Abar = np.diag(np.array(sigmas, dtype=float))
     Cbar = 0.5 * ((Abar @ Pi) + (Abar @ Pi).T)
     Wb, blks = canonicalize_nilpotent_pair(Abar, Cbar)
@@ -299,7 +293,7 @@ def _leading_split(sigmas, Pi):
     return Abar, Cbar, dbar
 
 
-def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
+def _nilpotent_flatten(A, B, C, Winv, blocks, Pi, part, eps, steps, depth):
     """Split every block of the commutant projection apart in one shot.
 
     Size groups get staggered scalar shifts; groups with several blocks
@@ -334,13 +328,13 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
         # within-group split, kept an order below the group spacing
         try:
             Abar, Cbar, dbar = _leading_split(
-                [sigmas[b] for b in idxs], pi_map(Tc, part)[np.ix_(idxs, idxs)]
+                [sigmas[b] for b in idxs], Pi[np.ix_(idxs, idxs)]
             )
         except errors.SdckitError:
             return None
         # aim the within-group split at a quarter of the group spacing
         wscale = 1.0 / (8.0 * G * max(1.0, float(np.linalg.norm(dbar, 2))))
-        wbar = np.linalg.eigvals(np.linalg.solve(Abar, Cbar + wscale * dbar))
+        wbar = np.linalg.eigvals(Abar @ (Cbar + wscale * dbar))
         if np.max(np.abs(wbar.imag)) > 1e-9:
             return None
         ws = np.sort(wbar.real)
@@ -350,9 +344,7 @@ def _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth):
             boost = min(target / got, 1.0 / (4.0 * G * wscale * max(1.0, float(np.linalg.norm(dbar, 2)))))
             if boost > 1.0:
                 wscale *= boost
-                wbar = np.linalg.eigvals(
-                    np.linalg.solve(Abar, Cbar + wscale * dbar)
-                )
+                wbar = np.linalg.eigvals(Abar @ (Cbar + wscale * dbar))
                 if np.max(np.abs(wbar.imag)) > 1e-9:
                     return None
         centers.extend(shift + wbar.real)
@@ -415,15 +407,13 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
         steps.append(f"pair-split-B@{depth}")
         return _pair_split(A, B)(eps), C
     radius = 0.45 * gap_hint if gap_hint is not None else None
-    q = _poly_fit(MB, MC)
-    if q is not None:
-        steps.append(f"poly-drag@{depth}")
-        return _poly_drag(A, B, C, q, eps, radius=radius)
-    qr = _poly_fit(MC, MB)
-    if qr is not None:
-        steps.append(f"poly-drag-swapped@{depth}")
-        Ct, Bt = _poly_drag(A, C, B, qr, eps, radius=radius)
-        return Bt, Ct
+    # C as a polynomial in A^{-1}B, else B as one in A^{-1}C
+    for label, order in (("poly-drag", 1), ("poly-drag-swapped", -1)):
+        (X, MX), (Y, MY) = ((B, MB), (C, MC))[::order]
+        q = _poly_fit(MX, MY)
+        if q is not None:
+            steps.append(f"{label}@{depth}")
+            return _poly_drag(A, X, Y, q, eps, radius=radius)[::order]
 
     # a construction that knows the size of the split it just planted
     # passes gap_hint to keep the clusters below it
@@ -448,7 +438,7 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
     part = ToeplitzPartition(sizes)
     Cp = W.T @ C0 @ W
     Ap, _ = jordan_pair([(sigma, size, 0.0) for sigma, size in blocks])
-    Tc = np.linalg.solve(Ap, Cp)
+    Tc = Ap @ Cp  # Ap^{-1} Cp: Ap = Diag(sigma F) is its own inverse
     if not is_block_toeplitz(Tc, part):
         raise errors.StructureMismatch(
             "A^-1 C is not in the Toeplitz commutant of A^-1 B"
@@ -458,7 +448,8 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
     # projection all-distinct eigenvalues, which makes A^{-1}C nonderogatory
     # and A^{-1}B a polynomial in it; the drag then finishes without any
     # further restriction (so no compounding of subspace tilts)
-    flat = _nilpotent_flatten(A, B, C, W, Winv, blocks, Tc, part, eps, steps, depth)
+    Pi = pi_map(Tc, part)
+    flat = _nilpotent_flatten(A, B, C, Winv, blocks, Pi, part, eps, steps, depth)
     if flat is not None:
         return flat
 
@@ -475,10 +466,10 @@ def _recurse(A, B, C, eps, steps, depth, gap_hint=None):
     if len(blocks) >= 2:
         # case 3: split the k x k leading pair and lift through kron F_eta
         steps.append(f"case3@{depth}")
-        Abar, Cbar, dbar = _leading_split([sigma for sigma, _ in blocks], pi_map(Tc, part))
+        Abar, Cbar, dbar = _leading_split([sigma for sigma, _ in blocks], Pi)
         lift_unit = Winv.T @ np.kron(dbar, f_mat(sizes[0])) @ Winv
         eff = min(1.0, 0.5 * eps / float(np.linalg.norm(lift_unit, 2)))
-        wbar = np.linalg.eigvals(np.linalg.solve(Abar, Cbar + eff * dbar))
+        wbar = np.linalg.eigvals(Abar @ (Cbar + eff * dbar))
         gaps = np.abs(wbar[:, None] - wbar[None, :])[~np.eye(len(wbar), dtype=bool)]
         return _recurse(A, B, C + eff * lift_unit, 0.5 * eps, steps, depth + 1,
                         gap_hint=float(np.min(gaps)))

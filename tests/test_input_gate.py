@@ -1,8 +1,8 @@
 """The one input gate: every public entry point that takes quadratic forms
 (or, for simdiag_commuting and algebra_dimension, general square
 matrices) checks them through matcore.form_family / square_family.
-numeric_rank and cond_number, which take one general matrix, name a NaN
-or inf through their SVD instead."""
+numeric_rank and cond_number, which take one general matrix, scan it for
+a NaN or inf before their SVD instead."""
 
 import numpy as np
 import pytest
@@ -125,3 +125,14 @@ def test_general_matrix_entry_points_accept_non_symmetric_input():
     for call in (algebra_dimension, simdiag_commuting):
         with pytest.raises(errors.NonFiniteEntry):
             call([nan])
+
+
+def test_rank_and_condition_scan_before_lapack(capfd):
+    # LAPACK's scaling step prints "On entry to DLASCL parameter number 4
+    # had an illegal value" when it sees an inf
+    a = np.eye(3)
+    a[0, 2] = a[2, 0] = np.inf
+    for call in (numeric_rank, cond_number):
+        with pytest.raises(errors.NonFiniteEntry):
+            call(a)
+    assert capfd.readouterr() == ("", "")

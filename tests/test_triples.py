@@ -149,3 +149,28 @@ class TestFullPipeline:
         for eps in (0.5, 0.1, 0.02):
             pt = perturb_triple_blocks(spec, C, eps)
             assert pt.distance <= eps
+
+
+class TestRecursionPaths:
+    """Seeded draws of the nilpotent sweep (draw d of sizes: rng =
+    default_rng([n, d, *sizes])) that reach the recursion's rarer steps:
+    the minimal-size shift (case 2), the block split (case 1), the k x k
+    lift (case 3) and the pair split of B."""
+
+    @pytest.mark.parametrize(
+        "sizes,d,eps,steps",
+        [
+            ((5, 1), 4, 0.01, ("case2@0", "case1@1", "poly-drag@2", "poly-drag@2")),
+            ((7, 1, 1), 5, 0.5, ("case2@0", "case1@1", "poly-drag-swapped@2", "pair-split-B@2",
+                                 "poly-drag-swapped@2", "pair-split-B@2")),
+            ((3, 3, 3), 4, 0.1, ("case3@0", "poly-drag-swapped@1")),
+        ],
+    )
+    def test_steps_certify(self, sizes, d, eps, steps):
+        rng = np.random.default_rng([sum(sizes), d, *sizes])
+        sigmas = rng.choice([-1, 1], len(sizes))
+        C = random_commutant_symmetric(sizes, sigmas, rng)
+        pt = perturb_triple_blocks(nilpotent_spec(sizes, sigmas), C, eps)
+        assert pt.steps == steps
+        assert pt.distance <= eps
+        assert sdc_check([pt.A_tilde.a, pt.B_tilde.a, pt.C_tilde.a]).is_sdc
