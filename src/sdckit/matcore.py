@@ -230,11 +230,19 @@ def commutator(A, B) -> np.ndarray:
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a, naming a NaN or inf by NonFiniteEntry; the
-    scan comes first, since LAPACK prints a complaint about such entries."""
+    """Singular values of a matrix or of each matrix in a stack, naming a
+    NaN or inf by NonFiniteEntry; the scan comes first, since LAPACK
+    prints a complaint about such entries."""
     if not np.isfinite(a).all():
         raise errors.NonFiniteEntry("matrix has a non-finite entry")
     return np.linalg.svd(a, compute_uv=False)
+
+
+def _numeric_ranks(stack: np.ndarray) -> np.ndarray:
+    """numeric_rank of each matrix in a (T, m, n) stack, from one batched
+    SVD; an all-zero or empty matrix has rank 0."""
+    s = _singular_values(stack)
+    return np.sum(s > RANK_TOL * s[:, :1], axis=1)
 
 
 def numeric_rank(M) -> int:
@@ -245,12 +253,7 @@ def numeric_rank(M) -> int:
     a = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
     if a.ndim != 2:
         raise errors.OrderMismatch(f"expected a matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0
-    s = _singular_values(a)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+    return int(_numeric_ranks(a[None])[0])
 
 
 def cond_number(P) -> float:

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 from itertools import islice
 
@@ -7,11 +8,11 @@ import pytest
 import scipy.linalg
 
 from conftest import random_congruence, random_sdc_family
-from sdckit import _chains, errors, rsdc
+from sdckit import _chains, asdc, errors, obstruct, rsdc
 from sdckit import sdc as sdc_module
 from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
 from sdckit.canonical import tmat
-from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat
+from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat, numeric_rank
 from sdckit.sdc import (
     _joint_eigenvalue_groups,
     _scaled_group_columns,
@@ -67,6 +68,102 @@ def test_span_candidates_order():
     assert all(np.array_equal(c, e) for c, e in zip(cands[:3], np.eye(3)))
     rng = np.random.default_rng(5)
     assert all(np.array_equal(c, rng.standard_normal(3)) for c in cands[3:])
+
+
+def _walk_reference(mats, seed):
+    # the reference for pivot: one numeric_rank per candidate, in order
+    n, m, best = mats[0].shape[0], len(mats), -1
+    for c in islice(span_candidates(m, seed), m + 64):
+        S = sum(ci * Ai for ci, Ai in zip(c, mats))
+        r = numeric_rank(S)
+        if r > best:
+            best, best_c, best_S = r, c, S
+        if best == n:
+            break
+    S = 0.5 * (best_S + best_S.T)
+    return best_c, S, numeric_rank(S), int(np.argmax(np.abs(best_c)))
+
+
+def _common_null_family(rng, n, m):
+    # m forms Q^T (D_i ⊕ 0) Q sharing the null vector Q^{-1} e_n
+    Q = random_congruence(rng, n, 10.0)
+    fam = [Q.T @ direct_sum(np.diag(rng.standard_normal(n - 1)), np.zeros((1, 1))) @ Q
+           for _ in range(m)]
+    return [0.5 * (M + M.T) for M in fam]
+
+
+def _seven_tuple():
+    return obstruct.builtin_counterexamples()["seven_tuple"]["matrices"]
+
+
+_PIVOT_FAMILIES = {
+    # (members, rank the walk reaches)
+    "singular-pair-2": (lambda rng: _common_null_family(rng, 2, 2), 1),
+    "singular-pair-6": (lambda rng: _common_null_family(rng, 6, 2), 5),
+    # 40 and 10 candidates per stacked SVD: the tail spans chunks
+    "singular-pair-20": (lambda rng: _common_null_family(rng, 20, 2), 19),
+    "singular-pair-40": (lambda rng: _common_null_family(rng, 40, 2), 39),
+    "singular-triple": (lambda rng: _common_null_family(rng, 5, 3), 4),
+    "nonsingular-pair": (lambda rng: random_sdc_family(rng, 5, 2)[0], 5),
+    # singular members, full-rank first random candidate
+    "split-diagonal": (lambda rng: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2),
+    # the second member is the first full-rank candidate
+    "mis-scaled": (lambda rng: [np.diag([1.0, 1.0, 0.0]), 1e-11 * np.eye(3)], 3),
+    "zero": (lambda rng: [np.zeros((3, 3)), np.zeros((3, 3))], 0),
+    # an invertible first member stops the walk at once
+    "seven-tuple": (lambda rng: [M.a for M in _seven_tuple()], 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIVOT_FAMILIES))
+def test_pivot_matches_the_candidate_walk(rng, name):
+    build, rank = _PIVOT_FAMILIES[name]
+    mats = build(rng)
+    for seed in (0, 7):
+        p = sdc_module.pivot(mats, seed)
+        c, S, r, drop = _walk_reference(mats, seed)
+        assert p.coeffs.tobytes() == c.tobytes() and p.S.tobytes() == S.tobytes()
+        assert (p.rank, p.drop) == (r, drop)
+        assert p.rank == rank
+
+
+def test_singular_pair_ranks_its_random_tail_in_one_svd(rng, monkeypatch):
+    # a pair with a common null vector has no invertible candidate, so the
+    # walk reaches all 64 random combinations: one stacked SVD ranks them,
+    # beside one per member, the chosen S and the range reduction
+    sigma = np.array([1.0, -1.0, 1.0])
+    A = direct_sum(f_mat(2), np.diag(sigma), np.zeros((1, 1)))
+    B = direct_sum(tmat(0.3 + 1.2j), np.diag(sigma * rng.standard_normal(3)), np.zeros((1, 1)))
+    Q = random_congruence(rng, 6, 10.0)
+    A, B = (0.5 * (Q.T @ M @ Q + (Q.T @ M @ Q).T) for M in (A, B))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert asdc.asdc_pair_check(A, B).status == "ASDC_not_SDC"
+    assert len(calls) <= 5
+
+
+def test_overflowing_span_candidate():
+    # finite members whose combination overflows: the walk names the
+    # overflow as a non-finite entry, and no numpy warning escapes
+    big = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # rank 2 of 3 everywhere; the fourth draw of seed 0 overflows
+        with pytest.raises(errors.NonFiniteEntry, match="non-finite entry"):
+            find_max_rank_element([np.diag([big, big, 0.0]), np.diag([big, -big, 0.0])])
+        # the first draw is full rank and stops the walk before the
+        # seventh, which overflows
+        mats = [np.diag([big, 0.0]), np.diag([0.0, big])]
+        c, S = find_max_rank_element(mats)
+    assert np.array_equal(c, np.random.default_rng(0).standard_normal(2))
+    assert numeric_rank(S) == 2
+    assert S.a.tobytes() == _walk_reference(mats, 0)[1].tobytes()
 
 
 def test_certify_residuals_returns_products(rng):

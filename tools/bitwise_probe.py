@@ -16,8 +16,9 @@ its rarer steps, the single-block corner construction and triples
 outside the commutant; singular `perturb_pair` calls on complex and
 Jordan pencils; `perturb_blocks` on random singular BlockSpecs;
 `generate_instance` with every reformulation and its verification;
-order-80 RSDC constructions; and numeric_rank / cond_number on
-non-finite input.  Inputs come from the benchmark's and the tests'
+order-80 RSDC constructions; numeric_rank / cond_number on non-finite
+input; and the span search sdc.pivot on seeded families of 2, 3 and 7
+members, singular and not, and on a mis-scaled pair.  Inputs come from the benchmark's and the tests'
 generators of this checkout, so two trees see the same inputs.
 """
 
@@ -105,7 +106,7 @@ def _families(smoke: bool):
     from conftest import random_commutant_symmetric
     from workloads import SmallFamilies, _complex_pencil, _scramble, planted_pair
 
-    from sdckit import asdc, matcore, qcqp, rsdc, triples
+    from sdckit import asdc, matcore, qcqp, rsdc, sdc, triples
     from sdckit.canonical import Block, BlockSpec
 
     small = SmallFamilies()
@@ -230,6 +231,28 @@ def _families(smoke: bool):
         yield key + "/numeric_rank", functools.partial(matcore.numeric_rank, a)
         if shape[0] == shape[1]:
             yield key + "/cond_number", functools.partial(matcore.cond_number, a)
+
+    def span_family(kind, m, seed):
+        # "singular": a common null vector, so the whole random tail is
+        # ranked; "rank-one": full rank only once m >= n, and then only in
+        # the tail; "general": the first member is full rank
+        rng = np.random.default_rng([m, seed])
+        n = (2, 3, 5, 8, 10, 20, 40)[seed % 7]
+        if kind == "singular":
+            Q = rng.standard_normal((n, n))
+            fam = [Q.T @ np.diag([*rng.standard_normal(n - 1), 0.0]) @ Q for _ in range(m)]
+        elif kind == "rank-one":
+            fam = [rng.standard_normal() * np.outer(q, q) for q in rng.standard_normal((m, n))]
+        else:
+            fam = list(rng.standard_normal((m, n, n)))
+        return sdc.pivot([0.5 * (M + M.T) for M in fam], seed)
+
+    for kind in ("singular", "rank-one", "general"):
+        for m in (2, 3, 7):
+            for seed in range(1 if smoke else 21):
+                yield f"pivot/{kind}/{m}/{seed}", functools.partial(span_family, kind, m, seed)
+    mis_scaled = [np.diag([1.0, 1.0, 0.0]), 1e-11 * np.eye(3)]
+    yield "pivot/mis-scaled", functools.partial(sdc.pivot, mis_scaled)
 
 
 def main(argv=None) -> int:
