@@ -54,12 +54,14 @@ class PerturbedPair:
     distance: float
 
 
-def _spectrum_is_real(S: np.ndarray, T: np.ndarray) -> bool:
+def _spectrum_is_real(S: np.ndarray, T: np.ndarray):
     """Real-spectrum test for S^{-1}T robust to defective eigenvalues.
 
     Clear cases are decided by EIG_REAL_TOL / DEFECT_CAP thresholds; the
     ambiguous band is resolved by attempting the certified real-Jordan
-    canonicalization, which proves realness when it succeeds.
+    canonicalization, which proves realness when it succeeds.  Returns
+    False for a non-real spectrum, else that canonical form (W, blocks)
+    when the band needed one (see _unit_splitting) and True otherwise.
     """
     w = np.linalg.eigvals(np.linalg.solve(S, T))
     scale = spectral_scale(w)
@@ -69,15 +71,16 @@ def _spectrum_is_real(S: np.ndarray, T: np.ndarray) -> bool:
     if im >= DEFECT_CAP * scale:
         return False
     try:
-        canonicalize_real_pencil(S, T)
-        return True
+        return canonicalize_real_pencil(S, T)
     except errors.SdckitError:
         return False
 
 
 def _verdict(mats):
-    """ASDC verdict of a checked pair or triple and the one pivot of its
-    span (sdc.Pivot), which the SDC oracle and perturb_pair reuse.
+    """(AsdcVerdict, pivot, known) of a checked pair or triple: the one
+    pivot of its span (sdc.Pivot) and, to reuse, a singular pair's range
+    reduction (sdc._range_reduction) or else the last member's
+    _spectrum_is_real value.
 
     A singular pair is ASDC and a singular triple raises; otherwise
     the family is ASDC exactly when the other members commute through
@@ -91,17 +94,20 @@ def _verdict(mats):
             "no certified-invertible element in the span; singular triples "
             "are outside the decision scope"
         )
+    known = _range_reduction(mats, p.S, p.rank) if singular else None
     if not singular:
         Ms = [np.linalg.solve(p.S, m) for m in rest] if len(rest) > 1 else []
         if noncommuting_pair(Ms) is not None:
-            return AsdcVerdict("NotASDC", reason="noncommuting"), p
-        if not all(_spectrum_is_real(p.S, m) for m in rest):
-            return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue"), p
-    res = _sdc_check(mats, 0, p)
+            return AsdcVerdict("NotASDC", reason="noncommuting"), p, None
+        for m in rest:
+            known = _spectrum_is_real(p.S, m)
+            if known is False:
+                return AsdcVerdict("NotASDC", reason="nonreal-eigenvalue"), p, None
+    res = _sdc_check(mats, 0, p, known if singular else None)
     if res.is_sdc:
-        return AsdcVerdict("SDC"), p
+        return AsdcVerdict("SDC"), p, known
     reason = "singular-pair" if singular else getattr(res.witness, "kind", "")
-    return AsdcVerdict("ASDC_not_SDC", reason=reason), p
+    return AsdcVerdict("ASDC_not_SDC", reason=reason), p, known
 
 
 def asdc_pair_check(A, B) -> AsdcVerdict:
@@ -153,20 +159,22 @@ def perturb_pair(A, B, epsilon: float) -> PerturbedPair:
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     a, b = form_family([A, B])
-    verdict, p = _verdict([a, b])
+    verdict, p, known = _verdict([a, b])
     if verdict.status == "NotASDC":
         raise errors.NotAsdc(f"pair is not ASDC ({verdict.reason})")
     if verdict.status == "SDC":
         return PerturbedPair(SymMat(a), SymMat(b), epsilon, 0.0)
     if p.rank == a.shape[0]:
-        return _split_pair(a, b, p, _unit_splitting(p.S, (a, b)[1 - p.drop]), epsilon)
-    return _perturb_singular(a, b, p, epsilon)
+        return _split_pair(a, b, p, _unit_splitting(p.S, (a, b)[1 - p.drop], known), epsilon)
+    return _perturb_singular(a, b, p, known, epsilon)
 
 
-def _unit_splitting(S, T, cluster_radius=None) -> np.ndarray:
+def _unit_splitting(S, T, real=True, cluster_radius=None) -> np.ndarray:
     """Unit eigenvalue-splitting perturbation of T in the pencil's
-    real-Jordan coordinates, mapped back to the original ones."""
-    W, blocks = canonicalize_real_pencil(S, T, cluster_radius=cluster_radius)
+    real-Jordan coordinates, mapped back to the original ones; real is
+    _spectrum_is_real(S, T), whose canonical form is reused if it has one."""
+    W, blocks = (real if isinstance(real, tuple)
+                 else canonicalize_real_pencil(S, T, cluster_radius=cluster_radius))
     Winv = np.linalg.inv(W)
     return Winv.T @ splitting_perturbation(blocks, 1.0) @ Winv
 
@@ -190,10 +198,10 @@ def _split_pair(a, b, p, delta_unit, epsilon) -> PerturbedPair:
     return _certified_pair(a, b, 0.5 * (At + At.T), 0.5 * (Bt + Bt.T), epsilon)
 
 
-def _perturb_singular(a, b, p, epsilon) -> PerturbedPair:
-    """Range-reduce, then split or border depending on the spectrum."""
+def _perturb_singular(a, b, p, reduced, epsilon) -> PerturbedPair:
+    """Split or border the verdict's range reduction, by its spectrum."""
     coeffs, S, rank, drop = p
-    U, violation, restricted = _range_reduction((a, b), S, rank)
+    U, violation, restricted = reduced
     if violation is not None:
         raise errors.UnsupportedStructure(
             "range violation: the canonical form contains type 3 blocks; "
@@ -202,10 +210,11 @@ def _perturb_singular(a, b, p, epsilon) -> PerturbedPair:
     Ur, Un = U[:, :rank], U[:, rank:]
     Tbar, Sbar = restricted[0][1 - drop], restricted[1]
 
-    if _spectrum_is_real(Sbar, Tbar):
+    real = _spectrum_is_real(Sbar, Tbar)
+    if real:
         # all-real restricted spectrum: padding with zeros preserves SDC,
         # so the nonsingular splitting suffices
-        delta_unit = Ur @ _unit_splitting(Sbar, Tbar) @ Ur.T
+        delta_unit = Ur @ _unit_splitting(Sbar, Tbar, real) @ Ur.T
         return _split_pair(a, b, p, delta_unit, epsilon)
 
     # complex eigenvalues present: bordered construction through a zero
@@ -257,12 +266,13 @@ def perturb_blocks(spec: BlockSpec, epsilon: float) -> PerturbedPair:
     a defective zero eigenvalue whose certified splitting is searched,
     not formulaic, and the search can fail.  Of 100 random singular
     descriptors (one or two type 1 or 2 blocks of size 1 or 2, then a
-    type 3 or 4 host of size 1 or 2) at epsilon 1e-2 and 1e-3, 23 raise
-    CertificationFailed, all on a type 3 host: 8 of the 11 with a size-2
-    complex block on a size-1 host ("degenerate leading Hankel
-    coefficient") and 15 of the 17 with a complex block on a size-2
-    host ("inconsistent kernel filtration").  A single size-1 complex
-    block on a size-1 host and every type 4 host certified.  Budgets
+    type 3 or 4 host of size 1 or 2; the blocks family of
+    tools/bitwise_probe.py), 23 raise CertificationFailed at both
+    epsilon 1e-2 and 1e-3, all on a type 3 host and each with the last
+    retry's "no real-splitting coupling found at the comfortable gauge":
+    10 of the 13 with a size-2 complex block on a size-1 host and 13 of
+    the 15 with a complex block on a size-2 host.  Size-1 complex blocks
+    on a size-1 host and every type 4 host certified.  Budgets
     below about 1e-5 of the matrix scale are generally undecidable at
     RANK_TOL: the construction's regularizing entry scales as the
     squared budget and sinks below the oracle's rank floor.
@@ -275,15 +285,13 @@ def perturb_blocks(spec: BlockSpec, epsilon: float) -> PerturbedPair:
     a, b = A.a, B.a
 
     last_err = None
-    strategies = [("gauge", ("spread", 0)), ("gauge", ("chebyshev", 0)),
-                  ("gauge", ("random", 1)), ("gauge", ("random", 2)),
-                  ("gauge", ("random", 3)), ("gauge", ("random", 4)),
-                  ("pairsplit+", ("spread", 0)), ("pairsplit-", ("spread", 0))]
-    for strategy in strategies:
+    xi_variants = [("spread", 0), ("chebyshev", 0), ("random", 1), ("random", 2),
+                   ("random", 3), ("random", 4)]
+    for xi_variant in xi_variants:
         eps_try = epsilon
         for _ in range(4):
             try:
-                At, Bt = _perturb_blocks_attempt(spec, a, b, eps_try, strategy)
+                At, Bt = _perturb_blocks_attempt(spec, a, b, eps_try, xi_variant)
                 return _certified_pair(a, b, At, Bt, epsilon)
             except errors.SdckitError as exc:
                 last_err = exc
@@ -293,8 +301,7 @@ def perturb_blocks(spec: BlockSpec, epsilon: float) -> PerturbedPair:
     )
 
 
-def _perturb_blocks_attempt(spec, a, b, eps, strategy):
-    strategy, xi_variant = strategy
+def _perturb_blocks_attempt(spec, a, b, eps, xi_variant):
     n = spec.n
     dA = np.zeros((n, n))
     dB = np.zeros((n, n))
@@ -372,33 +379,7 @@ def _perturb_blocks_attempt(spec, a, b, eps, strategy):
     bi = host[1]
     t = off[bi] + (0 if host[0] == "t4" else spec.blocks[bi].size)
 
-    if strategy == "gauge":
-        return _border_with_gauge(spec, a, b, dA, dB, idx, t, g, z, host, off, eps)
-
-    # moderate-budget fallback: border at the working scale and split the
-    # leftover defective chains of the bordered pair in place
-    sign = 1.0 if strategy.endswith("+") else -1.0
-    gnorm = max(float(np.linalg.norm(g)), 1e-12)
-    eps_b = min(budget, (budget / (2.0 * gnorm)) ** 2,
-                budget / max(abs(z), 1.0))
-    _border_at(dA, dB, idx, t, g, z, eps_b)
-    At = a + dA
-    Bt = 0.5 * ((b + dB) + (b + dB).T)
-    if host[0] == "t3":
-        du = _unit_splitting(At, Bt)
-        amp = float(np.linalg.norm(du, 2))
-        if amp > 0:
-            Bt = Bt + sign * min(1.0, budget / amp) * du
-    return At, Bt
-
-
-def _border_at(dA, dB, idx, t, g, z, s):
-    """Add the order-1 border (g, z) at scale s through the host
-    coordinate t to the coordinates idx, in place."""
-    dA[t, t] += s
-    dB[idx, t] += np.sqrt(s) * g
-    dB[t, idx] += np.sqrt(s) * g
-    dB[t, t] += s * z
+    return _border_with_gauge(spec, a, b, dA, dB, idx, t, g, z, host, off, eps)
 
 
 # fixed comfortable border scale for the gauge construction
@@ -420,7 +401,10 @@ def _border_with_gauge(spec, a, b, dA, dB, idx, t, g, z, host, off, eps):
     bi = host[1]
     nm = spec.blocks[bi].size
     EB = GAUGE_SCALE
-    _border_at(dA, dB, idx, t, g, z, EB)
+    dA[t, t] += EB
+    dB[idx, t] += np.sqrt(EB) * g
+    dB[t, idx] += np.sqrt(EB) * g
+    dB[t, t] += EB * z
 
     if host[0] == "t3":
         # split the leftover defective chains with a coupling into the

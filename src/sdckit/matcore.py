@@ -102,15 +102,15 @@ def form_family(mats) -> list[np.ndarray]:
 class SymMat:
     """Dense real symmetric matrix with enforced symmetry.
 
-    The stored form is exactly (M + M^T)/2 of an M that passes
-    form_family.
+    The stored form is exactly M/2 + M^T/2 of an M that passes
+    form_family, which no finite entry overflows.
     """
 
     __slots__ = ("a", "n")
 
     def __init__(self, m):
         (m,) = form_family([m])
-        a = 0.5 * (m + m.T)
+        a = 0.5 * m + 0.5 * m.T
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "n", a.shape[0])

@@ -155,7 +155,7 @@ def pivot(mats, seed: int = 0) -> Pivot:
             best_rank, best_c, best_S = int(ranks[k]), rows[k], stack[k]
         if stop < len(rows) and best_rank < n:
             raise errors.NonFiniteEntry("matrix has a non-finite entry")
-    S = 0.5 * (best_S + best_S.T)
+    S = 0.5 * best_S + 0.5 * best_S.T
     S.flags.writeable = False
     return Pivot(best_c, S, numeric_rank(S), int(np.argmax(np.abs(best_c))))
 
@@ -392,10 +392,11 @@ def sdc_check(family, seed: int = 0) -> SdcResult:
     return _sdc_check(form_family(family), seed)
 
 
-def _sdc_check(mats, seed: int, known: Pivot | None = None) -> SdcResult:
-    """sdc_check of checked forms, given their pivot if known.  The
-    equilibrated family D A_i D recurses here past the gate (row scaling can
-    lift an accepted asymmetry above SYM_TOL) and searches its own span."""
+def _sdc_check(mats, seed: int, known: Pivot | None = None, reduced=None) -> SdcResult:
+    """sdc_check of checked forms, given their pivot and its
+    _range_reduction if known.  The equilibrated family D A_i D recurses
+    here past the gate (row scaling can lift an accepted asymmetry above
+    SYM_TOL) and searches and reduces its own span."""
     n = mats[0].shape[0]
     if n == 0:
         return SdcResult("SDC", congruence=None, diagonals=tuple())
@@ -430,7 +431,7 @@ def _sdc_check(mats, seed: int, known: Pivot | None = None) -> SdcResult:
         )
 
     # singular family: verify range inclusion, restrict, recurse
-    U, violation, restricted = _range_reduction(mats, S, rank)
+    U, violation, restricted = reduced or _range_reduction(mats, S, rank)
     if violation is not None:
         i, resid = violation
         return SdcResult("NotSDC", witness=Witness("range-violation", i, value=resid))

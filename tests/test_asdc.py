@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_congruence
-from sdckit import errors, sdc
+from sdckit import asdc, errors, sdc
 from sdckit._chains import nilpotent_jordan_chains
 from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_blocks, perturb_pair
 from sdckit.canonical import Block, BlockSpec, assemble_blocks
@@ -36,6 +36,21 @@ def count_searches(monkeypatch, family):
         if name.startswith("sdckit") and getattr(module, "pivot", None) is search:
             monkeypatch.setattr(module, "pivot", counted)
     return searches
+
+
+def count_calls(monkeypatch, name, modules):
+    """The list that records each call of the function `name`, patched in
+    every module given (each imports the same function)."""
+    calls = []
+    function = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestPairCheck:
@@ -194,6 +209,27 @@ class TestPerturbPair:
             assert len(searches) == 1
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("singular", [True, False], ids=["singular", "nonsingular"])
+    def test_verdict_work_is_reused(self, singular, monkeypatch):
+        # the verdict's range reduction and its real-Jordan form from the
+        # ambiguous realness band are reused, not recomputed: the pair of
+        # test_scrambled_singular_jordan_pair reduces once for the verdict
+        # and once in the perturbed pair's oracle, and a scrambled
+        # nonsingular Jordan pair (built as the benchmark's jordan-pair
+        # items are) canonicalizes once
+        if singular:
+            Q = random_congruence(np.random.default_rng(5), 3, 5.0)
+            A, B = Q.T @ padded(F2) @ Q, Q.T @ padded(JORDAN_B) @ Q
+        else:
+            Q = random_congruence(np.random.default_rng(3), 3, 10.0)
+            A, B = Q.T @ f_mat(3) @ Q, Q.T @ (0.7 * f_mat(3) + g_mat(3)) @ Q
+        A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
+        reductions = count_calls(monkeypatch, "_range_reduction", [sdc, asdc])
+        canonicalizations = count_calls(monkeypatch, "canonicalize_real_pencil", [asdc])
+        assert perturb_pair(A, B, 1e-3).distance <= 1e-3
+        assert len(reductions) == (2 if singular else 0)
+        assert len(canonicalizations) == 1
+
 
 class TestPerturbBlocks:
     def test_type4_unchanged(self):
@@ -335,11 +371,12 @@ class TestBlockGaugeEnvelope:
 
     def test_size2_block_on_size1_host_fails_by_name(self):
         # one of the measured failures (see the docstring): every retry
-        # fails, the last on a degenerate leading Hankel coefficient
+        # fails, the last finding no coupling that splits the spectrum
         lam = -0.0740182566558742 + 1.6840661182768746j
         spec = BlockSpec((Block(2, 2, lam=lam), Block(3, 1)))
         with pytest.raises(
-            errors.CertificationFailed, match="degenerate leading Hankel coefficient"
+            errors.CertificationFailed,
+            match="no real-splitting coupling found at the comfortable gauge",
         ):
             perturb_blocks(spec, 1e-3)
 

@@ -66,6 +66,12 @@ def test_symmat_symmetrizes_and_rejects():
         s.a = np.eye(2)
 
 
+def test_symmat_keeps_huge_finite_entries():
+    # halving before the sum: (M + M^T)/2 overflowed above about 8.99e307
+    s = SymMat(np.diag([1e308, 1.0]))
+    assert np.array_equal(s.a, np.diag([1e308, 1.0]))
+
+
 def test_symmat_tolerance_is_relative():
     big = 1e6 * np.eye(3)
     big[0, 1] = 1e-7

@@ -33,6 +33,14 @@ def test_max_rank_trivial():
     assert np.linalg.matrix_rank(S.a) == 0
 
 
+def test_max_rank_huge_finite_member():
+    # a finite full-rank first member wins the search; symmetrizing its
+    # sum with the transpose used to overflow to inf
+    c, S = find_max_rank_element([np.diag([1e308, 1e308])])
+    assert np.array_equal(c, [1.0])
+    assert np.array_equal(S.a, np.diag([1e308, 1e308]))
+
+
 def test_max_rank_empty_family():
     with pytest.raises(errors.EmptyFamily):
         find_max_rank_element([])
@@ -47,19 +55,26 @@ def test_max_rank_deterministic():
 
 def test_equilibrated_family_ignores_a_known_pivot(rng):
     # row scales from 1e3 to 1e-3 trigger the joint equilibration; its
-    # recursion searches the scaled family, since a pivot handed in
-    # belongs to the unscaled one
-    Q = random_congruence(rng, 4, 10.0)
+    # recursion searches and reduces the scaled family, since a pivot and
+    # its range reduction handed in belong to the unscaled one (whose
+    # smallest scale sits below the rank floor); the second family shares
+    # a null vector, so the scaled family is singular and reduced too
     D = np.diag(np.logspace(3, -3, 4))
-    fam = [D @ Q.T @ np.diag(rng.standard_normal(4)) @ Q @ D for _ in range(2)]
-    fam = [0.5 * (M + M.T) for M in fam]
-    rowmax = np.max([np.max(np.abs(M), axis=1) for M in fam], axis=0)
-    assert rowmax.max() / rowmax.min() > 1e4  # the equilibration runs
-    searched = sdc_module._sdc_check(fam, 0)
-    handed = sdc_module._sdc_check(fam, 0, sdc_module.pivot(fam, 0))
-    assert searched.is_sdc and handed.is_sdc
-    assert np.array_equal(searched.congruence.P, handed.congruence.P)
-    assert all(map(np.array_equal, searched.diagonals, handed.diagonals))
+    for keep in ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]):
+        Q = random_congruence(rng, 4, 10.0)
+        fam = [D @ Q.T @ np.diag(keep * rng.standard_normal(4)) @ Q @ D for _ in range(2)]
+        fam = [0.5 * (M + M.T) for M in fam]
+        rowmax = np.max([np.max(np.abs(M), axis=1) for M in fam], axis=0)
+        assert rowmax.max() / rowmax.min() > 1e4  # the equilibration runs
+        p = sdc_module.pivot(fam, 0)
+        assert p.rank == 3
+        reduced = sdc_module._range_reduction(fam, p.S, p.rank)
+        searched = sdc_module._sdc_check(fam, 0)
+        for handed in (sdc_module._sdc_check(fam, 0, p),
+                       sdc_module._sdc_check(fam, 0, p, reduced)):
+            assert searched.is_sdc and handed.is_sdc
+            assert np.array_equal(searched.congruence.P, handed.congruence.P)
+            assert all(map(np.array_equal, searched.diagonals, handed.diagonals))
 
 
 def test_span_candidates_order():

@@ -178,7 +178,8 @@ def _families(smoke: bool):
         blocks.append(Block(int(rng.choice([3, 4])), int(rng.integers(1, 3))))
         return asdc.perturb_blocks(BlockSpec(tuple(blocks)), eps)
 
-    for seed in range(2 if smoke else 100):
+    # seed 2 fails at every retry, so the smoke run also digests an error
+    for seed in range(3 if smoke else 100):
         for eps in (1e-2, 1e-3):
             yield f"blocks/{seed}/{eps}", functools.partial(block_spec, seed, eps)
 
