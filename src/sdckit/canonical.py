@@ -97,8 +97,6 @@ class PencilForm:
         a_blocks += [f_mat(2) for _ in self.complex_blocks]
         b_blocks = [np.array([[s * mu]]) for s, mu in self.real_blocks]
         b_blocks += [tmat(lam) for lam in self.complex_blocks]
-        if not a_blocks:
-            return np.zeros((0, 0)), np.zeros((0, 0))
         return direct_sum(*a_blocks), direct_sum(*b_blocks)
 
 
@@ -319,8 +317,6 @@ def _block_matrices(block: Block) -> tuple[np.ndarray, np.ndarray]:
 
 def assemble_blocks(spec: BlockSpec) -> tuple[SymMat, SymMat]:
     """Exact dense matrices of a canonical block descriptor."""
-    if not spec.blocks:
-        return SymMat.zeros(0), SymMat.zeros(0)
     pairs = [_block_matrices(b) for b in spec.blocks]
     S = direct_sum(*(p[0] for p in pairs))
     T = direct_sum(*(p[1] for p in pairs))

@@ -118,10 +118,6 @@ class SymMat:
     def __setattr__(self, *_):
         raise AttributeError("SymMat is immutable")
 
-    @classmethod
-    def zeros(cls, n: int) -> "SymMat":
-        return cls(np.zeros((n, n)))
-
     def __repr__(self):
         return f"SymMat(n={self.n})"
 

@@ -15,6 +15,7 @@ are also public as `triple_case2` and `triple_case4`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,11 @@ from ._chains import (
     splitting_perturbation,
 )
 from ._pencil import noncommuting_pair
-from .asdc import _spectrum_is_real, _unit_splitting
+from .asdc import _check_budget, _first_certified, _spectrum_is_real, _unit_splitting
 from .matcore import SymMat, _distance, direct_sum, f_mat, form_family, g_mat, jordan_pair
-from .sdc import sdc_check
+# not called here: the benchmark's tracing hooks look sdc_check up on
+# this module by name
+from .sdc import sdc_check  # noqa: F401
 from .toeplitz import ToeplitzPartition, is_block_toeplitz, pi_map, toeplitz_coefficients
 
 __all__ = [
@@ -151,8 +154,7 @@ def perturb_triple_blocks(spec: JordanTripleSpec, C, epsilon: float) -> Perturbe
     recursion goes on.  Every step preserves commutation and real
     spectra; the assembled triple is certified before return.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _check_budget(epsilon)
     A, B = jordan_pair(spec.blocks)
     (c,) = form_family([C])
     if c.shape != A.shape:
@@ -160,29 +162,15 @@ def perturb_triple_blocks(spec: JordanTripleSpec, C, epsilon: float) -> Perturbe
     c = 0.5 * (c + c.T)
     _validate_structured_triple(A, B, c)
 
-    last = None
-    eps_try = epsilon
-    for _ in range(3):
-        steps: list[str] = []
-        try:
-            Bt, Ct = _recurse(A, B, c, eps_try, steps, depth=0)
-            dist = _distance((Bt, Ct), (B, c))
-            if dist > epsilon * (1 + 1e-9):
-                raise errors.CertificationFailed(
-                    f"distance {dist:.3e} exceeds {epsilon:.3e}"
-                )
-            res = sdc_check([A, Bt, Ct])
-            if not res.is_sdc:
-                raise errors.CertificationFailed(
-                    f"perturbed triple failed the SDC oracle: {res.witness}"
-                )
-            return PerturbedTriple(
-                SymMat(A), SymMat(Bt), SymMat(Ct), epsilon, dist, tuple(steps)
-            )
-        except errors.SdckitError as exc:
-            last = exc
-            eps_try /= 2.0
-    raise errors.CertificationFailed(f"triple perturbation failed: {last}")
+    steps: list[str] = []
+
+    def attempt(eps):
+        steps.clear()
+        return (A, *_recurse(A, B, c, eps, steps, depth=0))
+
+    attempts = (functools.partial(attempt, eps) for eps in (epsilon, epsilon / 2.0))
+    (_, Bt, Ct), dist = _first_certified(attempts, (A, B, c), epsilon, "triple")
+    return PerturbedTriple(SymMat(A), SymMat(Bt), SymMat(Ct), epsilon, dist, tuple(steps))
 
 
 def _split_by(A, B, C, M, w, clusters, eps, steps, depth):

@@ -369,16 +369,33 @@ class TestBlockGaugeEnvelope:
                     pass
         assert ok >= 0.7 * tot
 
-    def test_size2_block_on_size1_host_fails_by_name(self):
+    def test_size2_block_on_size1_host_fails_by_name(self, monkeypatch):
         # one of the measured failures (see the docstring): every retry
-        # fails, the last finding no coupling that splits the spectrum
+        # fails, the last finding no coupling that splits the spectrum;
+        # six xi variants at three budgets make 18 attempts
         lam = -0.0740182566558742 + 1.6840661182768746j
         spec = BlockSpec((Block(2, 2, lam=lam), Block(3, 1)))
+        attempts = count_calls(monkeypatch, "_perturb_blocks_attempt", [asdc])
         with pytest.raises(
             errors.CertificationFailed,
             match="no real-splitting coupling found at the comfortable gauge",
         ):
             perturb_blocks(spec, 1e-3)
+        assert [args[3] for args in attempts] == [1e-3, 1e-3 / 8, 1e-3 / 64] * 6
+
+    def test_only_a_random_xi_variant_certifies(self, monkeypatch):
+        # a held-out descriptor that only the ("random", 3) border at
+        # epsilon/8 certifies: cutting that variant would lose it
+        spec = BlockSpec((
+            Block(2, 2, lam=0.3239495655931494 + 1.9327930469806347j),
+            Block(2, 2, lam=-1.0992171116588423 + 1.7593226690458381j),
+            Block(4, 2),
+        ))
+        attempts = count_calls(monkeypatch, "_perturb_blocks_attempt", [asdc])
+        pp = perturb_blocks(spec, 1e-3)
+        assert pp.distance <= 1e-3
+        assert sdc_check([pp.A_tilde.a, pp.B_tilde.a]).is_sdc
+        assert attempts[-1][3:] == (1e-3 / 8, ("random", 3))
 
     def test_two_complex_pairs_size1_host(self):
         spec = BlockSpec(

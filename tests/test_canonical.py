@@ -165,6 +165,9 @@ def test_assemble_blocks_type4_and_mixed():
     S, T = assemble_blocks(spec)
     assert np.array_equal(S.a, np.diag([1.0, 0.0]))
     assert np.array_equal(T.a, np.diag([2.0, 0.0]))
+    S, T = assemble_blocks(BlockSpec(()))  # the empty direct sum
+    assert S.a.shape == T.a.shape == (0, 0)
+    assert not S.a.flags.writeable and not T.a.flags.writeable
 
 
 def test_singular_specs_have_singular_pencils(rng):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from sdckit import errors
-from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_pair
-from sdckit.canonical import pencil_canonical
+from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_blocks, perturb_pair
+from sdckit.canonical import Block, BlockSpec, pencil_canonical
 from sdckit.matcore import (
     SymMat,
     cond_number,
@@ -90,6 +90,23 @@ CASES = [
 def test_every_entry_point_rejects_bad_input_by_name(call, fam, error):
     with pytest.raises(error):
         call(fam)
+
+
+# each perturbation entry point on a valid input; an infinite budget
+# would fill perturb_blocks' pair with NaN before any certificate
+PERTURBATIONS = [
+    ("perturb_pair", lambda eps: perturb_pair(f_mat(2), np.diag([1.0, 2.0]), eps)),
+    ("perturb_blocks",
+     lambda eps: perturb_blocks(BlockSpec((Block(1, 1, lam=0.5), Block(4, 1))), eps)),
+    ("perturb_triple_blocks", lambda eps: perturb_triple_blocks(SPEC, np.zeros((3, 3)), eps)),
+]
+
+
+@pytest.mark.parametrize("eps", [0.0, np.nan, np.inf, -np.inf], ids=str)
+@pytest.mark.parametrize("call", [c for _, c in PERTURBATIONS], ids=[n for n, _ in PERTURBATIONS])
+def test_perturbations_reject_a_budget_that_is_not_positive_and_finite(call, eps):
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+        call(eps)
 
 
 def test_gate_returns_the_members_unchanged():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_commutant_symmetric
-from sdckit import errors
+from sdckit import errors, triples
 from sdckit.matcore import commutator, f_mat, g_mat, jordan_pair
 from sdckit.sdc import sdc_check
 from sdckit.triples import (
@@ -155,7 +155,14 @@ class TestRecursionPaths:
     """Seeded draws of the nilpotent sweep (draw d of sizes: rng =
     default_rng([n, d, *sizes])) that reach the recursion's rarer steps:
     the minimal-size shift (case 2), the block split (case 1), the k x k
-    lift (case 3) and the pair split of B."""
+    lift (case 3) and the pair split of B, or that no retry certifies."""
+
+    @staticmethod
+    def draw(sizes, d):
+        rng = np.random.default_rng([sum(sizes), d, *sizes])
+        sigmas = rng.choice([-1, 1], len(sizes))
+        C = random_commutant_symmetric(sizes, sigmas, rng)
+        return nilpotent_spec(sizes, sigmas), C
 
     @pytest.mark.parametrize(
         "sizes,d,eps,steps",
@@ -167,10 +174,26 @@ class TestRecursionPaths:
         ],
     )
     def test_steps_certify(self, sizes, d, eps, steps):
-        rng = np.random.default_rng([sum(sizes), d, *sizes])
-        sigmas = rng.choice([-1, 1], len(sizes))
-        C = random_commutant_symmetric(sizes, sigmas, rng)
-        pt = perturb_triple_blocks(nilpotent_spec(sizes, sigmas), C, eps)
+        pt = perturb_triple_blocks(*self.draw(sizes, d), eps)
         assert pt.steps == steps
         assert pt.distance <= eps
         assert sdc_check([pt.A_tilde.a, pt.B_tilde.a, pt.C_tilde.a]).is_sdc
+
+    def test_failure_after_two_attempts(self, monkeypatch):
+        # the recursion runs at epsilon and at epsilon/2, and the SDC
+        # oracle refuses both results
+        budgets = []
+        recurse = triples._recurse
+
+        def counted(A, B, C, eps, steps, depth, **kwargs):
+            if depth == 0:
+                budgets.append(eps)
+            return recurse(A, B, C, eps, steps, depth, **kwargs)
+
+        monkeypatch.setattr(triples, "_recurse", counted)
+        with pytest.raises(
+            errors.CertificationFailed,
+            match="^triple perturbation failed at every retry: perturbed triple failed the SDC oracle",
+        ):
+            perturb_triple_blocks(*self.draw((2, 2, 1), 0), 0.01)
+        assert budgets == [0.01, 0.005]
