@@ -39,8 +39,6 @@ DEFECT_CAP = 2e-3
 
 def _null_basis(M: np.ndarray, cutoff: float) -> np.ndarray:
     u, s, vt = np.linalg.svd(M)
-    if s.size == 0:
-        return np.eye(M.shape[1])
     rank = int(np.sum(s > cutoff))
     return vt[rank:].T
 
@@ -139,8 +137,6 @@ def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray):
     certified residual.
     """
     n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), []
     M = np.linalg.solve(A, B)
     chains = nilpotent_jordan_chains(M)
 
@@ -219,10 +215,8 @@ def canonicalize_nilpotent_pair(A: np.ndarray, B: np.ndarray):
     for sigma, chain in finalized:
         cols.extend(chain)
         blocks.append((sigma, len(chain)))
-    if len(cols) != n:
-        raise errors.StructureMismatch(
-            f"chain extraction produced {len(cols)} vectors for order {n}"
-        )
+    # n columns: the chains of each height p number dims[p] - dims[p-1]
+    # less those of height p + 1, which telescopes to dims[d] = n vectors
     W = np.column_stack(cols)
     certify_residuals(W.T, W, (A, B), jordan_pair([(s, z, 0.0) for s, z in blocks]),
                       1e-7, np.linalg.cond(W), "chain canonicalization")
@@ -324,11 +318,9 @@ def canonicalize_real_pencil(A: np.ndarray, B: np.ndarray,
         Wc, blks = canonicalize_nilpotent_pair(0.5 * (Ac + Ac.T), 0.5 * (Bc + Bc.T))
         cols.append(U @ Wc)
         blocks.extend((sig, size, theta) for sig, size in blks)
+    # square: the clusters partition the spectrum and each U has
+    # len(idx) columns (cluster_subspaces)
     W = np.hstack(cols)
-    if W.shape[0] != W.shape[1]:
-        raise errors.StructureMismatch(
-            f"cluster canonicalizations cover {W.shape[1]} of {W.shape[0]} dimensions"
-        )
     certify_residuals(W.T, W, (A, B), jordan_pair(blocks), 1e-7, np.linalg.cond(W),
                       "real-pencil canonicalization")
     return W, blocks

@@ -68,8 +68,6 @@ def noncommuting_pair(mats, factor: float = 1.0, norms=None):
 
 def spectral_scale(w: np.ndarray) -> float:
     """max(1, largest |eigenvalue|) -- the scale for realness thresholds."""
-    if w.size == 0:
-        return 1.0
     return max(1.0, float(np.max(np.abs(w))))
 
 
@@ -78,8 +76,6 @@ def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
 
     Returns index arrays into the original (unsorted) input.
     """
-    if values.size == 0:
-        return []
     order = np.argsort(values)
     groups = [[order[0]]]
     for idx in order[1:]:

@@ -357,16 +357,13 @@ def _perturb_blocks_attempt(spec, a, b, eps, xi_variant):
     # type 3 blocks not hosting the border: center + shifted anti-diagonal
     host = None
     if type2:
+        # perturb_blocks refused a spec with neither type 3 nor type 4 block
         if type4:
             host = ("t4", type4[0])
             border_blocks = type3
-        elif type3:
+        else:
             host = ("t3", type3[0])
             border_blocks = type3[1:]
-        else:
-            raise errors.NotSingularSpec(
-                "complex blocks need a type 3 or type 4 block to borrow"
-            )
     else:
         border_blocks = type3
     for i in border_blocks:

@@ -228,7 +228,7 @@ def pencil_canonical(A, B) -> PencilForm:
     raises ClassificationAmbiguous rather than guessing.
     """
     a, b = form_family([A, B])
-    if len(a) == 0 or numeric_rank(a) < len(a):
+    if numeric_rank(a) < len(a):
         raise errors.SingularA("leading matrix is not certified invertible")
     M = np.linalg.solve(a, b)
     w, V = np.linalg.eig(M)
@@ -278,7 +278,7 @@ def pencil_canonical(A, B) -> PencilForm:
         cols.append(_normalize_complex_pair(a, anorm, V[:, i]))
         complex_blocks.append(lam)
 
-    P = np.hstack(cols) if cols else np.zeros((0, 0))
+    P = np.hstack(cols)
     form = PencilForm(
         P=Congruence(P),
         real_blocks=tuple(real_blocks),

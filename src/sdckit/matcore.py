@@ -69,11 +69,13 @@ def _family(mats, symmetric: bool) -> list[np.ndarray]:
     if not arrays:
         raise errors.EmptyFamily("need at least one matrix")
     n = arrays[0].shape[0]
+    if n == 0:
+        raise errors.OrderMismatch("members have order 0")
     for i, a in enumerate(arrays):
         if a.shape[0] != n:
             raise errors.OrderMismatch(f"member {i} has order {a.shape[0]} != {n}")
         # max propagates a NaN, and an inf makes it inf
-        amax = float(np.abs(a).max()) if a.size else 0.0
+        amax = float(np.abs(a).max())
         if not math.isfinite(amax):
             raise errors.NonFiniteEntry(f"member {i} has a non-finite entry")
         if symmetric and not (a == a.T).all():
@@ -87,9 +89,9 @@ def _family(mats, symmetric: bool) -> list[np.ndarray]:
 
 
 def square_family(mats) -> list[np.ndarray]:
-    """The input gate for a family of general matrices: at least one
-    member, each a finite square float array, all of one order.  Returns
-    the members as asmat gives them, neither copied nor symmetrized."""
+    """The input gate for a family of general matrices: at least one member,
+    each a finite square float array, all of one order n >= 1.  Returns the
+    members as asmat gives them, neither copied nor symmetrized."""
     return _family(mats, symmetric=False)
 
 
@@ -117,17 +119,6 @@ class SymMat:
 
     def __setattr__(self, *_):
         raise AttributeError("SymMat is immutable")
-
-    def __repr__(self):
-        return f"SymMat(n={self.n})"
-
-    def __eq__(self, other):
-        if not isinstance(other, SymMat):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.a, other.a)
-
-    def __hash__(self):
-        return hash((self.n, self.a.tobytes()))
 
 
 class Congruence:
@@ -168,9 +159,6 @@ class Congruence:
         if self._Pinv is None:
             object.__setattr__(self, "_Pinv", np.linalg.inv(self.P))
         return self._Pinv
-
-    def __repr__(self):
-        return f"Congruence(n={self.n}, kappa={self.kappa:.3e})"
 
 
 def f_mat(n: int) -> np.ndarray:

@@ -296,8 +296,6 @@ def _range_reduction(mats, S: np.ndarray, rank: int):
     Ur = U[:, :rank]
     for i, A in enumerate(mats):
         scale = np.linalg.norm(A, 2)
-        if scale == 0.0:
-            continue
         resid = np.linalg.norm(A - Ur @ (Ur.T @ A), 2)
         if resid > 100 * RANK_TOL * scale:
             return U, (i, resid), None
@@ -398,8 +396,6 @@ def _sdc_check(mats, seed: int, known: Pivot | None = None, reduced=None) -> Sdc
     here past the gate (row scaling can lift an accepted asymmetry above
     SYM_TOL) and searches and reduces its own span."""
     n = mats[0].shape[0]
-    if n == 0:
-        return SdcResult("SDC", congruence=None, diagonals=tuple())
 
     # joint row equilibration: the verdict is congruence-invariant and
     # wildly different coordinate scales (border constructions) would

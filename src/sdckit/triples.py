@@ -58,10 +58,6 @@ class JordanTripleSpec:
                 raise ValueError("blocks are (sigma in {-1,1}, size >= 1, theta)")
 
     @property
-    def n(self) -> int:
-        return sum(size for _, size, _ in self.blocks)
-
-    @property
     def sizes(self) -> tuple:
         return tuple(size for _, size, _ in self.blocks)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_congruence
-from sdckit import asdc, errors, sdc
+from sdckit import _chains, asdc, errors, sdc
 from sdckit._chains import nilpotent_jordan_chains
 from sdckit.asdc import asdc_pair_check, asdc_triple_check, perturb_blocks, perturb_pair
-from sdckit.canonical import Block, BlockSpec, assemble_blocks
+from sdckit.canonical import Block, BlockSpec, assemble_blocks, tmat
 from sdckit.matcore import direct_sum, f_mat, g_mat
 from sdckit.obstruct import not_asdc_certificate
 from sdckit.sdc import sdc_check
@@ -58,8 +58,11 @@ class TestPairCheck:
         v = asdc_pair_check(F2, JORDAN_B)
         assert v.status == "ASDC_not_SDC"
 
-    def test_complex_pair_is_not_asdc(self):
-        v = asdc_pair_check(F2, INDEF_B)
+    # T(1 + 1.5e-3i) puts |Im| inside (EIG_REAL_TOL, DEFECT_CAP) of the
+    # spectral scale, so the failed canonicalization decides
+    @pytest.mark.parametrize("B", [INDEF_B, tmat(1 + 1.5e-3j)], ids=["clear", "band"])
+    def test_complex_pair_is_not_asdc(self, B):
+        v = asdc_pair_check(F2, B)
         assert v.status == "NotASDC" and v.reason == "nonreal-eigenvalue"
 
     def test_singular_padding_turns_asdc(self):
@@ -117,6 +120,12 @@ class TestPerturbPair:
     def test_not_asdc_raises(self):
         with pytest.raises(errors.NotAsdc):
             perturb_pair(F2, INDEF_B, 1e-2)
+
+    def test_certificate_refuses_a_pair_beyond_the_budget(self):
+        moved = (np.eye(2) + 0.02 * F2, INDEF_B)
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^achieved distance 2\.000e-02 exceeds budget 1\.000e-02$"):
+            asdc._certified(moved, (np.eye(2), INDEF_B), 1e-2, "pair")
 
     def test_singular_bordered_construction(self):
         # the padded complex pair goes through the bordered construction
@@ -278,6 +287,12 @@ class TestPerturbBlocks:
     def test_nonsingular_spec_rejected(self):
         with pytest.raises(errors.NotSingularSpec):
             perturb_blocks(BlockSpec((Block(1, 2, sigma=1, lam=1.0),)), 1e-2)
+        # complex blocks with no type 3 or type 4 block to borrow from
+        with pytest.raises(errors.NotSingularSpec):
+            perturb_blocks(BlockSpec((Block(2, 1, lam=1j),)), 1e-2)
+        # the empty descriptor too, before the input gate sees its order 0
+        with pytest.raises(errors.NotSingularSpec):
+            perturb_blocks(BlockSpec(()), 1e-2)
 
     def test_epsilon_sweep(self):
         spec = BlockSpec((Block(2, 1, lam=0.5 + 1.5j), Block(4, 1)))
@@ -342,6 +357,19 @@ class TestStructureBoundaries:
         M = np.diag([100.0, 1.0, 1e-3, 1e-3], 1)
         with pytest.raises(errors.StructureMismatch, match="kernel filtration"):
             nilpotent_jordan_chains(M)
+
+    def test_cluster_subspace_size_is_certified(self, monkeypatch):
+        # a Schur reordering that keeps too few of a Jordan cluster's
+        # eigenvalues is refused before any chain is built
+        subspace = _chains.invariant_subspace
+        monkeypatch.setattr(_chains, "invariant_subspace",
+                            lambda form, center, radius: subspace(form, center, radius)[:, :1])
+        with pytest.raises(errors.StructureMismatch, match="subspace dimension 1 != 2$"):
+            perturb_pair(F2, JORDAN_B, 1e-2)
+
+    def test_non_nilpotent_matrix_raises(self):
+        with pytest.raises(errors.StructureMismatch, match="^matrix is not numerically nilpotent$"):
+            nilpotent_jordan_chains(np.diag([0.0, 1.0]))
 
 
 class TestBlockGaugeEnvelope:

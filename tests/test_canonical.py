@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_congruence
-from sdckit import errors
+from sdckit import canonical, errors
 from sdckit.canonical import (
     Block,
     BlockSpec,
@@ -165,9 +165,9 @@ def test_assemble_blocks_type4_and_mixed():
     S, T = assemble_blocks(spec)
     assert np.array_equal(S.a, np.diag([1.0, 0.0]))
     assert np.array_equal(T.a, np.diag([2.0, 0.0]))
-    S, T = assemble_blocks(BlockSpec(()))  # the empty direct sum
-    assert S.a.shape == T.a.shape == (0, 0)
-    assert not S.a.flags.writeable and not T.a.flags.writeable
+    # the empty descriptor is a pair of order 0, which the input gate refuses
+    with pytest.raises(errors.OrderMismatch, match="^members have order 0$"):
+        assemble_blocks(BlockSpec(()))
 
 
 def test_singular_specs_have_singular_pencils(rng):
@@ -200,6 +200,31 @@ def test_blockspec_rejects_two_type4():
         BlockSpec((Block(4, 1), Block(4, 2)))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((5, 1), "block type must be 1..4, got 5"),
+    ((3, 0), "block size must be at least 1"),
+    ((1, 1, 2), "type 1 block needs sigma in {-1, +1}"),
+    ((2, 1, 1, 1.5), "type 2 block needs a non-real eigenvalue"),
+])
+def test_block_rejects_bad_descriptors(args, message):
+    with pytest.raises(ValueError) as info:
+        Block(*args)
+    assert str(info.value) == message
+
+
+# an F_2-isotropic real vector, and a complex vector whose real and
+# imaginary parts are orthonormal under A = I, have no normalization
+@pytest.mark.parametrize("normalize, A, v, message", [
+    (canonical._normalize_real_vector, f_mat(2), np.array([1.0, 0.0]),
+     "^degenerate A-norm of a real eigenvector$"),
+    (canonical._normalize_complex_pair, np.eye(2), np.array([1.0, 1j]),
+     "^degenerate local Gram of a complex pair$"),
+], ids=["real", "complex"])
+def test_normalization_refuses_a_degenerate_gram(normalize, A, v, message):
+    with pytest.raises(errors.CertificationFailed, match=message):
+        normalize(A, 1.0, v)
+
+
 def test_pencilform_invariants():
     with pytest.raises(errors.RepeatedEigenvalues):
         PencilForm(
@@ -208,3 +233,7 @@ def test_pencilform_invariants():
         )
     with pytest.raises(ValueError):
         PencilForm(P=Congruence(np.eye(2)), complex_blocks=(-1j,))
+    with pytest.raises(errors.RepeatedEigenvalues, match="^complex eigenvalues must be distinct$"):
+        PencilForm(P=Congruence(np.eye(4)), complex_blocks=(1j, 1j))
+    with pytest.raises(errors.OrderMismatch, match=r"^congruence order 2 != r \+ 2k = 3$"):
+        PencilForm(P=Congruence(np.eye(2)), real_blocks=((1, 0.5),), complex_blocks=(1j,))

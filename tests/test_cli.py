@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from sdckit.cli import run
+from sdckit.cli import main, run
 from sdckit.matcore import f_mat
 
 
@@ -141,12 +142,26 @@ def test_asymmetric_or_non_finite_matrices_exit_2(tmp_path, capsys):
             assert name in capsys.readouterr().err
 
 
-def test_malformed_input(tmp_path):
+def test_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["check-sdc", "-i", str(bad)]) == 1
     missing = tmp_path / "missing.json"
     assert run(["check-sdc", "-i", str(missing)]) == 1
+    neither = tmp_path / "neither.json"
+    neither.write_text('{"A1": [[1.0]]}')
+    capsys.readouterr()
+    assert run(["check-sdc", "-i", str(neither)]) == 1
+    assert capsys.readouterr().err == "ValueError: expected an instance file or a matrices file\n"
+
+
+def test_console_script_exits_with_the_code(monkeypatch, capsys):
+    for argv, code in ((["--help"], 0), (["check-sdc"], 1)):
+        monkeypatch.setattr(sys, "argv", ["sdckit", *argv])
+        with pytest.raises(SystemExit) as info:
+            main()
+        assert info.value.code == code
+    assert capsys.readouterr().out.startswith("usage: sdckit")
 
 
 def test_no_flag_loosens_the_certificates(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The one input gate: every public entry point that takes quadratic forms
 (or, for simdiag_commuting and algebra_dimension, general square
-matrices) checks them through matcore.form_family / square_family.
-numeric_rank and cond_number, which take one general matrix, scan it for
-a NaN or inf before their SVD instead."""
+matrices) checks them through matcore.form_family / square_family, which
+also refuses members of order 0.  numeric_rank and cond_number, which
+take one general matrix, scan it for a NaN or inf before their SVD
+instead, and give an empty matrix rank 0 and condition number 1."""
 
 import numpy as np
 import pytest
@@ -76,13 +77,19 @@ BAD = [
     ("empty", lambda k: [] if k is None else None, errors.EmptyFamily, True),
     ("mixed-orders", lambda k: GOOD[: (k or 2) - 1] + [np.eye(2)] if k != 1 else None,
      errors.OrderMismatch, True),
+    ("order-0", lambda k: [np.zeros((0, 0))] * (k or 2), errors.OrderMismatch, True),
 ]
+
+# the entry points that skip the gate, which take general and rectangular
+# matrices
+UNGATED = {"numeric_rank", "cond_number"}
 
 CASES = [
     pytest.param(call, fam, error, id=f"{name}-{bad}")
     for name, call, arity, forms in ENTRIES
     for bad, make, error, general in BAD
     if (forms or general) and (fam := make(arity)) is not None
+    and not (bad == "order-0" and name in UNGATED)
 ]
 
 
@@ -107,6 +114,15 @@ PERTURBATIONS = [
 def test_perturbations_reject_a_budget_that_is_not_positive_and_finite(call, eps):
     with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
         call(eps)
+
+
+def test_order_0_descriptor_symmat_and_ungated_calls():
+    empty = np.zeros((0, 0))
+    with pytest.raises(errors.OrderMismatch, match="^members have order 0$"):
+        perturb_triple_blocks(JordanTripleSpec(()), empty, 0.1)
+    with pytest.raises(errors.OrderMismatch, match="^members have order 0$"):
+        SymMat(empty)
+    assert numeric_rank(empty) == 0 and cond_number(empty) == 1.0
 
 
 def test_gate_returns_the_members_unchanged():

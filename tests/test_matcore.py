@@ -54,6 +54,9 @@ def test_special_matrix_rejects():
         special_matrix("F", 0)
     with pytest.raises(ValueError):
         special_matrix("X", 3)
+    for build in (f_mat, g_mat, h_mat):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            build(0)
 
 
 def test_symmat_symmetrizes_and_rejects():
@@ -64,6 +67,8 @@ def test_symmat_symmetrizes_and_rejects():
         SymMat(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(AttributeError):
         s.a = np.eye(2)
+    with pytest.raises(errors.OrderMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        SymMat(np.ones((2, 3)))
 
 
 def test_symmat_keeps_huge_finite_entries():
@@ -88,6 +93,8 @@ def test_congruence_certification():
     assert c.kappa >= 1.0
     with pytest.raises(errors.SingularCongruence):
         Congruence(np.diag([1.0, 0.0]))
+    with pytest.raises(AttributeError, match="^Congruence is immutable$"):
+        c.kappa = 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

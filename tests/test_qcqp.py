@@ -9,7 +9,7 @@ import scipy.optimize
 from dataclasses import replace
 
 from sdckit import errors, qcqp
-from sdckit.matcore import Congruence, numeric_rank
+from sdckit.matcore import Congruence, SymMat, numeric_rank
 from sdckit.qcqp import (
     BenchConfig,
     QcqpInstance,
@@ -181,6 +181,18 @@ class TestBox:
                            match=r"x_1 \(-\): LP not optimal: Time limit reached"):
             qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
 
+    @pytest.mark.parametrize("bindings", ["highspy", "linprog"])
+    def test_unbounded_polytope_is_named(self, monkeypatch, bindings):
+        # {x : x <= 1} has no lower bound; each path reports the solver's
+        # status for the first unbounded LP
+        if bindings == "linprog":
+            monkeypatch.setattr(qcqp, "_highspy", None)
+        elif qcqp._highspy is None:
+            pytest.skip("scipy without bundled HiGHS bindings has only the linprog path")
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^box bound of x_0 \(-\): LP not optimal: .*[Uu]nbounded"):
+            qcqp._polytope_box(np.eye(2))
+
     def test_certificate_residuals_within_bound(self):
         for n, k in self.GRID[:3]:
             L = generate_instance(n, k, 100, 0).L
@@ -284,6 +296,21 @@ class TestReformulations:
         data["P"][0] = [0.0] * len(data["P"][0])
         with pytest.raises(errors.SingularCongruence):
             Reformulation.from_json(json.dumps(data))
+
+    def test_unknown_method_rejected(self, inst):
+        with pytest.raises(ValueError, match="^unknown method 'rsdc3'$"):
+            reformulate(inst, "rsdc3")
+        data = json.loads(reformulate(inst, "eig").to_json())
+        data["method"] = "rsdc3"
+        with pytest.raises(ValueError, match="^unknown method 'rsdc3'$"):
+            Reformulation.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("method", ["rsdc1", "rsdc2"])
+    def test_rsdc_needs_an_invertible_objective(self, inst, method):
+        singular = replace(inst, A1=SymMat(np.diag([1.0] * (inst.n - 1) + [0.0])))
+        with pytest.raises(errors.MethodInapplicable,
+                           match="^leading matrix is not certified invertible$"):
+            reformulate(singular, method)
 
 
 class TestBlockVerification:
@@ -416,6 +443,10 @@ class TestHomogenize:
         with pytest.raises(errors.NoPdElement):
             homogenize_check([zero], [np.zeros(2)], [0.0])
 
+    def test_lists_must_align(self):
+        with pytest.raises(errors.OrderMismatch, match="^A, b, c lists must align$"):
+            homogenize_check([np.eye(2), np.eye(2)], [np.zeros(2)], [0.0, 0.0])
+
 
 class TestBench:
     def test_small_grid(self):
@@ -471,6 +502,15 @@ class TestBench:
         cfg = BenchConfig(n_values=(5,), k_values=(1,), seeds=1, methods=("sdc",), m=30)
         report = bench(cfg)
         assert report["rows"][0]["error"].startswith("MethodInapplicable")
+
+    def test_generation_failure_recorded_for_every_method(self, monkeypatch):
+        # one halfspace never bounds the polytope, so generation gives up
+        monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 25)
+        rows = bench(BenchConfig((2,), (0,), 1, ("sdc", "eig"), m=1))["rows"]
+        assert [r["method"] for r in rows] == ["sdc", "eig"]
+        for r in rows:
+            assert r["error"] == "no bounded polytope within 25 draws"
+            assert r["gen_ms"] is None and r["kappa"] is None
 
 
 def test_resample_limit_exceeded():

@@ -42,6 +42,19 @@ class TestChooseXi:
         form = form_with([0.0, 2.0], [])
         xi = choose_xi(form, 1, "chebyshev")
         assert xi[0] == pytest.approx(1.0)
+        # one spread point is the midpoint too, not linspace's left end
+        assert choose_xi(form, 1, "spread").tolist() == [1.0]
+
+    # 5,000 uniform draws on [-1, 1] always hold two within the minimum
+    # gap of 2e-6, so every one of the 1,000 retries fails
+    @pytest.mark.parametrize("count, strategy, error, message", [
+        (0, "spread", ValueError, "^count must be at least 1$"),
+        (3, "uniform", ValueError, "^unknown strategy 'uniform'$"),
+        (5000, "random", errors.CertificationFailed, "^could not draw distinct points$"),
+    ])
+    def test_rejects_bad_requests(self, count, strategy, error, message):
+        with pytest.raises(error, match=message):
+            choose_xi_points([0.0], [1j], count, strategy)
 
     def test_random_distinct(self):
         form = form_with([0.0], [1j])
@@ -266,6 +279,10 @@ class TestBorderSystem:
         with pytest.raises(ValueError, match="repeated"):
             solve_border_system2([1j, 2 + 1j], xi)
 
+    def test_point_count_checked(self):
+        with pytest.raises(errors.OrderMismatch, match=r"^need 3 points, got \(2,\)$"):
+            solve_border_system([1j], np.array([0.0, 1.0]))
+
     def test_real_lambda_rejected(self):
         with pytest.raises(errors.RealLambda):
             solve_border_system([complex(3.0, 0.0)], np.array([0.0, 1.0, 2.0]))
@@ -309,6 +326,18 @@ class TestRsdc1:
     def test_singular_a_rejected(self):
         with pytest.raises(errors.SingularA):
             rsdc1_construct(np.diag([1.0, 0.0]), np.eye(2))
+
+    # a border that places shifted points leaves a real but misplaced
+    # spectrum; no border at all leaves the pair's complex eigenvalues
+    @pytest.mark.parametrize("misplace, residual", [
+        (lambda border: lambda form, xi: border(form, xi + 0.5), "5.000e-01"),
+        (lambda border: lambda form, xi: (np.zeros(form.n), np.zeros(form.n), 0.0), "inf"),
+    ], ids=["shifted", "no-border"])
+    def test_placement_certificate_rejects(self, monkeypatch, misplace, residual):
+        monkeypatch.setattr(rsdc, "border", misplace(rsdc.border))
+        with pytest.raises(errors.CertificationFailed,
+                           match=f"^eigenvalue placement residual {residual} exceeds 1e-06$"):
+            rsdc1_construct(f_mat(2), np.diag([1.0, -1.0]), strategy="spread")
 
     def test_determinism(self, rng):
         A, B = planted_pair(rng, 6, 1)

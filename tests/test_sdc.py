@@ -14,6 +14,7 @@ from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
 from sdckit.canonical import tmat
 from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat, numeric_rank
 from sdckit.sdc import (
+    Witness,
     _joint_eigenvalue_groups,
     _scaled_group_columns,
     find_max_rank_element,
@@ -318,6 +319,8 @@ def test_sdc_check_pd():
 def test_sdc_check_pd_rejects_indefinite():
     with pytest.raises(errors.NotPositiveDefinite):
         sdc_check_pd([np.diag([1.0, -1.0])], [1.0])
+    with pytest.raises(errors.OrderMismatch, match="^one coefficient per family member required$"):
+        sdc_check_pd([np.eye(2), np.eye(2)], [1.0])
 
 
 def test_sdc_check_pd_matches_general(rng):
@@ -483,17 +486,40 @@ def test_simdiag_releases_its_members():
         gc.enable()
 
 
-def test_lost_cluster_is_not_diagonalizable(monkeypatch):
-    # a sorted Schur form that finds no eigenvalue of a cluster (its
-    # eigenvalues moved between eig and Schur) is a defective pencil
-    def nothing_inside(M, center, radius):
-        raise errors.StructureMismatch(f"no eigenvalues within {radius:.3e} of {center}")
+def _nothing_inside(form, center, radius):
+    raise errors.StructureMismatch(f"no eigenvalues within {radius:.3e} of {center}")
 
-    monkeypatch.setattr("sdckit.sdc.invariant_subspace", nothing_inside)
-    with pytest.raises(errors.NotDiagonalizable):
+
+def _one_column(form, center, radius):
+    return invariant_subspace(form, center, radius)[:, :1]
+
+
+# a sorted Schur form that finds none or too few of a cluster's
+# eigenvalues (they moved between eig and Schur) is a defective pencil
+@pytest.mark.parametrize("subspace, message", [
+    (_nothing_inside, "^member 0: no eigenvalue found near 1.0$"),
+    (_one_column, "^member 0 has a defective eigenvalue near 1.0$"),
+], ids=["none", "too-few"])
+def test_lost_cluster_is_not_diagonalizable(monkeypatch, subspace, message):
+    monkeypatch.setattr("sdckit.sdc.invariant_subspace", subspace)
+    with pytest.raises(errors.NotDiagonalizable, match=message):
         simdiag_commuting([np.diag([1.0, 1.0, 2.0])])
     res = sdc_check([np.eye(3), np.diag([1.0, 1.0, 2.0])])
     assert not res.is_sdc and res.witness.kind == "not-diagonalizable"
+
+
+def test_joint_failure_without_a_defective_member(monkeypatch):
+    # when only the joint basis fails, the witness names no member
+    joint = sdc_module._joint_eigenbasis
+
+    def single_only(mats, norms):
+        if len(mats) > 1:
+            raise errors.NotDiagonalizable("joint-diagonalization residual")
+        return joint(mats, norms)
+
+    monkeypatch.setattr(sdc_module, "_joint_eigenbasis", single_only)
+    res = sdc_check([np.eye(2), np.diag([1.0, 2.0]), np.diag([3.0, 5.0])])
+    assert res.witness == Witness("not-diagonalizable")
 
 
 def test_near_jordan_family_gets_a_verdict():

@@ -153,3 +153,5 @@ def test_partition_validation():
         ToeplitzPartition((2, 0))
     with pytest.raises(errors.OrderMismatch):
         is_block_toeplitz(np.eye(3), ToeplitzPartition((2, 2)))
+    with pytest.raises(errors.OrderMismatch, match="^order 3 != partition total 4$"):
+        toeplitz_project(np.eye(3), ToeplitzPartition((2, 2)))

@@ -137,6 +137,28 @@ class TestFullPipeline:
         with pytest.raises(errors.StructureMismatch):
             perturb_triple_blocks(spec, C, 0.1)
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: perturb_triple_blocks(nilpotent_spec((1, 2), (1, 1)), np.eye(2), 0.1),
+         errors.OrderMismatch, "^C order does not match the descriptor$"),
+        # A^-1 C = [[0, 1], [-1, 0]] commutes with A^-1 B = 0, with spectrum +-i
+        (lambda: perturb_triple_blocks(nilpotent_spec((1, 1), (1, -1)), f_mat(2), 0.1),
+         errors.StructureMismatch, r"^A\^-1 C has non-real spectrum$"),
+        (lambda: triple_case2(JordanTripleSpec(((1, 1, 0.5), (1, 2, 0.0))), np.eye(3), 0.1),
+         errors.StructureMismatch, "^case 2 needs a nilpotent descriptor$"),
+        # A^-1 C is C with its rows reversed: F_3 gives the identity
+        # (Toeplitz, not nilpotent) and the identity gives F_3 (not Toeplitz)
+        (lambda: triple_case4(1, 3, f_mat(3), 0.1),
+         errors.StructureMismatch, r"^A\^\{-1\}C is not nilpotent$"),
+        (lambda: triple_case4(1, 3, np.eye(3), 0.1),
+         errors.StructureMismatch, r"^A\^\{-1\}C is not upper triangular Toeplitz$"),
+        (lambda: JordanTripleSpec(((2, 1, 0.0),)),
+         ValueError, r"^blocks are \(sigma in \{-1,1\}, size >= 1, theta\)$"),
+    ], ids=["order", "non-real", "case2-theta", "case4-not-nilpotent", "case4-not-toeplitz",
+            "descriptor"])
+    def test_rejects_by_name(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     def test_scalar_c_works(self):
         spec = nilpotent_spec((3,), (1,))
         A, B = jordan_pair(spec.blocks)
@@ -153,9 +175,10 @@ class TestFullPipeline:
 
 class TestRecursionPaths:
     """Seeded draws of the nilpotent sweep (draw d of sizes: rng =
-    default_rng([n, d, *sizes])) that reach the recursion's rarer steps:
-    the minimal-size shift (case 2), the block split (case 1), the k x k
-    lift (case 3) and the pair split of B, or that no retry certifies."""
+    default_rng([n, d, *sizes])) and two explicit triples that reach the
+    recursion's rarer steps: the minimal-size shift (case 2), the block
+    split (case 1) along A^-1 C and along A^-1 B, the k x k lift (case 3)
+    and the pair splits of B and of C, or that no retry certifies."""
 
     @staticmethod
     def draw(sizes, d):
@@ -165,16 +188,26 @@ class TestRecursionPaths:
         return nilpotent_spec(sizes, sigmas), C
 
     @pytest.mark.parametrize(
-        "sizes,d,eps,steps",
+        "triple,eps,steps",
         [
-            ((5, 1), 4, 0.01, ("case2@0", "case1@1", "poly-drag@2", "poly-drag@2")),
-            ((7, 1, 1), 5, 0.5, ("case2@0", "case1@1", "poly-drag-swapped@2", "pair-split-B@2",
-                                 "poly-drag-swapped@2", "pair-split-B@2")),
-            ((3, 3, 3), 4, 0.1, ("case3@0", "poly-drag-swapped@1")),
+            (((5, 1), 4), 0.01, ("case2@0", "case1@1", "poly-drag@2", "poly-drag@2")),
+            (((7, 1, 1), 5), 0.5, ("case2@0", "case1@1", "poly-drag-swapped@2", "pair-split-B@2",
+                                   "poly-drag-swapped@2", "pair-split-B@2")),
+            (((3, 3, 3), 4), 0.1, ("case3@0", "poly-drag-swapped@1")),
+            # B = 0 and a simple C: only C needs splitting
+            ((JordanTripleSpec(((1, 1, 0.0), (1, 1, 0.0))), np.diag([0.3, 0.7])), 0.1,
+             ("pair-split-C@0",)),
+            # A^-1 B has two eigenvalues, so the split runs along A^-1 B
+            ((JordanTripleSpec(((1, 1, 1.0), (1, 1, 1.0), (1, 1, -1.0), (-1, 1, -1.0))),
+              np.diag([0.2, 0.5, 0.2, -0.5])), 0.1,
+             ("case1@0", "poly-drag-swapped@1", "poly-drag-swapped@1")),
         ],
+        ids=["case2", "case2-pair-split-B", "case3", "pair-split-C", "case1-along-B"],
     )
-    def test_steps_certify(self, sizes, d, eps, steps):
-        pt = perturb_triple_blocks(*self.draw(sizes, d), eps)
+    def test_steps_certify(self, triple, eps, steps):
+        if not isinstance(triple[0], JordanTripleSpec):
+            triple = self.draw(*triple)
+        pt = perturb_triple_blocks(*triple, eps)
         assert pt.steps == steps
         assert pt.distance <= eps
         assert sdc_check([pt.A_tilde.a, pt.B_tilde.a, pt.C_tilde.a]).is_sdc

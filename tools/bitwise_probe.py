@@ -21,6 +21,9 @@ order-80 RSDC constructions; numeric_rank / cond_number on non-finite
 input; and the span search sdc.pivot on seeded families of 2, 3 and 7
 members, singular and not, and on a mis-scaled pair.  Inputs come from the benchmark's and the tests'
 generators of this checkout, so two trees see the same inputs.
+
+tools/linetrace.py runs the full probe after tier-1, in one traced
+process, to list the statements of src/sdckit that neither runs.
 """
 
 from __future__ import annotations
