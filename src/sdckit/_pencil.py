@@ -1,15 +1,17 @@
 """Internal helpers for real symmetric pencils.
 
 Shared by the canonical-form, SDC, ASDC and RSDC modules: the
-congruence-residual certificate, the pairwise commutation test,
-eigenvalue clustering, invariant subspace extraction and the
-column-sign convention.
+congruence-residual certificate, the pairwise commutation test, the
+2-norm test every certificate makes, eigenvalue clustering, invariant
+subspace extraction and the column-sign convention.
 Invariant subspaces come from one real Schur form per matrix, reordered
 by LAPACK's trsen for each eigenvalue cluster, as a sorted Schur form
 would be without refactoring the matrix for every cluster.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +22,68 @@ from .matcore import RESID_TOL, commutator
 __all__ = [
     "certify_residuals",
     "noncommuting_pair",
+    "norm2_exceeds",
+    "norm2_upper",
     "spectral_scale",
     "cluster_values",
     "real_schur",
     "invariant_subspace",
     "fix_column_signs",
 ]
+
+# The O(n^2) bounds are trusted only while every square they sum lies
+# above 2^-800, where underflow costs nothing their slack does not cover.
+_TINY = 2.0**-400
+
+
+def _slack(X: np.ndarray) -> float:
+    """Relative slack 8 N eps of the bounds of an N-entry matrix, at least
+    8 n eps for order n: it covers the rounding of their sums of squares
+    and the backward error of the SVD they stand in for, each of order
+    N eps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, section 3.1 and theorem 19.4)."""
+    return 8 * X.size * np.finfo(float).eps
+
+
+def norm2_upper(X: np.ndarray) -> float:
+    """An upper bound of np.linalg.norm(X, 2) in O(N): |X|_F widened by
+    _slack, 0.0 for a zero X, and nan -- which decides no test -- when the
+    bound could have under- or overflowed or X has a non-finite entry."""
+    f = math.sqrt(float(np.vdot(X, X)))
+    if _TINY <= f < math.inf:
+        return f * (1 + _slack(X))
+    return 0.0 if f == 0.0 and not X.any() else math.nan
+
+
+def _norm2_lower(X: np.ndarray) -> float | None:
+    """A lower bound of np.linalg.norm(X, 2) in O(N): the largest column
+    2-norm narrowed by _slack, 0.0 when that could have underflowed, and
+    None when it overflowed or X has a non-finite entry."""
+    c = math.sqrt(float(np.max(np.einsum("ij,ij->j", X, X))))
+    if not c < math.inf:
+        return None
+    return c * (1 - _slack(X)) if c >= _TINY else 0.0
+
+
+def norm2_exceeds(X, bound, *mats):
+    """Decide |X|_2 > bound(|M_1|_2, ...), the test a certificate makes:
+    None when it does not hold, else the pair (|X|_2, bound(...)).
+
+    Each M is a matrix or its 2-norm already computed, and bound must be
+    nondecreasing in each argument.  Since max_j |M e_j|_2 <= |M|_2 <=
+    |M|_F, the test first tries |X|_F against the bound of the largest
+    column norms, each widened by _slack, which makes a pass there one
+    the SVD test also passes.  Only when that cannot decide do the SVD
+    2-norms np.linalg.norm(., 2) decide, so the decision, and the values
+    returned when it fails, are those of the SVD test.
+    """
+    known = [isinstance(M, float) for M in mats]
+    lows = [M if k else _norm2_lower(M) for M, k in zip(mats, known)]
+    if None not in lows and norm2_upper(X) <= bound(*lows):
+        return None
+    val = np.linalg.norm(X, 2)
+    cap = bound(*(M if k else np.linalg.norm(M, 2) for M, k in zip(mats, known)))
+    return (val, cap) if val > cap else None
 
 
 def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
@@ -34,35 +92,37 @@ def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
 
     A target of None stands for the product's own diagonal.  Raises
     `error`, naming the first failing member, when
-    |L M_i R - target_i|_2 > coef * kappa^2 * max(1, |M_i|_2) * slack;
-    `norms`, when given, holds the |M_i|_2 already computed by the caller.
+    |L M_i R - target_i|_2 > coef * kappa^2 * max(1, |M_i|_2) * slack,
+    decided by norm2_exceeds, so that the message holds the SVD norms.
+    `norms`, when given, holds for each member its exact |M_i|_2 or None.
     """
-    if norms is None:
-        norms = [np.linalg.norm(M, 2) for M in mats]
     products = []
     for i, (M, target) in enumerate(zip(mats, targets)):
         D = L @ M @ R
-        resid = np.linalg.norm(D - (np.diag(np.diag(D)) if target is None else target), 2)
-        bound = coef * kappa**2 * max(1.0, norms[i]) * slack
-        if resid > bound:
-            raise error(f"{what} residual {resid:.3e} for member {i} exceeds {bound:.3e}")
+        over = norm2_exceeds(
+            D - (np.diag(np.diag(D)) if target is None else target),
+            lambda m: coef * kappa**2 * max(1.0, m) * slack,
+            M if norms is None or norms[i] is None else norms[i],
+        )
+        if over is not None:
+            raise error(f"{what} residual {over[0]:.3e} for member {i} exceeds {over[1]:.3e}")
         products.append(D)
     return products
 
 
 def noncommuting_pair(mats, factor: float = 1.0, norms=None):
     """First pair (i, j, |[M_i, M_j]|_2), i < j in lexicographic order,
-    whose commutator exceeds factor * RESID_TOL * max(1, |M_i|_2 |M_j|_2);
-    None when every pair commutes.  `norms`, when given, holds the
-    |M_i|_2 already computed by the caller."""
-    if norms is None:
-        norms = [np.linalg.norm(M, 2) for M in mats]
+    whose commutator exceeds factor * RESID_TOL * max(1, |M_i|_2 |M_j|_2),
+    decided by norm2_exceeds; None when every pair commutes.  `norms`,
+    when given, holds for each member its exact |M_i|_2 or None."""
+    known = mats if norms is None else [M if nrm is None else nrm for M, nrm in zip(mats, norms)]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            val = np.linalg.norm(commutator(mats[i], mats[j]), 2)
-            scale = max(1.0, norms[i] * norms[j])
-            if val > RESID_TOL * scale * factor:
-                return i, j, val
+            over = norm2_exceeds(commutator(mats[i], mats[j]),
+                                 lambda a, b: RESID_TOL * max(1.0, a * b) * factor,
+                                 known[i], known[j])
+            if over is not None:
+                return i, j, over[0]
     return None
 
 

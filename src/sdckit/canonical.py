@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from ._pencil import certify_residuals, fix_column_signs, spectral_scale
+from ._pencil import certify_residuals, fix_column_signs, norm2_upper, spectral_scale
 from .matcore import (
     CLUSTER_TOL,
     EIG_REAL_TOL,
@@ -28,12 +28,12 @@ from .matcore import (
     RESID_TOL,
     Congruence,
     SymMat,
+    _numeric_ranks,
     direct_sum,
     f_mat,
     form_family,
     g_mat,
     jordan_pair,
-    numeric_rank,
 )
 
 __all__ = [
@@ -212,9 +212,11 @@ def _normalize_complex_pair(A: np.ndarray, anorm: float, u: np.ndarray):
     v = aloc[0, 1]
     w = 0.5 * (aloc[0, 0] - aloc[1, 1])
     zeta = complex(v, w)
-    scale = max(1.0, anorm) * float(np.linalg.norm(W, 2) ** 2)
-    if abs(zeta) <= RANK_TOL * scale:
-        raise errors.CertificationFailed("degenerate local Gram of a complex pair")
+    # |W|_2 <= norm2_upper(W): a Gram above that scale needs no SVD
+    if not abs(zeta) > RANK_TOL * (max(1.0, anorm) * norm2_upper(W) ** 2):
+        scale = max(1.0, anorm) * float(np.linalg.norm(W, 2) ** 2)
+        if abs(zeta) <= RANK_TOL * scale:
+            raise errors.CertificationFailed("degenerate local Gram of a complex pair")
     c = 1.0 / np.sqrt(zeta)
     C = np.array([[c.real, -c.imag], [c.imag, c.real]])
     return W @ C
@@ -228,7 +230,9 @@ def pencil_canonical(A, B) -> PencilForm:
     raises ClassificationAmbiguous rather than guessing.
     """
     a, b = form_family([A, B])
-    if numeric_rank(a) < len(a):
+    # the rank test's SVD also gives |a|_2
+    (rank,), (anorm,) = _numeric_ranks(a[None])
+    if rank < len(a):
         raise errors.SingularA("leading matrix is not certified invertible")
     M = np.linalg.solve(a, b)
     w, V = np.linalg.eig(M)
@@ -265,7 +269,6 @@ def pencil_canonical(A, B) -> PencilForm:
     real_cols.sort(key=lambda t: t[0])
     complex_cols.sort(key=lambda t: (t[0].real, t[0].imag))
 
-    anorm = float(np.linalg.norm(a, 2))
     real_blocks = []
     real_vecs = []
     for mu, i in real_cols:
@@ -285,7 +288,7 @@ def pencil_canonical(A, B) -> PencilForm:
         complex_blocks=tuple(complex_blocks),
     )
     certify_residuals(form.P.P.T, form.P.P, (a, b), form.canonical_matrices(), RESID_TOL,
-                      form.P.kappa, "canonical", norms=(anorm, np.linalg.norm(b, 2)))
+                      form.P.kappa, "canonical", norms=(anorm, None))
     return form
 
 

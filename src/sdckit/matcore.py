@@ -222,11 +222,12 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _numeric_ranks(stack: np.ndarray) -> np.ndarray:
-    """numeric_rank of each matrix in a (T, m, n) stack, from one batched
-    SVD; an all-zero or empty matrix has rank 0."""
+def _numeric_ranks(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numeric_rank and 2-norm of each matrix in a (T, m, n) stack, from
+    one batched SVD; an all-zero or empty matrix has rank 0, and an empty
+    one norm 0."""
     s = _singular_values(stack)
-    return np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    return np.sum(s > RANK_TOL * s[:, :1], axis=1), np.max(s, axis=1, initial=0.0)
 
 
 def numeric_rank(M) -> int:
@@ -237,7 +238,7 @@ def numeric_rank(M) -> int:
     a = M.a if isinstance(M, SymMat) else np.asarray(M, dtype=float)
     if a.ndim != 2:
         raise errors.OrderMismatch(f"expected a matrix, got shape {a.shape}")
-    return int(_numeric_ranks(a[None])[0])
+    return int(_numeric_ranks(a[None])[0][0])
 
 
 def cond_number(P) -> float:

@@ -69,9 +69,16 @@ def algebra_dimension(generators, max_products: int | None = None) -> int:
         max_products = n * n
 
     # products whose norm is pure roundoff must not be normalized into
-    # spurious directions
-    gen_scale = max(1.0, max(np.linalg.norm(g, 2) for g in mats))
-    zero_floor = 1e-12 * gen_scale
+    # spurious directions.  The generators are scaled by the power of two
+    # nearest gen_scale (a norm that overflows counts as the largest
+    # double), and so is the floor: every product and its norm scale
+    # exactly with them, so each is judged and normalized as it would be
+    # unscaled, while the unit-norm identity and basis rows stay above the
+    # floor however large the generators are
+    gen_scale = min(max(1.0, max(np.linalg.norm(g, 2) for g in mats)), np.finfo(float).max)
+    unit = math.ldexp(1.0, -round(math.log2(gen_scale)))
+    mats = [g * unit for g in mats]
+    zero_floor = 1e-12 * gen_scale * unit
 
     def extract_basis(stack):
         rows = []
@@ -79,8 +86,6 @@ def algebra_dimension(generators, max_products: int | None = None) -> int:
             nrm = np.linalg.norm(m.ravel())
             if nrm > zero_floor:
                 rows.append(m.ravel() / nrm)
-        if not rows:
-            return []
         M = np.vstack(rows)
         u, s, vt = np.linalg.svd(M, full_matrices=False)
         # generators commute only to their own rounding level, and the

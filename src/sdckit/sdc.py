@@ -20,6 +20,7 @@ from ._pencil import (
     fix_column_signs,
     invariant_subspace,
     noncommuting_pair,
+    norm2_exceeds,
     real_schur,
     spectral_scale,
 )
@@ -149,7 +150,7 @@ def pivot(mats, seed: int = 0) -> Pivot:
         # the walk ranks candidates up to the first non-finite one
         finite = np.isfinite(stack).all(axis=(1, 2))
         stop = len(rows) if finite.all() else int(np.argmin(finite))
-        ranks = _numeric_ranks(stack[:stop])
+        ranks, _ = _numeric_ranks(stack[:stop])
         if stop and ranks.max() > best_rank:
             k = int(np.argmax(ranks))
             best_rank, best_c, best_S = int(ranks[k]), rows[k], stack[k]
@@ -169,17 +170,16 @@ def simdiag_commuting(family) -> np.ndarray:
     diagonal for every member.
     """
     mats = square_family(family)
-    norms = [np.linalg.norm(M, 2) for M in mats]
-    pair = noncommuting_pair(mats, norms=norms)
+    pair = noncommuting_pair(mats)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
-    return _joint_eigenbasis(mats, norms)[0]
+    return _joint_eigenbasis(mats)[0]
 
 
-def _joint_eigenbasis(mats, norms) -> tuple[np.ndarray, np.ndarray]:
+def _joint_eigenbasis(mats, norms=None) -> tuple[np.ndarray, np.ndarray]:
     """simdiag_commuting for a family already known to commute, with the
     diagonal of V^{-1} M V for every member as the rows of the second
-    output; norms[i] is |mats[i]|_2."""
+    output; norms, when given, holds |mats[i]|_2 or None for each member."""
     V = _refine(mats, symmetric=False)
     # certify: every member diagonal in the joint basis
     Ds = certify_residuals(
@@ -221,8 +221,8 @@ def _refine(mats, symmetric: bool) -> np.ndarray:
         clusters = cluster_values(wr, CLUSTER_TOL * diam)
         if len(clusters) == 1:
             lam = float(np.mean(wr))
-            if not symmetric and (
-                np.linalg.norm(Mloc - lam * np.eye(d), 2) > 100 * CLUSTER_TOL * diam
+            if not symmetric and norm2_exceeds(
+                Mloc - lam * np.eye(d), lambda: 100 * CLUSTER_TOL * diam
             ):
                 raise errors.NotDiagonalizable(f"member {depth} is not diagonalizable")
             todo.append((basis, depth + 1))
@@ -295,10 +295,9 @@ def _range_reduction(mats, S: np.ndarray, rank: int):
     U, _, _ = np.linalg.svd(S)
     Ur = U[:, :rank]
     for i, A in enumerate(mats):
-        scale = np.linalg.norm(A, 2)
-        resid = np.linalg.norm(A - Ur @ (Ur.T @ A), 2)
-        if resid > 100 * RANK_TOL * scale:
-            return U, (i, resid), None
+        over = norm2_exceeds(A - Ur @ (Ur.T @ A), lambda a: 100 * RANK_TOL * a, A)
+        if over is not None:
+            return U, (i, over[0]), None
     restricted = [Ur.T @ X @ Ur for X in (*mats, S)]
     restricted = [0.5 * (R + R.T) for R in restricted]
     return U, None, (restricted[:-1], restricted[-1])
@@ -344,7 +343,7 @@ def _sdc_nonsingular(mats, S) -> SdcResult:
 
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
-    norms = [np.linalg.norm(M, 2) for M in Ms]
+    norms = [1.0 if same else None for same in is_s]
     pair = noncommuting_pair(Ms, norms=norms)
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))

@@ -36,6 +36,20 @@ def test_algebra_dimension_examples():
     assert algebra_dimension([np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 9.0])]) == 3
 
 
+@pytest.mark.parametrize("s", [1e12, 1e13])
+def test_algebra_dimension_of_large_generators(s):
+    # the zero floor scales with the generators, and the unit-norm
+    # identity and basis rows stay above it
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert algebra_dimension([s * J]) == 2
+    assert algebra_dimension([s * np.diag([1.0, 2.0])]) == 2
+
+
+def test_algebra_dimension_of_overflowing_norm():
+    # |G|_2 = 2e308 overflows; it counts as the largest double
+    assert algebra_dimension([np.full((2, 2), 1e308)]) == 2
+
+
 def test_algebra_dimension_similarity_invariant(rng):
     gens = [rng.standard_normal((4, 4)) for _ in range(2)]
     d0 = algebra_dimension(gens)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sdc_family
+from conftest import random_congruence, random_sdc_family
 from sdckit import errors, rsdc
 from sdckit import sdc as sdc_module
-from sdckit.canonical import PencilForm, pencil_canonical, tmat
+from sdckit.canonical import PencilForm, assemble_pencil, pencil_canonical, tmat
 from sdckit.matcore import Congruence, direct_sum, f_mat
 from sdckit.qcqp import generate_instance
 from sdckit.rsdc import (
@@ -291,6 +291,36 @@ class TestBorderSystem:
 def planted_pair(rng, n, k):
     inst = generate_instance(n, k, max(n + 1, 30), int(rng.integers(0, 2**31)))
     return inst.A1.a, inst.A2.a
+
+
+def test_three_svds_per_construction(rng, monkeypatch):
+    # the rank of A, kappa(form.P) and kappa(refined P); every certificate
+    # norm test is decided from O(n^2) bounds.  np.linalg.norm and cond
+    # look svd up in the module that defines them
+    try:
+        import numpy.linalg._linalg as impl  # numpy 2
+    except ImportError:
+        import numpy.linalg.linalg as impl  # numpy 1.x
+    calls = []
+    svd = impl.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    # a planted order-40 pair: 34 real and 3 complex eigenvalue pairs
+    form = PencilForm(
+        P=Congruence(random_congruence(rng, 40, 10.0)),
+        real_blocks=tuple((int(rng.choice([-1, 1])), float(mu)) for mu in np.arange(34) / 10),
+        complex_blocks=tuple(complex(re, 1.0) for re in rng.standard_normal(3)),
+    )
+    A, B = (X.a for X in assemble_pencil(form))
+    monkeypatch.setattr(impl, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for construct in (rsdc1_construct, rsdc2_construct):
+        calls.clear()
+        construct(A, B)
+        assert len(calls) <= 3, construct.__name__
 
 
 class TestRsdc1:

@@ -574,9 +574,10 @@ def test_commutation_tested_once_per_check(rng, monkeypatch):
 
 
 def test_member_norms_computed_once_per_check(rng, monkeypatch):
-    # the commutation test and the joint-eigenbasis certificate share one
-    # 2-norm per member of S^-1 A_i; zero matrices (the commutators with
-    # the member that is S, for one) are left out
+    # the commutation test and the joint-eigenbasis certificate decide
+    # from O(n^2) bounds first (norm2_exceeds), so on a well-conditioned
+    # SDC family no member of S^-1 A_i, and no residual, takes an SVD
+    # 2-norm at all; zero matrices are left out of the count
     seen = []
     norm = np.linalg.norm
 
@@ -588,7 +589,7 @@ def test_member_norms_computed_once_per_check(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counting)
     fam, _ = random_sdc_family(rng, 6, 3)
     assert sdc_check(fam).is_sdc
-    assert max(seen.count(b) for b in seen) == 1
+    assert seen == []
 
 
 def _sorted_schur_reference(M, center, radius):

@@ -14,8 +14,12 @@ The families: benchmark `small-families` rounds; the nilpotent triple
 sweep over every partition of n = 2..7, three seeded draws that reach
 its rarer steps, the single-block corner construction and triples
 outside the commutant; singular `perturb_pair` calls on complex and
-Jordan pencils; `perturb_blocks` on random singular BlockSpecs
-(generator seeds 0-99 and 300-399);
+Jordan pencils; in full mode only, near-commuting triples and
+near-Jordan pairs through sdc_check, the latter also through
+pencil_canonical, and `perturb_pair` on nonsingular Jordan pairs of
+sizes 4 and 5, whose norm tests land near their bounds and so reach
+the SVD that decides them; `perturb_blocks` on random singular
+BlockSpecs (generator seeds 0-99 and 300-399);
 `generate_instance` with every reformulation and its verification;
 order-80 RSDC constructions; numeric_rank / cond_number on non-finite
 input; and the span search sdc.pivot on seeded families of 2, 3 and 7
@@ -111,7 +115,7 @@ def _families(smoke: bool):
     from workloads import SmallFamilies, _complex_pencil, _scramble, planted_pair
 
     from sdckit import asdc, matcore, qcqp, rsdc, sdc, triples
-    from sdckit.canonical import Block, BlockSpec
+    from sdckit.canonical import Block, BlockSpec, pencil_canonical
 
     small = SmallFamilies()
     for seed in range(1 if smoke else 40):
@@ -165,6 +169,50 @@ def _families(smoke: bool):
             yield f"singular-complex/{seed}/{r}", functools.partial(complex_pair, seed, r)
         for m in (2, 3, 4, 5):
             yield f"singular-jordan/{seed}/{m}", functools.partial(jordan_pair, seed, m)
+
+    def near_jordan(m, e, seed, call):
+        # (sigma F, sigma (theta F + G + 10^-e H)): the pencil is theta I + N
+        # + 10^-e N^T, whose real eigenvalues, 2 10^(-e/2) cos(k pi / (m + 1))
+        # from theta, are so nearly defective that their norm tests land
+        # near the bounds: the scalar-cluster test at m = 2, e = 16 and the
+        # complex-pair Gram test, once eig reads them as complex, at m = 4
+        rng = np.random.default_rng([m, e, seed])
+        sigma, theta = rng.choice([-1.0, 1.0]), rng.standard_normal()
+        A = sigma * matcore.f_mat(m)
+        B = sigma * (theta * matcore.f_mat(m) + matcore.g_mat(m) + 10.0**-e * matcore.h_mat(m))
+        pair = _scramble(rng, [A, B])
+        return sdc.sdc_check(pair, seed) if call == "sdc" else pencil_canonical(*pair)
+
+    def nonsingular_jordan(seed, m):
+        rng = np.random.default_rng([seed, m, 7])
+        sigma, theta = rng.choice([-1.0, 1.0]), rng.standard_normal()
+        pair = _scramble(rng, list(matcore.jordan_pair([(sigma, m, theta)])))
+        return asdc.perturb_pair(*pair, 1e-3)
+
+    def near_commuting(k, seed):
+        # {I, D1, D2 + eta E}: E couples the two coordinates where D1's
+        # eigenvalues are 1e-3 apart, so the commutator, 1e-3 eta, passes
+        # the commutation test while eta = 10^(-k/4) sits near the
+        # joint-diagonalization and off-diagonal certificates' bounds
+        rng = np.random.default_rng([seed, 11])
+        E = np.zeros((4, 4))
+        E[0, 1] = E[1, 0] = 10.0 ** (-k / 4)
+        family = [np.eye(4), np.diag([1.0, 1.001, 2.0, -1.5]), np.diag(rng.standard_normal(4)) + E]
+        return sdc.sdc_check(_scramble(rng, family), seed)
+
+    if not smoke:
+        for k in range(18, 29, 2):
+            for seed in range(6):
+                yield f"near-commuting/{k}/{seed}", functools.partial(near_commuting, k, seed)
+        for m in (2, 3, 4, 5):
+            for e in (4, 8, 10, 12, 16):
+                for seed in range(3):
+                    for call in ("sdc", "canonical"):
+                        yield (f"near-jordan/{m}/{e}/{seed}/{call}",
+                               functools.partial(near_jordan, m, e, seed, call))
+        for seed in range(15):
+            for m in (4, 5):
+                yield f"jordan-pair/{seed}/{m}", functools.partial(nonsingular_jordan, seed, m)
 
     def block_spec(seed, eps):
         # one or two type 1 or 2 blocks of size 1 or 2, then a type 3 or

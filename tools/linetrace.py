@@ -45,9 +45,6 @@ ALLOWED: dict[tuple[str, str, str], str] = {
     ("asdc.py", "_border_with_gauge",
      "raise errors.CertificationFailed('gauge conjugation could not fit the budget')"):
         "final raise of a budget-fit loop",
-    ("obstruct.py", "algebra_dimension.extract_basis", "return []"):
-        "reached only by generators of norm 1e12 or more, whose zero floor drops the "
-        "unit-norm basis rows (a fault of its own, not pinned by a test)",
     ("rsdc.py", "_construct",
      "raise errors.CertificationFailed('top-left restriction is not exact')"):
         "certificate: the restriction to the original coordinates",
