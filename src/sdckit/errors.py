@@ -101,5 +101,9 @@ class NoInvertibleElement(SdckitError):
     """No certified-invertible element found in the searched span."""
 
 
+class EmptyBox(SdckitError):
+    """A sampling box has a lower bound above its upper bound."""
+
+
 class EmptyFamily(SdckitError):
     """An operation requires at least one matrix."""

@@ -37,11 +37,6 @@ from .matcore import (
 from .rsdc import rsdc1_construct, rsdc2_construct
 from .sdc import sdc_check, span_candidates
 
-try:  # scipy's bundled HiGHS bindings, private and new in scipy 1.15
-    from scipy.optimize._highspy import _core as _highspy
-except ImportError:
-    _highspy = None
-
 __all__ = [
     "QcqpInstance",
     "Reformulation",
@@ -55,6 +50,11 @@ __all__ = [
 ]
 
 RESAMPLE_LIMIT = 1000
+# the box simplex's relative tolerance for a pivot, a negative multiplier
+# and a zero slack, far inside the certificate's RESID_TOL
+_SIMPLEX_TOL = 1e-11
+# lockstep pivots after which the box LPs still open are given up
+BOX_PIVOT_CAP = 10000
 METHODS = ("sdc", "rsdc1", "rsdc2", "eig")
 # the keys of every bench row, in CSV column order
 _BENCH_FIELDS = ("n", "k", "seed", "method", "dim", "kappa", "deviation",
@@ -140,7 +140,8 @@ class Reformulation:
 
     @classmethod
     def from_json(cls, text: str) -> "Reformulation":
-        """Inverse of to_json; P is re-certified invertible by Congruence.
+        """Inverse of to_json; P is re-certified invertible by Congruence,
+        and an array with a NaN or inf entry raises NonFiniteEntry.
 
         The rsdc certificate in aux is not serialized and does not come
         back; verification does not use it.
@@ -149,21 +150,21 @@ class Reformulation:
         if d["method"] not in METHODS:
             raise ValueError(f"unknown method {d['method']!r}")
 
-        def vec(key):
-            return np.asarray(d[key], dtype=float)
+        def vec(value, key):
+            a = np.asarray(value, dtype=float)
+            if not np.isfinite(a).all():
+                raise errors.NonFiniteEntry(f"{key} has a non-finite entry")
+            return a
 
         return cls(
             method=d["method"],
             dim=int(d["dim"]),
-            quad_obj=vec("quad_obj"),
-            quad_con=vec("quad_con"),
-            lin_obj=vec("lin_obj"),
-            lin_con=vec("lin_con"),
-            poly=vec("poly"),
-            equalities=tuple(np.asarray(r, dtype=float) for r in d["equalities"]),
-            P=Congruence(vec("P")),
+            **{key: vec(d[key], key)
+               for key in ("quad_obj", "quad_con", "lin_obj", "lin_con", "poly")},
+            equalities=tuple(vec(r, "equalities") for r in d["equalities"]),
+            P=Congruence(vec(d["P"], "P")),
             kappa=float(d["kappa"]),
-            aux={k: d["aux"][k] for k in ("P1", "P2") if k in d["aux"]},
+            aux={k: vec(d["aux"][k], k).tolist() for k in ("P1", "P2") if k in d["aux"]},
         )
 
 
@@ -297,52 +298,138 @@ def reformulate(inst: QcqpInstance, method: str) -> Reformulation:
     )
 
 
-def _box_solver(L: np.ndarray):
-    """solve(c) minimizing c^T x over {Lx <= 1}: (status, x, y).
+def _start_vertex(L: np.ndarray) -> tuple[list, np.ndarray]:
+    """A vertex of {Lx <= 1} reached by n ray shots from the origin.
 
-    status is None at an optimum and the solver's message otherwise; y
-    are the row duals with the sign that makes y >= 0 and L^T y = -c.
-    With scipy's bundled HiGHS bindings one model holds the polytope and
-    each solve changes only its costs, so it starts from the previous
-    optimal basis; without them each solve is one linprog call.
+    Each shot runs from the current point along the first null vector
+    of the rows hit so far and of the null directions found so far,
+    from one Householder QR, and stops at the nearest row it hits.  A
+    direction that hits no row either way is a null direction of L.
+    Returns (active, null): the rows hit, which define a vertex in the
+    row space of L, and the null directions as orthonormal rows.
     """
     m, n = L.shape
-    if _highspy is None:
-        def solve(c):
-            res = scipy.optimize.linprog(
-                c, A_ub=L, b_ub=np.ones(m), bounds=[(None, None)] * n,
-                method="highs",
-            )
-            if res.status != 0:
-                return res.message, None, None
-            return None, res.x, -res.ineqlin.marginals
+    norms = np.linalg.norm(L, axis=1)
+    x = np.zeros(n)
+    active, null = [], []
+    for _ in range(n):
+        pinned = np.vstack([L[active], *null, np.empty((0, n))])
+        d = np.linalg.qr(pinned.T, mode="complete")[0][:, len(pinned)]
+        slack = np.maximum(1.0 - L @ x, 0.0)
+        for s in (1.0, -1.0):
+            a = s * (L @ d)
+            a[active] = 0.0
+            hit = a > _SIMPLEX_TOL * norms
+            if hit.any():
+                steps = np.where(hit, slack, np.inf) / np.where(hit, a, 1.0)
+                r = int(np.argmin(steps))
+                x = x + steps[r] * s * d
+                active.append(r)
+                break
+        else:
+            null.append(d)
+    return active, np.vstack([*null, np.empty((0, n))])
 
-        return solve
 
-    highs = _highspy._Highs()
-    highs.setOptionValue("output_flag", False)
-    # strategy 4 is HiGHS's primal simplex: a cost change leaves the
-    # last optimal basis primal feasible
-    highs.setOptionValue("simplex_strategy", 4)
-    inf = _highspy.kHighsInf
-    highs.addVars(n, np.full(n, -inf), np.full(n, inf))
-    highs.addRows(
-        m, np.full(m, -inf), np.ones(m), m * n,
-        np.arange(0, m * n, n, dtype=np.int32),
-        np.tile(np.arange(n, dtype=np.int32), m), L.ravel(),
-    )
-    cols = np.arange(n, dtype=np.int32)
+def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The 2n LPs max s x_i over {Lx <= 1}, solved in lockstep: (status, X, Y).
 
-    def solve(c):
-        highs.changeColsCost(n, cols, c)
-        highs.run()
-        status = highs.getModelStatus()
-        if status != _highspy.HighsModelStatus.kOptimal:
-            return highs.modelStatusToString(status), None, None
-        sol = highs.getSolution()
-        return None, np.array(sol.col_value), -np.array(sol.row_dual)
+    Row 2i of X and Y belongs to s = +1 and row 2i + 1 to s = -1: the
+    optimal vertex, and the row duals y >= 0 with L^T y = s e_i.
+    status[k] is None at an optimum and says why LP k has none
+    otherwise.  Every LP starts at _start_vertex's vertex and runs the
+    primal active-set simplex (Dantzig's rule; an LP that takes a
+    zero-length step keeps Bland's smallest-index rule from then on, so
+    degenerate polytopes terminate), with each basis inverse kept by
+    rank-one updates; x and y are then solved from the final basis.
+    A row r enters only with a pivot L_r d above _SIMPLEX_TOL |L_r| |d|
+    along the edge d, multipliers are priced as y_r |L_r| and one counts
+    as negative below -_SIMPLEX_TOL sum_j |y_j| |L_j|, an optimum read
+    from an updated inverse is priced again from a fresh one, and a
+    slack up to _SIMPLEX_TOL (the right-hand side is 1) counts as zero,
+    so no test depends on the scale of L or of its rows.  Without a
+    vertex (L of rank t < n) the LPs run in the coordinates of L's row
+    space, and x_i is unbounded when e_i has a component along a null
+    direction.
+    """
+    m, n = L.shape
+    active, null = _start_vertex(L)
+    # rows: an orthonormal basis of the row space, or the identity
+    R = np.linalg.qr(null.T, mode="complete")[0][:, len(null):].T
+    t = len(R)
+    Lr = L @ R.T
+    norms = np.linalg.norm(Lr, axis=1)
+    coords = np.repeat(np.arange(n), 2)
+    C = np.tile([1.0, -1.0], n)[:, None] * R.T[coords]
+    status = [
+        f"unbounded; the polytope has no vertex (L has rank {t} < {n})"
+        if np.linalg.norm(null[:, i]) > _SIMPLEX_TOL else None
+        for i in coords
+    ]
+    basis = np.zeros((2 * n, t), dtype=int)
+    lps = np.flatnonzero([s is None for s in status])  # still open
+    Minv = np.broadcast_to(np.linalg.inv(Lr[active]), (len(lps), t, t)).copy()
+    B = np.tile(np.asarray(active, dtype=int), (len(lps), 1))
+    bland = np.zeros(len(lps), dtype=bool)
+    ones = np.ones(t)
+    Cl = C[lps]
 
-    return solve
+    def priced(Cl, Minv, B):
+        """The multipliers y_r |L_r|, and which of them are negative."""
+        y = (Cl[:, None, :] @ Minv)[:, 0] * norms[B]
+        return y, y < -_SIMPLEX_TOL * np.abs(y).sum(axis=1, keepdims=True)
+
+    pivots = 0
+    while len(lps):
+        k = np.arange(len(lps))
+        y, neg = priced(Cl, Minv, B)
+        # an optimum read from an updated inverse is priced again from a
+        # fresh one, so rank-one drift cannot end an LP early
+        stale = ~neg.any(axis=1) & (pivots > 0)
+        if stale.any():
+            Minv[stale] = np.linalg.inv(Lr[B[stale]])
+            y[stale], neg[stale] = priced(Cl[stale], Minv[stale], B[stale])
+        done = ~neg.any(axis=1)
+        basis[lps[done]] = B[done]
+        if pivots == BOX_PIVOT_CAP:
+            for j in lps[~done]:
+                status[j] = f"no optimum within {BOX_PIVOT_CAP} pivots"
+            break
+        p = np.argmin(y, axis=1)
+        if bland.any():
+            p = np.where(bland, np.argmin(np.where(neg, B, m), axis=1), p)
+        d = -Minv[k, :, p]
+        a = d @ Lr.T
+        a[k[:, None], B] = 0.0
+        slack = 1.0 - (Minv @ ones) @ Lr.T
+        hit = a > np.multiply.outer(_SIMPLEX_TOL * np.sqrt(np.sum(d * d, axis=1)), norms)
+        steps = np.where(hit, np.where(slack > _SIMPLEX_TOL, slack, 0.0), np.inf)
+        steps /= np.where(hit, a, 1.0)
+        r = np.argmin(steps, axis=1)
+        step = steps[k, r]
+        for j in lps[~done & np.isinf(step)]:
+            status[j] = "unbounded"
+        go = ~done & np.isfinite(step)
+        if not go.all():
+            lps, Cl, Minv, B, bland, p, r, step = (
+                v[go] for v in (lps, Cl, Minv, B, bland, p, r, step))
+            k = np.arange(len(lps))
+        bland |= step == 0.0
+        # row p of the basis becomes row r of L: Minv - u (w - e_p)^T
+        w = (Lr[r][:, None, :] @ Minv)[:, 0]
+        u = Minv[k, :, p] / w[k, p][:, None]
+        w[k, p] -= 1.0
+        Minv -= u[:, :, None] * w[:, None, :]
+        B[k, p] = r
+        pivots += 1
+    X = np.zeros((2 * n, n))
+    Y = np.zeros((2 * n, m))
+    ok = np.flatnonzero([s is None for s in status])
+    Lb = Lr[basis[ok]]
+    X[ok] = np.linalg.solve(Lb, np.ones((len(ok), t, 1)))[..., 0] @ R
+    yb = np.linalg.solve(np.swapaxes(Lb, 1, 2), C[ok][..., None])[..., 0]
+    Y[ok[:, None], basis[ok]] = yb
+    return status, X, Y
 
 
 def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float:
@@ -367,20 +454,20 @@ def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float
 def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate bounds of the polytope {Lx <= 1}, each one certified.
 
-    The 2n LPs run in the order (0, +), (0, -), (1, +), ...; a bound
-    whose LP is not optimal or whose duality certificate fails raises
-    CertificationFailed naming the coordinate and the sign.
+    The 2n LPs are solved together by _box_lps and certified in the
+    order (0, +), (0, -), (1, +), ...; the first bound whose LP is not
+    optimal or whose duality certificate fails raises CertificationFailed
+    naming the coordinate and the sign.
     """
     n = L.shape[1]
-    solve = _box_solver(L)
+    statuses, X, Y = _box_lps(L)
     lo = np.empty(n)
     hi = np.empty(n)
     for i in range(n):
         for s in (1.0, -1.0):
             what = f"box bound of x_{i} ({'+' if s > 0 else '-'})"
-            c = np.zeros(n)
-            c[i] = -s  # the solver minimizes
-            status, x, y = solve(c)
+            k = 2 * i + (s < 0)
+            status, x, y = statuses[k], X[k], Y[k]
             if status is not None:
                 raise errors.CertificationFailed(f"{what}: LP not optimal: {status}")
             ratio = _box_certificate(L, i, s, x, y)
@@ -389,6 +476,19 @@ def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     f"{what}: duality certificate residual is {ratio:.3g} of its bound"
                 )
             (hi if s > 0 else lo)[i] = x[i]
+    return lo, hi
+
+
+def _sampling_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's (lo, hi) box as two float vectors, checked."""
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise errors.OrderMismatch(
+            f"box bounds have shapes {lo.shape} and {hi.shape}, expected ({n},)")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise errors.NonFiniteEntry("box has a non-finite bound")
+    if np.any(lo > hi):
+        raise errors.EmptyBox(f"box bound lo > hi at x_{int(np.argmax(lo > hi))}")
     return lo, hi
 
 
@@ -451,20 +551,19 @@ def verify_reformulation(
     reformulation's variables respecting its equalities; the congruence
     is solved for all of them at once.  The returned value is the
     largest absolute difference of objective and constraint values
-    relative to the sampled value scale.  A precomputed (lo, hi) box
-    can be passed to amortize the bound LPs across repeated
-    verifications of one instance.
+    relative to the sampled value scale, and NaN when a value is NaN.
+    A precomputed (lo, hi) box can be passed to amortize the bound LPs
+    across repeated verifications of one instance; it must be finite,
+    of length n, with lo <= hi.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = box if box is not None else _polytope_box(inst.L)
+    lo, hi = _polytope_box(inst.L) if box is None else _sampling_box(box, inst.n)
     X = lo + (hi - lo) * rng.uniform(size=(samples, inst.n))
-    worst = 0.0
-    scale = 1.0
-    for x, o1, c1 in zip(X, *_reformulated_values(inst, ref, X)):
-        o0, c0 = inst.objective(x), inst.constraint(x)
-        worst = max(worst, abs(o0 - o1), abs(c0 - c1))
-        scale = max(scale, abs(o0), abs(c0))
-    return worst / scale
+    # a NaN in either value makes the deviation NaN, never zero
+    values = np.array([[inst.objective(x), inst.constraint(x)] for x in X])
+    worst = np.max(np.abs(values - np.transpose(_reformulated_values(inst, ref, X))),
+                   initial=0.0)
+    return float(worst / max(1.0, np.max(np.abs(values), initial=0.0)))
 
 
 def homogenize_check(A_list, b_list, c_list, seed: int = 0) -> tuple[bool, bool]:

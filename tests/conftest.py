@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sdckit.matcore import f_mat
+from sdckit.qcqp import generate_instance
 from sdckit.toeplitz import ToeplitzPartition, _fill_diagonal
 
 
@@ -51,6 +54,30 @@ def random_commutant_symmetric(sizes, sigmas, rng, nilpotent=True):
             T[off[i] : off[i + 1], off[j] : off[j + 1]] = blk
     C = A @ T
     return 0.5 * (C + C.T)
+
+
+def cross_polytope(n):
+    """{x : |x|_1 <= 1}: 2^n rows, and 2^(n-1) of them through each vertex."""
+    return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+
+
+def _duplicated_rows(L):
+    return np.vstack([L, L[:30], L[:5]])
+
+
+_CUBE = np.vstack([np.eye(5), -np.eye(5)])
+# The cross-polytopes and the rows that touch the cube only at its
+# vertices put more than n rows through a vertex, so the simplex takes
+# zero-length steps there and switches to Bland's rule; duplicated rows
+# tie in the ratio test.  Every bound is +-1 but on the random polytope.
+DEGENERATE_POLYTOPES = {
+    "cross-6": lambda: cross_polytope(6),
+    "cross-8": lambda: cross_polytope(8),
+    "duplicated-rows": lambda: _duplicated_rows(np.vstack([_CUBE, _CUBE])),
+    "duplicated-random-rows": lambda: _duplicated_rows(generate_instance(10, 1, 100, 0).L),
+    "rows-through-vertices": lambda: np.vstack(
+        [_CUBE, np.array(list(itertools.product((1.0, -1.0), repeat=5))) / 5.0]),
+}
 
 
 @pytest.fixture

@@ -110,6 +110,19 @@ def test_verify_checks_the_file(tmp_path):
                 "30"]) == 10
 
 
+def test_verify_refuses_a_nan_reformulation(tmp_path, capsys):
+    # a NaN objective once verified at roundoff and exited 0
+    inst = tmp_path / "inst.json"
+    ref = tmp_path / "ref.json"
+    run(["gen", "--n", "6", "--k", "1", "--m", "40", "--seed", "2", "-o", str(inst)])
+    assert run(["reformulate", "-i", str(inst), "--method", "rsdc1", "-o", str(ref)]) == 0
+    data = json.loads(ref.read_text())
+    data["quad_obj"] = [float("nan")] * len(data["quad_obj"])
+    ref.write_text(json.dumps(data))
+    assert run(["verify", "-i", str(inst), "-r", str(ref), "--samples", "30"]) == 2
+    assert "NonFiniteEntry" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(tmp_path):
     pair = tmp_path / "sing.json"
     write_matrices(pair, [np.diag([1.0, 0.0]), np.eye(2)])

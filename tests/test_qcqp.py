@@ -1,5 +1,5 @@
-import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.optimize
 from dataclasses import replace
 
+from conftest import DEGENERATE_POLYTOPES
 from sdckit import errors, qcqp
 from sdckit.matcore import Congruence, SymMat, numeric_rank
 from sdckit.qcqp import (
@@ -128,30 +129,35 @@ def _count_boxes(monkeypatch) -> list:
     return calls
 
 
-def _stub_box_solver(monkeypatch, edit):
-    """Pass the k-th box solve's (status, x, y) through edit(k, out)."""
-    box_solver = qcqp._box_solver
+def _stub_box_lps(monkeypatch, edit):
+    """Pass the kernel's (status, X, Y) through edit before it is certified."""
+    box_lps = qcqp._box_lps
+    monkeypatch.setattr(qcqp, "_box_lps", lambda L: edit(*box_lps(L)))
 
-    def stubbed(L):
-        solve = box_solver(L)
-        count = itertools.count()
-        return lambda c: edit(next(count), solve(c))
 
-    monkeypatch.setattr(qcqp, "_box_solver", stubbed)
+def _linprog_box(L):
+    """Each box bound from its own scipy linprog call, the reference."""
+    m, n = L.shape
+    lo, hi = np.empty(n), np.empty(n)
+    for i in range(n):
+        for s in (1.0, -1.0):
+            c = np.zeros(n)
+            c[i] = -s
+            res = scipy.optimize.linprog(c, A_ub=L, b_ub=np.ones(m),
+                                         bounds=[(None, None)] * n, method="highs")
+            assert res.status == 0, res.message
+            (hi if s > 0 else lo)[i] = res.x[i]
+    return lo, hi
 
 
 class TestBox:
     GRID = [(n, k) for n in (10, 15, 20) for k in (1, 2, 3)]
 
-    def test_box_matches_linprog_path(self, monkeypatch):
-        if qcqp._highspy is None:
-            pytest.skip("scipy without bundled HiGHS bindings has only the linprog path")
+    def test_box_matches_linprog(self):
         for n, k in self.GRID:
             L = generate_instance(n, k, 100, 0).L
             lo, hi = qcqp._polytope_box(L)
-            with monkeypatch.context() as mp:
-                mp.setattr(qcqp, "_highspy", None)
-                lo_lp, hi_lp = qcqp._polytope_box(L)
+            lo_lp, hi_lp = _linprog_box(L)
             np.testing.assert_allclose(lo, lo_lp, rtol=1e-12, atol=0)
             np.testing.assert_allclose(hi, hi_lp, rtol=1e-12, atol=0)
             # the origin is interior, so every bound is strictly signed
@@ -162,48 +168,112 @@ class TestBox:
         np.testing.assert_allclose(lo, -2.0, rtol=1e-14)
         np.testing.assert_allclose(hi, 1.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_POLYTOPES))
+    def test_degenerate_polytope(self, name):
+        L = DEGENERATE_POLYTOPES[name]()
+        lo, hi = qcqp._polytope_box(L)
+        lo_lp, hi_lp = _linprog_box(L)
+        np.testing.assert_allclose(lo, lo_lp, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(hi, hi_lp, rtol=1e-12, atol=0)
+        if name != "duplicated-random-rows":
+            np.testing.assert_allclose(lo, -1.0, rtol=1e-14)
+            np.testing.assert_allclose(hi, 1.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("e", [-6, 3, 5, 6])
+    def test_scaled_polytope_is_certified(self, e):
+        # the box of c L is the box of L over c, certified at every scale
+        for n, k in ((10, 1), (15, 2), (20, 3)):
+            for seed in range(5):
+                L = generate_instance(n, k, 100, seed).L
+                lo, hi = qcqp._polytope_box(L)
+                lo_c, hi_c = qcqp._polytope_box(L * 10.0**e)
+                np.testing.assert_allclose(lo_c * 10.0**e, lo, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(hi_c * 10.0**e, hi, rtol=1e-12, atol=0)
+
     def test_box_certificate_rejects_bad_duals(self, monkeypatch):
-        _stub_box_solver(monkeypatch, lambda k, out: (out[0], out[1], out[2] + 1e-3))
+        _stub_box_lps(monkeypatch, lambda status, X, Y: (status, X, Y + 1e-3))
         with pytest.raises(errors.CertificationFailed, match=r"x_0 \(\+\).*certificate"):
             qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
 
     def test_box_certificate_rejects_infeasible_point(self, monkeypatch):
-        _stub_box_solver(monkeypatch, lambda k, out: (out[0], (1.0 + 1e-6) * out[1], out[2]))
+        _stub_box_lps(monkeypatch, lambda status, X, Y: (status, (1.0 + 1e-6) * X, Y))
         with pytest.raises(errors.CertificationFailed, match=r"x_0 \(\+\).*certificate"):
             qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
 
     def test_box_status_names_coordinate_and_sign(self, monkeypatch):
         # the fourth LP is the lower bound of x_1
-        _stub_box_solver(
-            monkeypatch, lambda k, out: ("Time limit reached", None, None) if k == 3 else out
-        )
+        def failing(status, X, Y):
+            status[3] = "given up"
+            return status, X, Y
+
+        _stub_box_lps(monkeypatch, failing)
         with pytest.raises(errors.CertificationFailed,
-                           match=r"x_1 \(-\): LP not optimal: Time limit reached"):
+                           match=r"x_1 \(-\): LP not optimal: given up"):
             qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
 
-    @pytest.mark.parametrize("bindings", ["highspy", "linprog"])
-    def test_unbounded_polytope_is_named(self, monkeypatch, bindings):
-        # {x : x <= 1} has no lower bound; each path reports the solver's
-        # status for the first unbounded LP
-        if bindings == "linprog":
-            monkeypatch.setattr(qcqp, "_highspy", None)
-        elif qcqp._highspy is None:
-            pytest.skip("scipy without bundled HiGHS bindings has only the linprog path")
+    def test_unbounded_polytope_is_named(self):
+        # {x : x <= 1} has no lower bound; the first unbounded LP is named
         with pytest.raises(errors.CertificationFailed,
-                           match=r"^box bound of x_0 \(-\): LP not optimal: .*[Uu]nbounded"):
+                           match=r"^box bound of x_0 \(-\): LP not optimal: unbounded$"):
             qcqp._polytope_box(np.eye(2))
+
+    @pytest.mark.parametrize("seed", [2, 61, 120])
+    def test_row_scaled_unbounded_polytope_is_named(self, seed):
+        # rows scaled by up to 1e+-4 give bases of condition 1e8, where
+        # the certificate's tau = RESID_TOL |L|_max |y|_1 tolerates a dual
+        # that is negative on a small row; the simplex prices y_r |L_r|
+        # from a fresh inverse, so the unbounded LP is still named
+        rng = np.random.default_rng(seed)
+        L = rng.standard_normal((30, 12)) * 10.0 ** rng.uniform(-4, 4, size=(30, 1))
+        # the recession cone {d : Ld <= 0} does not depend on the row scale
+        d = scipy.optimize.linprog(
+            -np.eye(12)[0], A_ub=L / np.linalg.norm(L, axis=1, keepdims=True),
+            b_ub=np.zeros(30), bounds=[(-1, 1)] * 12, method="highs").x
+        assert d[0] > 0.5
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^box bound of x_0 \(\+\): LP not optimal: unbounded$"):
+            qcqp._polytope_box(L)
+
+    @pytest.mark.parametrize("L, what", [
+        # |x_0| <= 1 and |x_1 + x_2| <= 1: x_1 - x_2 is free
+        ([[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, -1, -1]],
+         r"x_1 \(\+\): LP not optimal: unbounded; the polytope has no vertex "
+         r"\(L has rank 2 < 3\)"),
+        # x_0 <= 1 only: the LP of x_0 (-) fails first, in the row space
+        ([[1, 0, 0], [0, 1, 1], [0, -1, -1]], r"x_0 \(-\): LP not optimal: unbounded$"),
+        ([[0, 0], [0, 0]],
+         r"x_0 \(\+\): LP not optimal: unbounded; the polytope has no vertex "
+         r"\(L has rank 0 < 2\)"),
+    ])
+    def test_rank_deficient_polytope_is_named(self, L, what):
+        with pytest.raises(errors.CertificationFailed, match="^box bound of " + what):
+            qcqp._polytope_box(np.array(L, dtype=float))
+
+    def test_pivot_cap_is_named(self, monkeypatch):
+        L = generate_instance(6, 1, 30, 0).L
+        statuses, X, _ = qcqp._box_lps(L)
+        assert statuses == [None] * 12
+        monkeypatch.setattr(qcqp, "BOX_PIVOT_CAP", 1)
+        capped, X1, _ = qcqp._box_lps(L)
+        # an LP that was optimal within one pivot keeps its vertex; the
+        # first other one is named
+        first = capped.index("no optimum within 1 pivots")
+        assert all(s is None or s == "no optimum within 1 pivots" for s in capped)
+        np.testing.assert_array_equal(X1[:first], X[:first])
+        i, sign = first // 2, "+-"[first % 2]
+        with pytest.raises(errors.CertificationFailed,
+                           match=rf"^box bound of x_{i} \({re.escape(sign)}\): LP not optimal: "
+                                 r"no optimum within 1 pivots$"):
+            qcqp._polytope_box(L)
 
     def test_certificate_residuals_within_bound(self):
         for n, k in self.GRID[:3]:
             L = generate_instance(n, k, 100, 0).L
-            solve = qcqp._box_solver(L)
-            for i in range(n):
-                for s in (1.0, -1.0):
-                    c = np.zeros(n)
-                    c[i] = -s
-                    status, x, y = solve(c)
-                    assert status is None
-                    assert qcqp._box_certificate(L, i, s, x, y) <= 1e-3
+            statuses, X, Y = qcqp._box_lps(L)
+            assert statuses == [None] * (2 * n)
+            for j in range(2 * n):
+                i, s = j // 2, (1.0, -1.0)[j % 2]
+                assert qcqp._box_certificate(L, i, s, X[j], Y[j]) <= 1e-3
 
 
 class TestGenerator:
@@ -311,6 +381,42 @@ class TestReformulations:
         with pytest.raises(errors.MethodInapplicable,
                            match="^leading matrix is not certified invertible$"):
             reformulate(singular, method)
+
+
+class TestVerificationInput:
+    @pytest.mark.parametrize("method", ["rsdc1", "eig"])
+    def test_nan_values_are_not_a_small_deviation(self, inst, method):
+        ref = reformulate(inst, method)
+        nan = replace(ref, quad_obj=np.full_like(ref.quad_obj, np.nan))
+        assert np.isnan(verify_reformulation(inst, nan, samples=20))
+
+    @pytest.mark.parametrize("key", ["quad_obj", "poly", "equalities", "P", "aux"])
+    def test_from_json_refuses_non_finite_arrays(self, inst, key):
+        method = "eig" if key == "aux" else "rsdc2"
+        data = json.loads(reformulate(inst, method).to_json())
+        field = data["aux"]["P1"] if key == "aux" else data[key]
+        if isinstance(field[0], list):
+            field = field[0]
+        field[0] = float("nan")
+        with pytest.raises(errors.NonFiniteEntry, match="non-finite"):
+            Reformulation.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("box, error", [
+        (lambda lo, hi: (lo[:-1], hi), errors.OrderMismatch),
+        (lambda lo, hi: (lo, np.vstack([hi, hi])), errors.OrderMismatch),
+        (lambda lo, hi: (np.where(np.arange(lo.size) == 2, np.nan, lo), hi),
+         errors.NonFiniteEntry),
+        (lambda lo, hi: (lo, np.where(np.arange(hi.size) == 0, np.inf, hi)),
+         errors.NonFiniteEntry),
+        (lambda lo, hi: (hi, lo), errors.EmptyBox),
+    ], ids=["short", "matrix", "nan", "inf", "lo-above-hi"])
+    def test_box_argument_is_checked(self, inst, box, error):
+        ref = reformulate(inst, "rsdc1")
+        lo, hi = qcqp._polytope_box(inst.L)
+        with pytest.raises(error):
+            verify_reformulation(inst, ref, 10, 0, box(lo, hi))
+        # a point box is a box
+        assert verify_reformulation(inst, ref, 10, 0, (lo, lo)) < 1e-9
 
 
 class TestBlockVerification:
@@ -472,10 +578,9 @@ class TestBench:
         cfg = BenchConfig((6,), (1,), 1, ("rsdc1", "rsdc2", "eig"), m=30, samples=10)
         bench(cfg)
         # the generator's boundedness LP per draw; the box's LPs run in
-        # one HiGHS model (or, without it, through linprog)
+        # sdckit's own simplex, not through linprog
         assert len(boxes) == 1
-        box_lps = 0 if qcqp._highspy is not None else 2 * 6
-        assert len(calls) == gen_calls + box_lps
+        assert len(calls) == gen_calls
 
     def test_box_solved_only_when_needed(self, monkeypatch):
         boxes = _count_boxes(monkeypatch)

@@ -21,12 +21,12 @@ def test_bitwise_probe_smoke(tmp_path):
     digests = json.loads(out.read_text())
     assert {key.split("/")[0] for key in digests} == {
         "small-families", "triple", "triple-case4", "triple-refused", "singular-complex",
-        "singular-jordan", "blocks", "qcqp", "rsdc-n80", "non-finite", "pivot",
+        "singular-jordan", "blocks", "qcqp", "box", "rsdc-n80", "non-finite", "pivot",
     }
     for key, value in digests.items():
         if key.startswith("non-finite/"):
             assert value == "NonFiniteEntry: matrix has a non-finite entry"
-        elif key.startswith("rsdc-n80/"):
+        elif key.startswith(("rsdc-n80/", "box/")):
             assert len(value) == 64  # a digest, not an error
 
 

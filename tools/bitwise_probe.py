@@ -21,6 +21,10 @@ sizes 4 and 5, whose norm tests land near their bounds and so reach
 the SVD that decides them; `perturb_blocks` on random singular
 BlockSpecs (generator seeds 0-99 and 300-399);
 `generate_instance` with every reformulation and its verification;
+the polytope box of the tests' degenerate polytopes (cross-polytopes,
+duplicated rows, rows through vertices; in smoke mode the order-6
+cross-polytope only) and, in full mode only, of grid polytopes scaled
+by 10^e, e in {-6, 3, 5, 6};
 order-80 RSDC constructions; numeric_rank / cond_number on non-finite
 input; and the span search sdc.pivot on seeded families of 2, 3 and 7
 members, singular and not, and on a mis-scaled pair.  Inputs come from the benchmark's and the tests'
@@ -111,7 +115,7 @@ def _partitions(n: int, most: int | None = None):
 
 def _families(smoke: bool):
     """(key, call) for every probed output."""
-    from conftest import random_commutant_symmetric
+    from conftest import DEGENERATE_POLYTOPES, random_commutant_symmetric
     from workloads import SmallFamilies, _complex_pencil, _scramble, planted_pair
 
     from sdckit import asdc, matcore, qcqp, rsdc, sdc, triples
@@ -263,6 +267,21 @@ def _families(smoke: bool):
                 key = "qcqp/{}/{}/{}/{}".format(*cell, method)
                 yield key, functools.partial(reformulation, cell, method)
                 yield key + "/verify", functools.partial(verification, cell, method)
+
+    def degenerate_box(name):
+        return qcqp._polytope_box(DEGENERATE_POLYTOPES[name]())
+
+    def scaled_box(n, k, seed, e):
+        return qcqp._polytope_box(instance(n, k, seed).L * 10.0**e)
+
+    for name in ["cross-6"] if smoke else sorted(DEGENERATE_POLYTOPES):
+        yield f"box/{name}", functools.partial(degenerate_box, name)
+    if not smoke:
+        for n, k in ((10, 1), (15, 2), (20, 3)):
+            for seed in range(5):
+                for e in (-6, 3, 5, 6):
+                    yield (f"box/scaled/{n}/{k}/{seed}/{e}",
+                           functools.partial(scaled_box, n, k, seed, e))
 
     def rsdc_n80(seed, order):
         A, B, _ = planted_pair(80, 3, np.random.default_rng(seed))
