@@ -135,6 +135,59 @@ def _stub_box_lps(monkeypatch, edit):
     monkeypatch.setattr(qcqp, "_box_lps", lambda L: edit(*box_lps(L)))
 
 
+def _highs_bindings():
+    """scipy's bundled HiGHS bindings, or None where scipy has none."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+def _first_unbounded_lp(L, reference):
+    """Name of the first box LP that is not optimal, checked unbounded.
+
+    The LPs max +-x_i over {Lx <= 1} run in the box's order (0,+), (0,-),
+    (1,+), ... through one HiGHS model over scipy's bindings
+    ("highspy") or one scipy linprog call each ("linprog").
+    """
+    m, n = L.shape
+    if reference == "highspy":
+        core = _highs_bindings()
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        inf = core.kHighsInf
+        highs.addVars(n, np.full(n, -inf), np.full(n, inf))
+        highs.addRows(
+            m, np.full(m, -inf), np.ones(m), m * n,
+            np.arange(0, m * n, n, dtype=np.int32),
+            np.tile(np.arange(n, dtype=np.int32), m), L.ravel(),
+        )
+
+        def status(c):
+            highs.changeColsCost(n, np.arange(n, dtype=np.int32), c)
+            highs.run()
+            st = highs.getModelStatus()
+            if st == core.HighsModelStatus.kOptimal:
+                return None
+            return highs.modelStatusToString(st)
+    else:
+        def status(c):
+            res = scipy.optimize.linprog(c, A_ub=L, b_ub=np.ones(m),
+                                         bounds=[(None, None)] * n, method="highs")
+            return None if res.status == 0 else res.message
+
+    for i in range(n):
+        for s, sign in ((1.0, "+"), (-1.0, "-")):
+            c = np.zeros(n)
+            c[i] = -s
+            message = status(c)
+            if message is not None:
+                assert re.search("[Uu]nbounded", message), message
+                return f"x_{i} ({sign})"
+    return None
+
+
 def _linprog_box(L):
     """Each box bound from its own scipy linprog call, the reference."""
     m, n = L.shape
@@ -211,11 +264,17 @@ class TestBox:
                            match=r"x_1 \(-\): LP not optimal: given up"):
             qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
 
-    def test_unbounded_polytope_is_named(self):
-        # {x : x <= 1} has no lower bound; the first unbounded LP is named
+    @pytest.mark.parametrize("reference", ["highspy", "linprog"])
+    def test_unbounded_polytope_is_named(self, reference):
+        # {x : x <= 1} has no lower bound; the kernel names the first
+        # unbounded LP, the same one the reference solver finds first
+        if reference == "highspy" and _highs_bindings() is None:
+            pytest.skip("scipy without bundled HiGHS bindings")
+        L = np.eye(2)
+        assert _first_unbounded_lp(L, reference) == "x_0 (-)"
         with pytest.raises(errors.CertificationFailed,
                            match=r"^box bound of x_0 \(-\): LP not optimal: unbounded$"):
-            qcqp._polytope_box(np.eye(2))
+            qcqp._polytope_box(L)
 
     @pytest.mark.parametrize("seed", [2, 61, 120])
     def test_row_scaled_unbounded_polytope_is_named(self, seed):
