@@ -17,11 +17,10 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import errors
 from .matcore import (
@@ -32,7 +31,6 @@ from .matcore import (
     direct_sum,
     f_mat,
     form_family,
-    numeric_rank,
 )
 from .rsdc import rsdc1_construct, rsdc2_construct
 from .sdc import sdc_check, span_candidates
@@ -71,40 +69,35 @@ class QcqpInstance:
     L: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(x @ self.A1.a @ x + 2.0 * self.b1 @ x)
+    def __post_init__(self):
+        for key, ndim in (("b1", 1), ("b2", 1), ("L", 2)):
+            a = getattr(self, key)
+            if np.ndim(a) != ndim or np.shape(a)[-1] != self.n:
+                raise errors.OrderMismatch(f"{key} has shape {np.shape(a)}, expected "
+                                           f"({'m, ' * (ndim - 1)}{self.n},)")
+            if not np.isfinite(a).all():
+                raise errors.NonFiniteEntry(f"{key} has a non-finite entry")
 
-    def constraint(self, x: np.ndarray) -> float:
-        return float(x @ self.A2.a @ x + 2.0 * self.b2 @ x)
+    def objective(self, x: np.ndarray):
+        """x^T A1 x + 2 b1^T x at x, or at each row of a (samples, n) block."""
+        return _form_values(self.A1.a, self.b1, x)
+
+    def constraint(self, x: np.ndarray):
+        """x^T A2 x + 2 b2^T x at x, or at each row of a (samples, n) block."""
+        return _form_values(self.A2.a, self.b2, x)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.meta.get("k"),
-                "m": int(self.L.shape[0]),
-                "seed": self.meta.get("seed"),
-                "A1": self.A1.a.tolist(),
-                "A2": self.A2.a.tolist(),
-                "b1": self.b1.tolist(),
-                "b2": self.b2.tolist(),
-                "L": self.L.tolist(),
-            }
-        )
+        arrays = {"A1": self.A1.a, "A2": self.A2.a, "b1": self.b1, "b2": self.b2, "L": self.L}
+        return json.dumps({"n": self.n, "k": self.meta.get("k"), "m": int(self.L.shape[0]),
+                           "seed": self.meta.get("seed"),
+                           **{key: a.tolist() for key, a in arrays.items()}})
 
     @classmethod
     def from_json(cls, text: str) -> "QcqpInstance":
         d = json.loads(text)
-        meta = {"seed": d.get("seed"), "k": d.get("k")}
-        return cls(
-            n=int(d["n"]),
-            A1=SymMat(np.asarray(d["A1"], dtype=float)),
-            A2=SymMat(np.asarray(d["A2"], dtype=float)),
-            b1=np.asarray(d["b1"], dtype=float),
-            b2=np.asarray(d["b2"], dtype=float),
-            L=np.asarray(d["L"], dtype=float),
-            meta=meta,
-        )
+        arrays = {key: np.asarray(d[key], dtype=float) for key in ("A1", "A2", "b1", "b2", "L")}
+        return cls(n=int(d["n"]), A1=SymMat(arrays.pop("A1")), A2=SymMat(arrays.pop("A2")),
+                   **arrays, meta={"seed": d.get("seed"), "k": d.get("k")})
 
 
 @dataclass(frozen=True)
@@ -168,29 +161,40 @@ class Reformulation:
         )
 
 
-def check_bounded(L) -> bool:
-    """True when the polytope {x : Lx <= 1} is bounded.
+def _form_values(A: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """x^T A x + 2 b^T x for symmetric A, at x or at each row of a block."""
+    return np.sum(x * (x @ A), axis=-1) + 2.0 * (x @ b)
 
-    Stiemke's alternative: the recession cone {d : Ld <= 0} is {0}
-    exactly when L has full column rank and L^T y = 0 for some y > 0.
-    An L of numeric rank below n (at RANK_TOL) is unbounded without an
-    LP; otherwise one feasibility LP looks for such a y, scaled to
-    y >= 1.
+
+def check_bounded(L) -> bool:
+    """True when the polytope {x : Lx <= 1} is bounded, on a checked dual proof.
+
+    The 2n box LPs max +-x_i over {Lx <= 1} run in _box_lps.  An
+    unbounded LP or a polytope without a vertex gives False.  When every
+    LP k, of objective c_k = +-e_i, is optimal with duals whose positive
+    part y+ has ||L^T y+ - c_k||_1 <= 1/2, any d with Ld <= 0 has
+    +-d_i = y+^T L d - (L^T y+ - c_k)^T d <= ||d||_inf / 2 for every i,
+    so d = 0: True.  The proof reads only the duals, not the box's
+    primal and gap checks.  Any other outcome, such as the pivot cap,
+    raises CertificationFailed, and a NaN or inf in L NonFiniteEntry.
     """
     L = np.asarray(L, dtype=float)
-    m, n = L.shape
-    if numeric_rank(L) < n:
+    if not np.isfinite(L).all():
+        raise errors.NonFiniteEntry("L has a non-finite entry")
+    return _bounded(L, *_box_lps(L))
+
+
+def _bounded(L: np.ndarray, statuses, X, Y) -> bool:
+    """check_bounded's verdict from _box_lps's output on L."""
+    if any(s is not None and s.startswith("unbounded") for s in statuses):
         return False
-    res = scipy.optimize.linprog(
-        np.zeros(m), A_eq=L.T, b_eq=np.zeros(n), bounds=(1, None),
-        method="highs",
-    )
-    if res.status == 2:  # infeasible: no positive y
-        return False
-    if res.status != 0:
-        raise errors.SdckitError(
-            f"boundedness LP failed with status {res.status}: {res.message}"
-        )
+    C = np.kron(np.eye(L.shape[1]), [[1.0], [-1.0]])  # row k is c_k
+    residual = np.sum(np.abs(np.maximum(Y, 0.0) @ L - C), axis=1)
+    for k, s in enumerate(statuses):
+        if s is not None or not residual[k] <= 0.5:
+            raise errors.CertificationFailed(
+                f"boundedness LP of x_{k // 2} ({'+-'[k % 2]}): " + (
+                    f"not optimal: {s}" if s else f"dual residual {residual[k]:.3g} > 1/2"))
     return True
 
 
@@ -200,8 +204,13 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
     An orthogonal V conjugates Diag(sigma, F_2, ..., F_2) and
     Diag(sigma mu, T_1, ..., T_k) with Rademacher signs, normal mu and
     normal 2x2 symmetric blocks; b1, b2, L are standard normal and the
-    instance is resampled until the polytope is bounded.
+    instance is resampled until check_bounded finds the polytope bounded.
     """
+    return _generate(n, k, m, seed)[0]
+
+
+def _generate(n: int, k: int, m: int, seed: int):
+    """generate_instance's instance, and the _box_lps output on its L."""
     if 2 * k > n:
         raise ValueError("need 2k <= n")
     rng = np.random.default_rng(seed)
@@ -219,7 +228,8 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
         b1 = rng.standard_normal(n)
         b2 = rng.standard_normal(n)
         L = rng.standard_normal((m, n))
-        if check_bounded(L):
+        kernel = _box_lps(L)
+        if _bounded(L, *kernel):
             return QcqpInstance(
                 n=n,
                 A1=SymMat(0.5 * (A1 + A1.T)),
@@ -228,7 +238,7 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
                 b2=b2,
                 L=L,
                 meta={"seed": seed, "k": k, "generator": 1},
-            )
+            ), kernel
     raise errors.ResampleLimitExceeded(
         f"no bounded polytope within {RESAMPLE_LIMIT} draws"
     )
@@ -248,10 +258,7 @@ def reformulate(inst: QcqpInstance, method: str) -> Reformulation:
         A2t = P1.T @ A2 @ P1
         w2, P2 = np.linalg.eigh(0.5 * (A2t + A2t.T))
         # variables (y, z) with the coupling y = P2 z
-        eqs = tuple(
-            np.concatenate([row, -P2[i, :]])
-            for i, row in enumerate(np.eye(n))
-        )
+        eqs = tuple(np.hstack([np.eye(n), -P2]))
         return Reformulation(
             method="eig",
             dim=2 * n,
@@ -437,10 +444,11 @@ def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float
 
     By LP duality x is optimal when it is feasible and y >= 0 has
     L^T y = s e_i and 1^T y = s x_i.  Each residual is returned as a
-    fraction of tau = RESID_TOL max(1, ||L||_max ||y||_1) (the gap's
-    tau scaled by max(1, |x_i|)), so the bound is certified at <= 1.
+    fraction of tau = RESID_TOL max(1, sum_r |y_r| max_j |L_rj|) (the
+    gap's tau scaled by max(1, |x_i|)), so the bound is certified at
+    <= 1.  Scaling row r of L by c scales y_r by 1 / c and leaves tau.
     """
-    tau = RESID_TOL * max(1.0, np.max(np.abs(L)) * np.sum(np.abs(y)))
+    tau = RESID_TOL * max(1.0, np.abs(y) @ np.max(np.abs(L), axis=1))
     r = L.T @ y
     r[i] -= s
     return float(np.max([
@@ -452,31 +460,29 @@ def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float
 
 
 def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate bounds of the polytope {Lx <= 1}, each one certified.
+    """Per-coordinate bounds of the polytope {Lx <= 1}, each one certified:
+    the 2n LPs solved together by _box_lps, then _certified_box."""
+    return _certified_box(L, *_box_lps(L))
 
-    The 2n LPs are solved together by _box_lps and certified in the
-    order (0, +), (0, -), (1, +), ...; the first bound whose LP is not
-    optimal or whose duality certificate fails raises CertificationFailed
-    naming the coordinate and the sign.
+
+def _certified_box(L: np.ndarray, statuses, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) box read from _box_lps's output on L, each bound certified.
+
+    The LPs are certified in the order (0, +), (0, -), (1, +), ...; the
+    first one that is not optimal or whose duality certificate fails
+    raises CertificationFailed naming the coordinate and the sign.
     """
-    n = L.shape[1]
-    statuses, X, Y = _box_lps(L)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        for s in (1.0, -1.0):
-            what = f"box bound of x_{i} ({'+' if s > 0 else '-'})"
-            k = 2 * i + (s < 0)
-            status, x, y = statuses[k], X[k], Y[k]
-            if status is not None:
-                raise errors.CertificationFailed(f"{what}: LP not optimal: {status}")
-            ratio = _box_certificate(L, i, s, x, y)
-            if not ratio <= 1.0:
-                raise errors.CertificationFailed(
-                    f"{what}: duality certificate residual is {ratio:.3g} of its bound"
-                )
-            (hi if s > 0 else lo)[i] = x[i]
-    return lo, hi
+    for k, status in enumerate(statuses):
+        what = f"box bound of x_{k // 2} ({'+-'[k % 2]})"
+        if status is not None:
+            raise errors.CertificationFailed(f"{what}: LP not optimal: {status}")
+        ratio = _box_certificate(L, k // 2, (1.0, -1.0)[k % 2], X[k], Y[k])
+        if not ratio <= 1.0:
+            raise errors.CertificationFailed(
+                f"{what}: duality certificate residual is {ratio:.3g} of its bound"
+            )
+    i = np.arange(L.shape[1])
+    return X[2 * i + 1, i], X[2 * i, i]
 
 
 def _sampling_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,15 +521,11 @@ def _reformulated_values(inst, ref: Reformulation, X: np.ndarray):
     """Reformulated objective and constraint values at the rows of X."""
     n = inst.n
     if ref.method == "eig":
-        P1 = np.asarray(ref.aux["P1"], dtype=float)
-        P2 = np.asarray(ref.aux["P2"], dtype=float)
-        obj, con = [], []
-        for x in X:
-            y = P1.T @ x
-            z = P2.T @ y
-            obj.append(float(y @ (ref.quad_obj * y) + 2.0 * ref.lin_obj @ y))
-            con.append(float(z @ (ref.quad_con * z) + 2.0 * ref.lin_con @ y))
-        return obj, con
+        # each row of X mapped to y = P1^T x and z = P2^T y
+        Y = X @ np.asarray(ref.aux["P1"], dtype=float)
+        Z = Y @ np.asarray(ref.aux["P2"], dtype=float)
+        return (np.sum(Y * (ref.quad_obj * Y), axis=1) + 2.0 * (Y @ ref.lin_obj),
+                np.sum(Z * (ref.quad_con * Z), axis=1) + 2.0 * (Y @ ref.lin_con))
     d = ref.dim - n
     # one column per point, stored row-major so that the sums along
     # axis 0 add term by term in the order of a single column's dot
@@ -537,7 +539,7 @@ def _reformulated_values(inst, ref: Reformulation, X: np.ndarray):
     lc = ref.lin_con.astype(np.longdouble)
     obj = np.sum(W * (qo * W), axis=0) + np.dot(2.0 * lo, W)
     con = np.sum(W * (qc * W), axis=0) + np.dot(2.0 * lc, W)
-    return obj.astype(float).tolist(), con.astype(float).tolist()
+    return obj.astype(float), con.astype(float)
 
 
 def verify_reformulation(
@@ -560,8 +562,8 @@ def verify_reformulation(
     lo, hi = _polytope_box(inst.L) if box is None else _sampling_box(box, inst.n)
     X = lo + (hi - lo) * rng.uniform(size=(samples, inst.n))
     # a NaN in either value makes the deviation NaN, never zero
-    values = np.array([[inst.objective(x), inst.constraint(x)] for x in X])
-    worst = np.max(np.abs(values - np.transpose(_reformulated_values(inst, ref, X))),
+    values = np.array([inst.objective(X), inst.constraint(X)])
+    worst = np.max(np.abs(values - np.array(_reformulated_values(inst, ref, X))),
                    initial=0.0)
     return float(worst / max(1.0, np.max(np.abs(values), initial=0.0)))
 
@@ -588,15 +590,8 @@ def homogenize_check(A_list, b_list, c_list, seed: int = 0) -> tuple[bool, bool]
     else:
         raise errors.NoPdElement("no definite element found in the A-span")
 
-    Qs = []
-    for A, b, cc in zip(mats, b_list, c_list):
-        b = np.asarray(b, dtype=float)
-        Q = np.zeros((n + 1, n + 1))
-        Q[:n, :n] = A
-        Q[:n, n] = b
-        Q[n, :n] = b
-        Q[n, n] = float(cc)
-        Qs.append(Q)
+    Qs = [np.block([[A, np.reshape(b, (n, 1))], [np.reshape(b, (1, n)), float(cc)]])
+          for A, b, cc in zip(mats, b_list, c_list)]
     corner = np.zeros((n + 1, n + 1))
     corner[n, n] = 1.0
     premise = sdc_check(Qs + [corner]).is_sdc
@@ -621,12 +616,13 @@ def _bench_cell(n, k, seed, methods, m, samples):
 
     t0 = time.perf_counter()
     try:
-        inst = generate_instance(n, k, m, seed)
+        inst, kernel = _generate(n, k, m, seed)
     except errors.SdckitError as exc:
         return [blank(meth, None, str(exc)) for meth in methods]
     gen_ms = round(1000.0 * (time.perf_counter() - t0), 3)
-    # one bounding box serves every method's verification; it is solved
-    # only once some reformulation has succeeded
+    # one bounding box serves every method's verification; its LPs were
+    # solved by the generator's boundedness check, and it is certified
+    # from that output once some reformulation has succeeded
     box = None
     rows = []
     for meth in methods:
@@ -636,7 +632,7 @@ def _bench_cell(n, k, seed, methods, m, samples):
             ref = reformulate(inst, meth)
             row["reform_ms"] = round(1000.0 * (time.perf_counter() - t1), 3)
             if box is None:
-                box = _polytope_box(inst.L)
+                box = _certified_box(inst.L, *kernel)
             row["dim"] = ref.dim
             row["kappa"] = ref.kappa
             row["deviation"] = verify_reformulation(inst, ref, samples, seed, box)
@@ -653,7 +649,9 @@ def bench(config: BenchConfig) -> dict:
 
     Returns {"rows": [...], "medians": [...], "csv": text}; per-cell
     failures are recorded in their rows and the run continues; rows are
-    ordered by (n, k, seed, method).
+    ordered by (n, k, seed, method).  gen_ms includes the box LPs that
+    the generator's boundedness check solves; the verification box is
+    certified from them, not solved again.
     """
     cells = [
         (n, k, seed, tuple(config.methods), config.m, config.samples)
@@ -666,25 +664,15 @@ def bench(config: BenchConfig) -> dict:
         rows.extend(_bench_cell(*cell))
 
     medians = []
-    for n in config.n_values:
-        for k in config.k_values:
-            for meth in config.methods:
-                sel = [
-                    r for r in rows
-                    if r["n"] == n and r["k"] == k and r["method"] == meth
-                    and r["kappa"] is not None
-                ]
-                if not sel:
-                    continue
-                medians.append(
-                    {
-                        "n": n, "k": k, "method": meth, "cells": len(sel),
-                        "median_kappa": float(np.median([r["kappa"] for r in sel])),
-                        "median_deviation": float(
-                            np.median([r["deviation"] for r in sel])
-                        ),
-                    }
-                )
+    for cell in product(config.n_values, config.k_values, config.methods):
+        sel = [r for r in rows
+               if (r["n"], r["k"], r["method"]) == cell and r["kappa"] is not None]
+        if sel:
+            medians.append({
+                "n": cell[0], "k": cell[1], "method": cell[2], "cells": len(sel),
+                "median_kappa": float(np.median([r["kappa"] for r in sel])),
+                "median_deviation": float(np.median([r["deviation"] for r in sel])),
+            })
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_BENCH_FIELDS)

@@ -123,6 +123,26 @@ def test_verify_refuses_a_nan_reformulation(tmp_path, capsys):
     assert "NonFiniteEntry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, index, value", [
+    ("b1", (0,), float("nan")), ("L", (3, 2), float("inf")), ("b2", None, None)])
+def test_verify_refuses_a_bad_instance(tmp_path, capsys, key, index, value):
+    # b1, b2 and L once passed unchecked, and a NaN in b1 exited 10
+    inst = tmp_path / "inst.json"
+    ref = tmp_path / "ref.json"
+    run(["gen", "--n", "6", "--k", "1", "--m", "40", "--seed", "2", "-o", str(inst)])
+    assert run(["reformulate", "-i", str(inst), "--method", "rsdc1", "-o", str(ref)]) == 0
+    data = json.loads(inst.read_text())
+    if index is None:
+        data[key].pop()
+    else:
+        row = data[key][index[0]] if len(index) == 2 else data[key]
+        row[index[-1]] = value
+    inst.write_text(json.dumps(data))
+    assert run(["verify", "-i", str(inst), "-r", str(ref), "--samples", "30"]) == 2
+    err = capsys.readouterr().err
+    assert ("OrderMismatch" if index is None else "NonFiniteEntry") in err
+
+
 def test_precondition_exit_code(tmp_path):
     pair = tmp_path / "sing.json"
     write_matrices(pair, [np.diag([1.0, 0.0]), np.eye(2)])

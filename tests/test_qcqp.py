@@ -1,12 +1,15 @@
 import json
+import os
 import re
-from types import SimpleNamespace
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 from dataclasses import replace
+from pathlib import Path
 
 from conftest import DEGENERATE_POLYTOPES
 from sdckit import errors, qcqp
@@ -54,14 +57,20 @@ class TestBounded:
                 assert np.max(np.abs(d)) > 1e-9
 
     def test_one_lp_per_check(self, monkeypatch):
-        calls = _count_linprog(monkeypatch)
+        # one run of the box kernel per check and per generated draw
+        calls = _counting(monkeypatch, "_box_lps")
+        L = np.outer(np.arange(1.0, 7.0), [1.0, -2.0, 0.5])
+        assert not check_bounded(L)  # rank 1 < n: no vertex
+        assert len(calls) == 1
+        calls.clear()
         generate_instance(6, 1, 30, 0)
         assert len(calls) == 1
         calls.clear()
-        # rank 1 < n: unbounded before any LP
-        L = np.outer(np.arange(1.0, 7.0), [1.0, -2.0, 0.5])
-        assert not check_bounded(L)
-        assert len(calls) == 0
+        # one halfspace never bounds the polytope: every draw is checked
+        monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 25)
+        with pytest.raises(errors.ResampleLimitExceeded):
+            generate_instance(2, 0, 1, 0)
+        assert len(calls) == 25
 
     def test_nearly_dependent_columns_bounded(self):
         # {-1 <= Mx <= 1} with a column of M equal to another up to 1e-9
@@ -77,12 +86,51 @@ class TestBounded:
         assert check_bounded(L)
 
     def test_lp_failure_is_named(self, monkeypatch):
-        def failing(*args, **kwargs):
-            return SimpleNamespace(status=4, message="numerical difficulties")
+        L = generate_instance(6, 1, 30, 0).L
+        monkeypatch.setattr(qcqp, "BOX_PIVOT_CAP", 1)
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^boundedness LP of x_\d \([+-]\): not optimal: "
+                                 r"no optimum within 1 pivots$"):
+            check_bounded(L)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", failing)
-        with pytest.raises(errors.SdckitError, match="status 4"):
+    def test_failed_dual_proof_is_named(self, monkeypatch):
+        # optimal LPs whose duals prove nothing give no verdict
+        _stub_box_lps(monkeypatch, lambda status, X, Y: (status, X, 0.1 * Y))
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^boundedness LP of x_0 \(\+\): dual residual 0\.9 > 1/2$"):
             check_bounded(np.vstack([np.eye(2), -np.eye(2)]))
+
+    def test_thin_recession_cone_is_unbounded(self):
+        # every entry of column 1 is positive, so -e_1 recedes, although
+        # L has numeric rank 2 (sigma_min / sigma_max is near 1e-9)
+        L = [[1, 5e-10], [-1, 3e-10], [0, 1e-9]]
+        assert numeric_rank(np.array(L)) == 2
+        assert not check_bounded(L)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_is_named(self, value):
+        L = np.vstack([np.eye(2), -np.eye(2)])
+        L[3, 1] = value
+        with pytest.raises(errors.NonFiniteEntry, match="^L has a non-finite entry$"):
+            check_bounded(L)
+
+    @pytest.mark.parametrize("e", [-3, 3])
+    def test_column_scaling_keeps_the_verdict(self, e):
+        for n, k in ((10, 1), (15, 2), (20, 3)):
+            L = generate_instance(n, k, 100, 0).L
+            scale = 10.0 ** (e * np.resize([1, 0, -1], n))
+            assert check_bounded(L * scale)
+
+    def test_proof_needs_no_box_certificate(self):
+        # the L of test_nearly_dependent_columns_bounded: its box bounds
+        # near 2e9 fail primal feasibility, but the duals still prove it
+        r = np.random.default_rng(1)
+        M = r.standard_normal((4, 4))
+        M[:, 3] = M[:, 2] + 1e-9 * r.standard_normal(4)
+        L = np.vstack([M, -M])
+        with pytest.raises(errors.CertificationFailed, match="certificate"):
+            qcqp._polytope_box(L)
+        assert check_bounded(L)
 
 
 def _recession_witness(L):
@@ -105,27 +153,16 @@ def _recession_witness(L):
     return None
 
 
-def _count_linprog(monkeypatch) -> list:
+def _counting(monkeypatch, name) -> list:
+    """Count the calls of the qcqp function name."""
     calls = []
-    linprog = scipy.optimize.linprog
+    fn = getattr(qcqp, name)
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return fn(*args)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
-    return calls
-
-
-def _count_boxes(monkeypatch) -> list:
-    calls = []
-    box = qcqp._polytope_box
-
-    def counting(L):
-        calls.append(1)
-        return box(L)
-
-    monkeypatch.setattr(qcqp, "_polytope_box", counting)
+    monkeypatch.setattr(qcqp, name, counting)
     return calls
 
 
@@ -253,16 +290,33 @@ class TestBox:
         with pytest.raises(errors.CertificationFailed, match=r"x_0 \(\+\).*certificate"):
             qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
 
+    def test_certificate_tau_is_row_scale_invariant(self, monkeypatch):
+        # x_0 <= 1e-4 is a row of scale 1e4.  A tau of RESID_TOL |L|_max
+        # |y|_1 grows by 1e4 on every LP and accepts a dual 1e-6 off on a
+        # unit row; sum_r |y_r| max_j |L_rj| weighs each row by its dual
+        L = np.vstack([1e4 * np.eye(3)[:1], -np.eye(3)[:1], np.eye(3)[1:], -np.eye(3)[1:]])
+
+        def perturbed(status, X, Y):
+            Y[2, 2] += 1e-6  # the dual of x_1 <= 1 in the LP of x_1 (+)
+            return status, X, Y
+
+        _stub_box_lps(monkeypatch, perturbed)
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^box bound of x_1 \(\+\): duality certificate residual "
+                                 r"is 100 of its bound$"):
+            qcqp._polytope_box(L)
+
     def test_box_status_names_coordinate_and_sign(self, monkeypatch):
         # the fourth LP is the lower bound of x_1
         def failing(status, X, Y):
             status[3] = "given up"
             return status, X, Y
 
+        L = generate_instance(6, 1, 30, 0).L  # the generator runs the kernel too
         _stub_box_lps(monkeypatch, failing)
         with pytest.raises(errors.CertificationFailed,
                            match=r"x_1 \(-\): LP not optimal: given up"):
-            qcqp._polytope_box(generate_instance(6, 1, 30, 0).L)
+            qcqp._polytope_box(L)
 
     @pytest.mark.parametrize("reference", ["highspy", "linprog"])
     def test_unbounded_polytope_is_named(self, reference):
@@ -440,6 +494,27 @@ class TestReformulations:
         with pytest.raises(errors.MethodInapplicable,
                            match="^leading matrix is not certified invertible$"):
             reformulate(singular, method)
+
+
+class TestInstanceGate:
+    @pytest.mark.parametrize("key, bad, error", [
+        ("b1", lambda a: np.where(np.arange(a.size) == 1, np.nan, a), errors.NonFiniteEntry),
+        ("b2", lambda a: -np.inf + a, errors.NonFiniteEntry),
+        ("L", lambda a: np.where(np.arange(a.shape[1]) == 2, np.inf, a), errors.NonFiniteEntry),
+        ("b2", lambda a: a[:-1], errors.OrderMismatch),
+        ("b1", lambda a: a[:, None], errors.OrderMismatch),
+        ("L", lambda a: a[:, :-1], errors.OrderMismatch),
+        ("L", lambda a: a[0], errors.OrderMismatch),
+    ], ids=["nan-b1", "inf-b2", "inf-L", "short-b2", "column-b1", "narrow-L", "vector-L"])
+    def test_fields_are_checked(self, inst, key, bad, error):
+        with pytest.raises(error, match=f"^{key} has"):
+            replace(inst, **{key: bad(getattr(inst, key))})
+
+    def test_from_json_is_checked(self, inst):
+        data = json.loads(inst.to_json())
+        data["b1"][0] = float("nan")
+        with pytest.raises(errors.NonFiniteEntry, match="^b1 has a non-finite entry$"):
+            QcqpInstance.from_json(json.dumps(data))
 
 
 class TestVerificationInput:
@@ -629,34 +704,38 @@ class TestBench:
         assert "n,k,seed,method,dim,kappa,deviation" in report["csv"]
 
     def test_box_lps_solved_once_per_instance(self, monkeypatch):
-        calls = _count_linprog(monkeypatch)
+        kernels = _counting(monkeypatch, "_box_lps")
         generate_instance(6, 1, 30, 0)
-        gen_calls = len(calls)
-        calls.clear()
-        boxes = _count_boxes(monkeypatch)
+        gen_calls = len(kernels)
+        kernels.clear()
+        boxes = _counting(monkeypatch, "_certified_box")
         cfg = BenchConfig((6,), (1,), 1, ("rsdc1", "rsdc2", "eig"), m=30, samples=10)
         bench(cfg)
-        # the generator's boundedness LP per draw; the box's LPs run in
-        # sdckit's own simplex, not through linprog
+        # the generator's kernel run per draw is all the cell solves; the
+        # box is certified once, from the generator's output
         assert len(boxes) == 1
-        assert len(calls) == gen_calls
+        assert len(kernels) == gen_calls
 
     def test_box_solved_only_when_needed(self, monkeypatch):
-        boxes = _count_boxes(monkeypatch)
-        # sdc is inapplicable for k >= 1: no reformulation, so no box
+        kernels = _counting(monkeypatch, "_box_lps")
+        boxes = _counting(monkeypatch, "_certified_box")
+        # sdc is inapplicable for k >= 1: no reformulation, so no box;
+        # the generator's kernel run per cell is the only one
         rows = bench(BenchConfig((5,), (1,), 2, ("sdc",), m=30, samples=10))["rows"]
         assert all(r["error"].startswith("MethodInapplicable") for r in rows)
         assert len(boxes) == 0
+        cell_runs = len(kernels)
         rows = bench(BenchConfig((5,), (1,), 2, ("sdc", "rsdc2", "eig"), m=30,
                                  samples=10))["rows"]
         assert [r["deviation"] is not None for r in rows] == [False, True, True] * 2
         assert len(boxes) == 2
+        assert len(kernels) == 2 * cell_runs
 
     def test_box_failure_recorded_in_row(self, monkeypatch):
-        def failing(L):
+        def failing(*args):
             raise errors.CertificationFailed("box bound of x_0 (+): stub")
 
-        monkeypatch.setattr(qcqp, "_polytope_box", failing)
+        monkeypatch.setattr(qcqp, "_certified_box", failing)
         rows = bench(BenchConfig((5,), (1,), 1, ("rsdc2", "eig"), m=30))["rows"]
         for r in rows:
             assert r["error"] == "CertificationFailed: box bound of x_0 (+): stub"
@@ -688,3 +767,12 @@ def test_resample_limit_exceeded():
             generate_instance(2, 0, 1, seed=0)
     finally:
         q.RESAMPLE_LIMIT = old
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize is the slowest import of scipy, and sdckit needs none of it
+    code = "import sys, sdckit; print('scipy.optimize' in sys.modules)"
+    src = Path(qcqp.__file__).resolve().parents[1]  # the tree under test
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"
