@@ -70,6 +70,10 @@ class QcqpInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in ("A1", "A2"):
+            if getattr(self, key).n != self.n:
+                raise errors.OrderMismatch(
+                    f"{key} has order {getattr(self, key).n}, expected {self.n}")
         for key, ndim in (("b1", 1), ("b2", 1), ("L", 2)):
             a = getattr(self, key)
             if np.ndim(a) != ndim or np.shape(a)[-1] != self.n:
@@ -170,7 +174,8 @@ def check_bounded(L) -> bool:
     """True when the polytope {x : Lx <= 1} is bounded, on a checked dual proof.
 
     The 2n box LPs max +-x_i over {Lx <= 1} run in _box_lps.  An
-    unbounded LP or a polytope without a vertex gives False.  When every
+    unbounded LP or a polytope without a vertex gives False, once the
+    ray that each such LP returns is checked to recede.  When every
     LP k, of objective c_k = +-e_i, is optimal with duals whose positive
     part y+ has ||L^T y+ - c_k||_1 <= 1/2, any d with Ld <= 0 has
     +-d_i = y+^T L d - (L^T y+ - c_k)^T d <= ||d||_inf / 2 for every i,
@@ -184,17 +189,36 @@ def check_bounded(L) -> bool:
     return _bounded(L, *_box_lps(L))
 
 
+def _objectives(n: int) -> np.ndarray:
+    """The box LPs' objectives: row k is c_k = s e_i, i = k // 2, s = (+1, -1)[k % 2]."""
+    return np.kron(np.eye(n), [[1.0], [-1.0]])
+
+
 def _bounded(L: np.ndarray, statuses, X, Y) -> bool:
-    """check_bounded's verdict from _box_lps's output on L."""
-    if any(s is not None and s.startswith("unbounded") for s in statuses):
+    """check_bounded's verdict from _box_lps's output on L.
+
+    False needs a checked ray: the row X[k] of every unbounded LP k must
+    have L_r d <= _SIMPLEX_TOL |L_r| |d| on every row r and c_k d > 0.
+    """
+    C = _objectives(L.shape[1])
+
+    def fail(k, why):
+        return errors.CertificationFailed(f"boundedness LP of x_{k // 2} ({'+-'[k % 2]}): {why}")
+
+    unbounded = [k for k, s in enumerate(statuses) if s is not None and s.startswith("unbounded")]
+    if unbounded:
+        D = X[unbounded]
+        floor = _SIMPLEX_TOL * np.multiply.outer(np.linalg.norm(D, axis=1),
+                                                 np.linalg.norm(L, axis=1))
+        recedes = np.all(D @ L.T <= floor, axis=1) & (np.sum(D * C[unbounded], axis=1) > 0)
+        for k, ok in zip(unbounded, recedes):
+            if not ok:
+                raise fail(k, f"{statuses[k]}, but its ray does not recede")
         return False
-    C = np.kron(np.eye(L.shape[1]), [[1.0], [-1.0]])  # row k is c_k
     residual = np.sum(np.abs(np.maximum(Y, 0.0) @ L - C), axis=1)
     for k, s in enumerate(statuses):
         if s is not None or not residual[k] <= 0.5:
-            raise errors.CertificationFailed(
-                f"boundedness LP of x_{k // 2} ({'+-'[k % 2]}): " + (
-                    f"not optimal: {s}" if s else f"dual residual {residual[k]:.3g} > 1/2"))
+            raise fail(k, f"not optimal: {s}" if s else f"dual residual {residual[k]:.3g} > 1/2")
     return True
 
 
@@ -305,37 +329,72 @@ def reformulate(inst: QcqpInstance, method: str) -> Reformulation:
     )
 
 
-def _start_vertex(L: np.ndarray) -> tuple[list, np.ndarray]:
-    """A vertex of {Lx <= 1} reached by n ray shots from the origin.
+def _crash(Lr: np.ndarray, C: np.ndarray, norms: np.ndarray):
+    """Ray shots from the origin to a start vertex of {Lr x <= 1} per LP.
 
-    Each shot runs from the current point along the first null vector
-    of the rows hit so far and of the null directions found so far,
-    from one Householder QR, and stops at the nearest row it hits.  A
-    direction that hits no row either way is a null direction of L.
-    Returns (active, null): the rows hit, which define a vertex in the
-    row space of L, and the null directions as orthonormal rows.
+    LP k, of unit objective C[k], takes t = Lr.shape[1] shots, in
+    lockstep with the others.  Each shot goes along C[k] projected onto the null
+    space of the rows that LP k has hit so far; the projector takes one
+    new row per shot, orthogonalized by Gram-Schmidt applied twice.
+    When that projection is about zero, the shot goes along the null
+    direction of those rows nearest a unit vector, whichever way hits a
+    row.  A shot stops at the nearest row it hits, by the simplex's
+    relative _SIMPLEX_TOL hit and step tests.  A shot along C[k] that
+    hits no row makes LP k unbounded, and a shot that hits no row either
+    way makes it null: its direction is a null direction of Lr.
+    Returns (B, rays, unbounded, nulled): B[k] lists the t rows hit,
+    which define LP k's start vertex, and rays[k] is the unit direction
+    of LP k's last shot when it is unbounded or null.
     """
-    m, n = L.shape
-    norms = np.linalg.norm(L, axis=1)
-    x = np.zeros(n)
-    active, null = [], []
-    for _ in range(n):
-        pinned = np.vstack([L[active], *null, np.empty((0, n))])
-        d = np.linalg.qr(pinned.T, mode="complete")[0][:, len(pinned)]
-        slack = np.maximum(1.0 - L @ x, 0.0)
-        for s in (1.0, -1.0):
-            a = s * (L @ d)
-            a[active] = 0.0
-            hit = a > _SIMPLEX_TOL * norms
-            if hit.any():
-                steps = np.where(hit, slack, np.inf) / np.where(hit, a, 1.0)
-                r = int(np.argmin(steps))
-                x = x + steps[r] * s * d
-                active.append(r)
-                break
-        else:
-            null.append(d)
-    return active, np.vstack([*null, np.empty((0, n))])
+    K, t = C.shape
+    B = np.zeros((K, t), dtype=int)
+    rays = np.zeros((K, t))
+    unbounded = np.zeros(K, dtype=bool)
+    nulled = np.zeros(K, dtype=bool)
+    floor = _SIMPLEX_TOL * norms
+    # the LPs still shooting, each with its projector, its projected
+    # objective, its slacks and its rows hit
+    run = np.arange(K)
+    P = np.broadcast_to(np.eye(t), (K, t, t)).copy()
+    pc = C.copy()
+    slack = np.ones((K, len(Lr)))
+    rows = B.copy()
+    for j in range(t):
+        pc = (P @ (P @ pc[:, :, None]))[:, :, 0]
+        size = np.sqrt(np.sum(pc * pc, axis=1))
+        zero = size <= _SIMPLEX_TOL
+        d = pc / np.where(zero, 1.0, size)[:, None]
+        if zero.any():
+            Pz = P[zero]
+            unit = np.argmax(np.diagonal(Pz, axis1=1, axis2=2), axis=1)
+            dz = (Pz @ Pz[np.arange(len(Pz)), :, unit, None])[:, :, 0]
+            d[zero] = dz / np.linalg.norm(dz, axis=1, keepdims=True)
+        a = d @ Lr.T
+        a[np.arange(len(run))[:, None], rows[:, :j]] = 0.0
+        hit = a > floor
+        ahead = hit.any(axis=1)
+        if not ahead.all():
+            backward = np.any(a < -floor, axis=1)
+            flip = zero & ~ahead
+            d[flip] *= -1.0
+            a[flip] *= -1.0
+            hit[flip] = a[flip] > floor
+            end = ~hit.any(axis=1)
+            unbounded[run[end & backward]] = True
+            nulled[run[end & ~backward]] = True
+            rays[run[end]] = d[end]
+            run, P, pc, slack, rows, a, hit = (
+                v[~end] for v in (run, P, pc, slack, rows, a, hit))
+        steps = np.where(hit, np.where(slack > _SIMPLEX_TOL, slack, 0.0), np.inf)
+        steps /= np.where(hit, a, 1.0)
+        r = np.argmin(steps, axis=1)
+        slack -= steps[np.arange(len(run)), r][:, None] * a
+        rows[:, j] = r
+        q = (P @ (P @ Lr[r][:, :, None]))[:, :, 0]
+        q /= np.sqrt(np.sum(q * q, axis=1, keepdims=True))
+        P -= np.einsum("ki,kj->kij", q, q)
+    B[run] = rows
+    return B, rays, unbounded, nulled
 
 
 def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -344,42 +403,59 @@ def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     Row 2i of X and Y belongs to s = +1 and row 2i + 1 to s = -1: the
     optimal vertex, and the row duals y >= 0 with L^T y = s e_i.
     status[k] is None at an optimum and says why LP k has none
-    otherwise.  Every LP starts at _start_vertex's vertex and runs the
-    primal active-set simplex (Dantzig's rule; an LP that takes a
-    zero-length step keeps Bland's smallest-index rule from then on, so
-    degenerate polytopes terminate), with each basis inverse kept by
-    rank-one updates; x and y are then solved from the final basis.
-    A row r enters only with a pivot L_r d above _SIMPLEX_TOL |L_r| |d|
-    along the edge d, multipliers are priced as y_r |L_r| and one counts
-    as negative below -_SIMPLEX_TOL sum_j |y_j| |L_j|, an optimum read
-    from an updated inverse is priced again from a fresh one, and a
-    slack up to _SIMPLEX_TOL (the right-hand side is 1) counts as zero,
-    so no test depends on the scale of L or of its rows.  Without a
-    vertex (L of rank t < n) the LPs run in the coordinates of L's row
-    space, and x_i is unbounded when e_i has a component along a null
-    direction.
+    otherwise; X[k] is then the ray that makes LP k unbounded, if it is,
+    and zero else.  Each LP starts at its own vertex, reached by _crash's
+    ray shots from the origin, and runs the primal active-set simplex
+    (Dantzig's rule; an LP that takes a zero-length step keeps Bland's
+    smallest-index rule from then on, so degenerate polytopes
+    terminate), with each basis inverse kept by rank-one updates; x and
+    y are then solved from the final basis, sorted, so that they depend
+    on the optimal basis and not on the path to it.  Crash shots are not
+    pivots of BOX_PIVOT_CAP.  A row r enters only with a pivot L_r d
+    above _SIMPLEX_TOL |L_r| |d| along the edge d, multipliers are
+    priced as y_r |L_r| and one counts as negative below -_SIMPLEX_TOL
+    sum_j |y_j| |L_j|, an optimum read from an updated inverse is priced
+    again from a fresh one, and a slack up to _SIMPLEX_TOL (the
+    right-hand side is 1) counts as zero, so no test depends on the
+    scale of L or of its rows.  A crash shot that hits no row either way
+    is a null direction of L; the crash then runs again in the
+    coordinates of the row space left (L of rank t < n), and x_i is
+    unbounded along its part in the null space when e_i has one.
     """
     m, n = L.shape
-    active, null = _start_vertex(L)
-    # rows: an orthonormal basis of the row space, or the identity
-    R = np.linalg.qr(null.T, mode="complete")[0][:, len(null):].T
-    t = len(R)
-    Lr = L @ R.T
-    norms = np.linalg.norm(Lr, axis=1)
-    coords = np.repeat(np.arange(n), 2)
-    C = np.tile([1.0, -1.0], n)[:, None] * R.T[coords]
-    status = [
-        f"unbounded; the polytope has no vertex (L has rank {t} < {n})"
-        if np.linalg.norm(null[:, i]) > _SIMPLEX_TOL else None
-        for i in coords
-    ]
+    C = _objectives(n)
+    null = np.empty((0, n))
+    # a crash shot that hits no row either way is a null direction of L:
+    # it joins the null directions, and the crash runs again without it
+    while True:
+        # rows: an orthonormal basis of the row space, or the identity
+        R = np.linalg.qr(null.T, mode="complete")[0][:, len(null):].T
+        t = len(R)
+        Lr = L @ R.T
+        Cr = C @ R.T
+        norms = np.linalg.norm(Lr, axis=1)
+        # c_k's part in the null space makes LP k unbounded
+        far = np.linalg.norm(C @ null.T, axis=1) > _SIMPLEX_TOL
+        status = [f"unbounded; the polytope has no vertex (L has rank {t} < {n})"
+                  if f else None for f in far]
+        lps = np.flatnonzero(~far)  # still open
+        B, rays, unbounded, nulled = _crash(Lr, Cr[lps], norms)
+        if not nulled.any():
+            break
+        d = rays[np.argmax(nulled)] @ R
+        null = np.vstack([null, d / np.linalg.norm(d)])
+    X = np.zeros((2 * n, n))
+    Y = np.zeros((2 * n, m))
+    X[far] = C[far] @ null.T @ null
+    for j in lps[unbounded]:
+        status[j] = "unbounded"
+    X[lps[unbounded]] = rays[unbounded] @ R
+    lps, B = lps[~unbounded], B[~unbounded]
     basis = np.zeros((2 * n, t), dtype=int)
-    lps = np.flatnonzero([s is None for s in status])  # still open
-    Minv = np.broadcast_to(np.linalg.inv(Lr[active]), (len(lps), t, t)).copy()
-    B = np.tile(np.asarray(active, dtype=int), (len(lps), 1))
+    Minv = np.linalg.inv(Lr[B])
     bland = np.zeros(len(lps), dtype=bool)
     ones = np.ones(t)
-    Cl = C[lps]
+    Cl = Cr[lps]
 
     def priced(Cl, Minv, B):
         """The multipliers y_r |L_r|, and which of them are negative."""
@@ -397,7 +473,7 @@ def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
             Minv[stale] = np.linalg.inv(Lr[B[stale]])
             y[stale], neg[stale] = priced(Cl[stale], Minv[stale], B[stale])
         done = ~neg.any(axis=1)
-        basis[lps[done]] = B[done]
+        basis[lps[done]] = np.sort(B[done], axis=1)
         if pivots == BOX_PIVOT_CAP:
             for j in lps[~done]:
                 status[j] = f"no optimum within {BOX_PIVOT_CAP} pivots"
@@ -414,8 +490,10 @@ def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
         steps /= np.where(hit, a, 1.0)
         r = np.argmin(steps, axis=1)
         step = steps[k, r]
-        for j in lps[~done & np.isinf(step)]:
+        ray = ~done & np.isinf(step)
+        for j in lps[ray]:
             status[j] = "unbounded"
+        X[lps[ray]] = d[ray] @ R
         go = ~done & np.isfinite(step)
         if not go.all():
             lps, Cl, Minv, B, bland, p, r, step = (
@@ -429,34 +507,33 @@ def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
         Minv -= u[:, :, None] * w[:, None, :]
         B[k, p] = r
         pivots += 1
-    X = np.zeros((2 * n, n))
-    Y = np.zeros((2 * n, m))
     ok = np.flatnonzero([s is None for s in status])
     Lb = Lr[basis[ok]]
     X[ok] = np.linalg.solve(Lb, np.ones((len(ok), t, 1)))[..., 0] @ R
-    yb = np.linalg.solve(np.swapaxes(Lb, 1, 2), C[ok][..., None])[..., 0]
+    yb = np.linalg.solve(np.swapaxes(Lb, 1, 2), Cr[ok][..., None])[..., 0]
     Y[ok[:, None], basis[ok]] = yb
     return status, X, Y
 
 
-def _box_certificate(L: np.ndarray, i: int, s: float, x: np.ndarray, y) -> float:
-    """Worst residual of the certificate that x maximizes s x_i over {Lx <= 1}.
+def _box_certificate(L: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Worst residual of each certificate that X[k] maximizes c_k x over {Lx <= 1}.
 
-    By LP duality x is optimal when it is feasible and y >= 0 has
-    L^T y = s e_i and 1^T y = s x_i.  Each residual is returned as a
-    fraction of tau = RESID_TOL max(1, sum_r |y_r| max_j |L_rj|) (the
-    gap's tau scaled by max(1, |x_i|)), so the bound is certified at
-    <= 1.  Scaling row r of L by c scales y_r by 1 / c and leaves tau.
+    Row k belongs to c_k = s e_i of _objectives; all 2n ratios come from
+    one array pass.  By LP duality x is optimal when it is feasible and
+    y >= 0 has L^T y = s e_i and 1^T y = s x_i.  Each residual is returned as a fraction of
+    tau = RESID_TOL max(1, sum_r |y_r| max_j |L_rj|) (the gap's tau
+    scaled by max(1, |x_i|)), so the bound is certified at <= 1.
+    Scaling row r of L by c scales y_r by 1 / c and leaves tau.
     """
-    tau = RESID_TOL * max(1.0, np.abs(y) @ np.max(np.abs(L), axis=1))
-    r = L.T @ y
-    r[i] -= s
-    return float(np.max([
-        -np.min(y),
-        np.max(np.abs(r)),
-        abs(s * x[i] - np.sum(y)) / max(1.0, abs(x[i])),
-        np.max(L @ x) - 1.0,
-    ])) / tau
+    C = _objectives(L.shape[1])
+    tau = RESID_TOL * np.maximum(1.0, np.abs(Y) @ np.max(np.abs(L), axis=1))
+    sx = np.sum(C * X, axis=1)  # s x_i
+    return np.max([
+        -np.min(Y, axis=1),
+        np.max(np.abs(Y @ L - C), axis=1),
+        np.abs(sx - np.sum(Y, axis=1)) / np.maximum(1.0, np.abs(sx)),
+        np.max(X @ L.T, axis=1) - 1.0,
+    ], axis=0) / tau
 
 
 def _polytope_box(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,14 +549,14 @@ def _certified_box(L: np.ndarray, statuses, X, Y) -> tuple[np.ndarray, np.ndarra
     first one that is not optimal or whose duality certificate fails
     raises CertificationFailed naming the coordinate and the sign.
     """
+    ratios = _box_certificate(L, X, Y)
     for k, status in enumerate(statuses):
         what = f"box bound of x_{k // 2} ({'+-'[k % 2]})"
         if status is not None:
             raise errors.CertificationFailed(f"{what}: LP not optimal: {status}")
-        ratio = _box_certificate(L, k // 2, (1.0, -1.0)[k % 2], X[k], Y[k])
-        if not ratio <= 1.0:
+        if not ratios[k] <= 1.0:
             raise errors.CertificationFailed(
-                f"{what}: duality certificate residual is {ratio:.3g} of its bound"
+                f"{what}: duality certificate residual is {ratios[k]:.3g} of its bound"
             )
     i = np.arange(L.shape[1])
     return X[2 * i + 1, i], X[2 * i, i]

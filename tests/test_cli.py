@@ -124,16 +124,19 @@ def test_verify_refuses_a_nan_reformulation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, index, value", [
-    ("b1", (0,), float("nan")), ("L", (3, 2), float("inf")), ("b2", None, None)])
+    ("b1", (0,), float("nan")), ("L", (3, 2), float("inf")), ("b2", None, None),
+    ("A1", None, None)])
 def test_verify_refuses_a_bad_instance(tmp_path, capsys, key, index, value):
-    # b1, b2 and L once passed unchecked, and a NaN in b1 exited 10
+    # b1, b2, L and the order of A1 once passed unchecked, and a NaN in
+    # b1 exited 10; index None drops the last entry along every axis
     inst = tmp_path / "inst.json"
     ref = tmp_path / "ref.json"
     run(["gen", "--n", "6", "--k", "1", "--m", "40", "--seed", "2", "-o", str(inst)])
     assert run(["reformulate", "-i", str(inst), "--method", "rsdc1", "-o", str(ref)]) == 0
     data = json.loads(inst.read_text())
     if index is None:
-        data[key].pop()
+        a = np.asarray(data[key])
+        data[key] = a[(slice(-1),) * a.ndim].tolist()
     else:
         row = data[key][index[0]] if len(index) == 2 else data[key]
         row[index[-1]] = value

@@ -100,6 +100,15 @@ class TestBounded:
                            match=r"^boundedness LP of x_0 \(\+\): dual residual 0\.9 > 1/2$"):
             check_bounded(np.vstack([np.eye(2), -np.eye(2)]))
 
+    def test_unbounded_verdict_needs_a_receding_ray(self, monkeypatch):
+        # x <= 1 recedes along -e_0 and -e_1; rays turned around prove
+        # nothing, so no verdict is given
+        _stub_box_lps(monkeypatch, lambda status, X, Y: (status, -X, Y))
+        with pytest.raises(errors.CertificationFailed,
+                           match=r"^boundedness LP of x_0 \(-\): unbounded, "
+                                 r"but its ray does not recede$"):
+            check_bounded(np.eye(2))
+
     def test_thin_recession_cone_is_unbounded(self):
         # every entry of column 1 is positive, so -e_1 recedes, although
         # L has numeric rank 2 (sigma_min / sigma_max is near 1e-9)
@@ -379,14 +388,21 @@ class TestBox:
                                  r"no optimum within 1 pivots$"):
             qcqp._polytope_box(L)
 
+    def test_crash_start_saves_pivots(self, monkeypatch):
+        # each LP starts at its own crash vertex: the grid boxes certify
+        # within 25 lockstep pivots, where a start vertex common to all
+        # LPs took up to 58
+        monkeypatch.setattr(qcqp, "BOX_PIVOT_CAP", 25)
+        for n, k in self.GRID:
+            lo, hi = qcqp._polytope_box(generate_instance(n, k, 100, 0).L)
+            assert np.all(lo < 0) and np.all(hi > 0)
+
     def test_certificate_residuals_within_bound(self):
         for n, k in self.GRID[:3]:
             L = generate_instance(n, k, 100, 0).L
             statuses, X, Y = qcqp._box_lps(L)
             assert statuses == [None] * (2 * n)
-            for j in range(2 * n):
-                i, s = j // 2, (1.0, -1.0)[j % 2]
-                assert qcqp._box_certificate(L, i, s, X[j], Y[j]) <= 1e-3
+            assert np.all(qcqp._box_certificate(L, X, Y) <= 1e-3)
 
 
 class TestGenerator:
@@ -505,7 +521,10 @@ class TestInstanceGate:
         ("b1", lambda a: a[:, None], errors.OrderMismatch),
         ("L", lambda a: a[:, :-1], errors.OrderMismatch),
         ("L", lambda a: a[0], errors.OrderMismatch),
-    ], ids=["nan-b1", "inf-b2", "inf-L", "short-b2", "column-b1", "narrow-L", "vector-L"])
+        ("A1", lambda a: SymMat(np.eye(a.n + 1)), errors.OrderMismatch),
+        ("A2", lambda a: SymMat(a.a[1:, 1:]), errors.OrderMismatch),
+    ], ids=["nan-b1", "inf-b2", "inf-L", "short-b2", "column-b1", "narrow-L", "vector-L",
+            "large-A1", "small-A2"])
     def test_fields_are_checked(self, inst, key, bad, error):
         with pytest.raises(error, match=f"^{key} has"):
             replace(inst, **{key: bad(getattr(inst, key))})
