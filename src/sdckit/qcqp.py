@@ -235,8 +235,10 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
 
 def _generate(n: int, k: int, m: int, seed: int):
     """generate_instance's instance, and the _box_lps output on its L."""
-    if 2 * k > n:
-        raise ValueError("need 2k <= n")
+    if not 0 <= 2 * k <= n:
+        raise ValueError("need 0 <= 2k <= n")
+    if m < 0:
+        raise ValueError("need m >= 0")
     rng = np.random.default_rng(seed)
     r = n - 2 * k
     for _ in range(RESAMPLE_LIMIT):
@@ -385,6 +387,8 @@ def _crash(Lr: np.ndarray, C: np.ndarray, norms: np.ndarray):
             rays[run[end]] = d[end]
             run, P, pc, slack, rows, a, hit = (
                 v[~end] for v in (run, P, pc, slack, rows, a, hit))
+            if not len(run):
+                break
         steps = np.where(hit, np.where(slack > _SIMPLEX_TOL, slack, 0.0), np.inf)
         steps /= np.where(hit, a, 1.0)
         r = np.argmin(steps, axis=1)
@@ -422,6 +426,8 @@ def _box_lps(L: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     coordinates of the row space left (L of rank t < n), and x_i is
     unbounded along its part in the null space when e_i has one.
     """
+    if L.ndim != 2:
+        raise errors.OrderMismatch(f"L has shape {L.shape}, expected (m, n)")
     m, n = L.shape
     C = _objectives(n)
     null = np.empty((0, n))
@@ -529,10 +535,10 @@ def _box_certificate(L: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     tau = RESID_TOL * np.maximum(1.0, np.abs(Y) @ np.max(np.abs(L), axis=1))
     sx = np.sum(C * X, axis=1)  # s x_i
     return np.max([
-        -np.min(Y, axis=1),
+        -np.min(Y, axis=1, initial=np.inf),
         np.max(np.abs(Y @ L - C), axis=1),
         np.abs(sx - np.sum(Y, axis=1)) / np.maximum(1.0, np.abs(sx)),
-        np.max(X @ L.T, axis=1) - 1.0,
+        np.max(X @ L.T, axis=1, initial=-np.inf) - 1.0,
     ], axis=0) / tau
 
 
@@ -633,16 +639,23 @@ def verify_reformulation(
     relative to the sampled value scale, and NaN when a value is NaN.
     A precomputed (lo, hi) box can be passed to amortize the bound LPs
     across repeated verifications of one instance; it must be finite,
-    of length n, with lo <= hi.
+    of length n, with lo <= hi.  A reformulation whose dim does not fit
+    the instance's order (n for sdc, n + 1 and n + 2 for rsdc1 and rsdc2,
+    2n for eig) raises OrderMismatch, and samples < 1 ValueError.
     """
+    n = inst.n
+    if ref.dim != {"sdc": n, "rsdc1": n + 1, "rsdc2": n + 2, "eig": 2 * n}.get(ref.method):
+        raise errors.OrderMismatch(
+            f"{ref.method} reformulation of dim {ref.dim} does not fit order {n}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     lo, hi = _polytope_box(inst.L) if box is None else _sampling_box(box, inst.n)
     X = lo + (hi - lo) * rng.uniform(size=(samples, inst.n))
     # a NaN in either value makes the deviation NaN, never zero
     values = np.array([inst.objective(X), inst.constraint(X)])
-    worst = np.max(np.abs(values - np.array(_reformulated_values(inst, ref, X))),
-                   initial=0.0)
-    return float(worst / max(1.0, np.max(np.abs(values), initial=0.0)))
+    worst = np.max(np.abs(values - np.array(_reformulated_values(inst, ref, X))))
+    return float(worst / max(1.0, np.max(np.abs(values))))
 
 
 def homogenize_check(A_list, b_list, c_list, seed: int = 0) -> tuple[bool, bool]:
@@ -657,6 +670,10 @@ def homogenize_check(A_list, b_list, c_list, seed: int = 0) -> tuple[bool, bool]
     if not (len(mats) == len(b_list) == len(c_list)):
         raise errors.OrderMismatch("A, b, c lists must align")
     n = mats[0].shape[0]
+    for i, (b, cc) in enumerate(zip(b_list, c_list)):
+        if np.size(b) != n or np.size(cc) != 1:
+            raise errors.OrderMismatch(
+                f"b_{i} has {np.size(b)} entries and c_{i} {np.size(cc)}, expected {n} and 1")
     for c in islice(span_candidates(len(mats), seed), 64):
         S = sum(ci * Ai for ci, Ai in zip(c, mats))
         vals = np.linalg.eigvalsh(0.5 * (S + S.T))

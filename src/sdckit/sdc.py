@@ -67,9 +67,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class SdcResult:
+    """A verdict: "SDC" with a congruence P that passed _certified's
+    off-diagonal certificate and diagonals[i] = diag(P^T A_i P) of that P."""
+
     verdict: str  # "SDC" | "NotSDC"
     congruence: Congruence | None = None
-    diagonals: tuple | None = None  # one real n-vector per input matrix
+    diagonals: tuple | None = None
     witness: Witness | None = None
 
     @property
@@ -274,13 +277,18 @@ def _joint_eigenvalue_groups(diags: np.ndarray) -> list[np.ndarray]:
 
 
 def _certified(P: np.ndarray, mats) -> SdcResult:
-    """SDC result for the congruence P, certified before return.
+    """The "SDC" result for the congruence P, certified before return.
 
     Every P^T A_i P must be diagonal up to an off-diagonal residual of
-    RESID_TOL * kappa(P)^2 * max(1, |A_i|_2); otherwise raises
-    CertificationFailed.
+    RESID_TOL * kappa(P)^2 * max(1, |A_i|_2), else CertificationFailed;
+    the diagonals are those of these products.  A P that Congruence
+    refuses raises SingularCongruence naming this step.
     """
-    cong = Congruence(P)
+    try:
+        cong = Congruence(P)
+    except errors.SingularCongruence as exc:
+        raise errors.SingularCongruence(
+            f"off-diagonal certificate: P is not a congruence: {exc}") from exc
     Ds = certify_residuals(P.T, P, mats, [None] * len(mats), RESID_TOL, cong.kappa,
                            "off-diagonal")
     return SdcResult("SDC", congruence=cong, diagonals=tuple(np.diag(D).copy() for D in Ds))
@@ -384,7 +392,9 @@ def sdc_check(family, seed: int = 0) -> SdcResult:
     One span search (pivot) finds a max-rank element S.  Singular
     families are reduced to the range of S (rejecting on range
     violations) and the nonsingular core is decided through commutation,
-    realness and joint diagonalizability of S^{-1} A_i.
+    realness and joint diagonalizability of S^{-1} A_i.  Every "SDC"
+    verdict, singular and zero families included, passed the off-diagonal
+    certificate on its returned P, and diagonals are diag(P^T A_i P).
     """
     return _sdc_check(form_family(family), seed)
 
@@ -418,12 +428,8 @@ def _sdc_check(mats, seed: int, known: Pivot | None = None, reduced=None) -> Sdc
         return _sdc_nonsingular(mats, S)
 
     if rank == 0:
-        # every member numerically zero
-        return SdcResult(
-            "SDC",
-            congruence=Congruence(np.eye(n)),
-            diagonals=tuple(np.zeros(n) for _ in mats),
-        )
+        # every member is a span candidate of rank 0: a zero matrix
+        return _certified(np.eye(n), mats)
 
     # singular family: verify range inclusion, restrict, recurse
     U, violation, restricted = reduced or _range_reduction(mats, S, rank)
@@ -433,13 +439,8 @@ def _sdc_check(mats, seed: int, known: Pivot | None = None, reduced=None) -> Sdc
     inner = _sdc_nonsingular(*restricted)
     if not inner.is_sdc:
         return inner
-    # lift: null-space coordinates stay zero
-    Ur, Un = U[:, :rank], U[:, rank:]
-    P = np.hstack([Ur @ inner.congruence.P, Un])
-    diagonals = tuple(
-        np.concatenate([d, np.zeros(n - rank)]) for d in inner.diagonals
-    )
-    return SdcResult("SDC", congruence=Congruence(P), diagonals=diagonals)
+    # lift: the range's congruence, then the null space's basis
+    return _certified(np.hstack([U[:, :rank] @ inner.congruence.P, U[:, rank:]]), mats)
 
 
 def sdc_check_pd(family, pd_coefficients) -> SdcResult:

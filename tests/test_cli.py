@@ -123,6 +123,19 @@ def test_verify_refuses_a_nan_reformulation(tmp_path, capsys):
     assert "NonFiniteEntry" in capsys.readouterr().err
 
 
+def test_verify_refuses_another_order_and_no_samples(tmp_path, capsys):
+    # a reformulation of an order-6 instance checked against an order-7
+    # one, and a check on no points, once printed a deviation
+    inst6, inst7, ref = (tmp_path / name for name in ("inst6.json", "inst7.json", "ref.json"))
+    run(["gen", "--n", "6", "--k", "1", "--m", "30", "--seed", "0", "-o", str(inst6)])
+    run(["gen", "--n", "7", "--k", "1", "--m", "30", "--seed", "0", "-o", str(inst7)])
+    assert run(["reformulate", "-i", str(inst6), "--method", "rsdc1", "-o", str(ref)]) == 0
+    assert run(["verify", "-i", str(inst7), "-r", str(ref), "--samples", "30"]) == 2
+    assert "OrderMismatch" in capsys.readouterr().err
+    assert run(["verify", "-i", str(inst6), "-r", str(ref), "--samples", "0"]) == 1
+    assert "ValueError: need samples >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, index, value", [
     ("b1", (0,), float("nan")), ("L", (3, 2), float("inf")), ("b2", None, None),
     ("A1", None, None)])

@@ -366,10 +366,29 @@ class TestBox:
         ([[0, 0], [0, 0]],
          r"x_0 \(\+\): LP not optimal: unbounded; the polytope has no vertex "
          r"\(L has rank 0 < 2\)"),
+        # no rows at all
+        (np.zeros((0, 3)),
+         r"x_0 \(\+\): LP not optimal: unbounded; the polytope has no vertex "
+         r"\(L has rank 0 < 3\)$"),
     ])
     def test_rank_deficient_polytope_is_named(self, L, what):
         with pytest.raises(errors.CertificationFailed, match="^box bound of " + what):
             qcqp._polytope_box(np.array(L, dtype=float))
+
+    def test_l_without_rows(self, monkeypatch):
+        # no rows bound nothing: unbounded, and no draw of the generator
+        # is ever bounded
+        assert check_bounded(np.zeros((0, 3))) is False
+        monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 5)
+        with pytest.raises(errors.ResampleLimitExceeded):
+            generate_instance(3, 0, 0, 0)
+
+    @pytest.mark.parametrize("L", [[1.0, 2.0], np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+    def test_non_matrix_l_is_refused(self, L):
+        with pytest.raises(errors.OrderMismatch, match=r"^L has shape"):
+            check_bounded(L)
+        with pytest.raises(errors.OrderMismatch, match=r"^L has shape"):
+            qcqp._polytope_box(np.asarray(L))
 
     def test_pivot_cap_is_named(self, monkeypatch):
         L = generate_instance(6, 1, 30, 0).L
@@ -537,6 +556,23 @@ class TestInstanceGate:
 
 
 class TestVerificationInput:
+    @pytest.mark.parametrize("n", [5, 7, 8])
+    @pytest.mark.parametrize("method", ["rsdc1", "rsdc2", "eig"])
+    def test_reformulation_of_another_order_is_refused(self, n, method):
+        # the reformulations of an order-6 instance against the seed-0
+        # instances of order 5, 7 and 8 once gave deviations of 1.8-2.0
+        # or numpy's bare ValueError
+        ref = reformulate(generate_instance(6, 1, 30, 0), method)
+        other = generate_instance(n, 1, 30, 0)
+        with pytest.raises(errors.OrderMismatch, match=f"^{method} reformulation of dim "):
+            verify_reformulation(other, ref, 20)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_refused(self, inst, samples):
+        # samples = 0 once returned a deviation of 0
+        with pytest.raises(ValueError, match="^need samples >= 1"):
+            verify_reformulation(inst, reformulate(inst, "eig"), samples)
+
     @pytest.mark.parametrize("method", ["rsdc1", "eig"])
     def test_nan_values_are_not_a_small_deviation(self, inst, method):
         ref = reformulate(inst, method)
@@ -701,6 +737,18 @@ class TestHomogenize:
         zero = np.zeros((2, 2))
         with pytest.raises(errors.NoPdElement):
             homogenize_check([zero], [np.zeros(2)], [0.0])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: homogenize_check([np.eye(2)], [np.zeros(3)], [0.0]),
+         errors.OrderMismatch, "^b_0 has 3 entries"),
+        (lambda: homogenize_check([np.eye(2)], [np.zeros(2)], [[0.0, 1.0]]),
+         errors.OrderMismatch, "c_0 2, expected 2 and 1$"),
+        (lambda: generate_instance(4, -1, 10, 0), ValueError, r"^need 0 <= 2k <= n$"),
+        (lambda: generate_instance(4, 1, -1, 0), ValueError, r"^need m >= 0$"),
+    ], ids=["b-order", "c-not-scalar", "negative-k", "negative-m"])
+    def test_misshaped_input_is_named(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_lists_must_align(self):
         with pytest.raises(errors.OrderMismatch, match="^A, b, c lists must align$"):

@@ -12,7 +12,7 @@ from sdckit import _chains, asdc, errors, obstruct, rsdc
 from sdckit import sdc as sdc_module
 from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
 from sdckit.canonical import tmat
-from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat, numeric_rank
+from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat, h_mat, numeric_rank
 from sdckit.sdc import (
     Witness,
     _joint_eigenvalue_groups,
@@ -279,6 +279,23 @@ def test_singular_reduction_both_directions(rng):
     assert not res.is_sdc and res.witness.kind == "non-real-eigenvalue"
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_lifted_diagonals_are_the_certified_products(seed):
+    # a singular family is decided on its range and lifted back; the
+    # lifted P passes the off-diagonal certificate, and the diagonals are
+    # those of P^T A_i P for that P, bitwise
+    fam, _ = random_sdc_family(np.random.default_rng(seed), 4, 2)
+    Q, _ = np.linalg.qr(np.random.default_rng([seed, 1]).standard_normal((6, 6)))
+    family = [Q.T @ direct_sum(A, np.zeros((2, 2))) @ Q for A in fam]
+    family = [0.5 * (M + M.T) for M in family]
+    res = sdc_check(family)
+    assert res.is_sdc
+    P = res.congruence.P
+    for A, d in zip(family, res.diagonals):
+        np.testing.assert_array_equal(d, np.diag(P.T @ A @ P))
+    certify_residuals(P.T, P, family, [None] * 2, 1e-8, res.congruence.kappa, "off-diagonal")
+
+
 def test_range_violation_witness():
     # family spanning different ranges: a type-3-like obstruction
     A = np.diag([1.0, 0.0])
@@ -533,6 +550,22 @@ def test_near_jordan_family_gets_a_verdict():
         B0 = direct_sum(lam * f_mat(2) + g_mat(2), np.diag(d))
         res = sdc_check(_scrambled_pair(A0, B0, r.standard_normal((5, 5))))
         assert res.is_sdc or res.witness.kind in ("non-real-eigenvalue", "not-diagonalizable")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_refused_congruence_names_the_certificate(seed):
+    # (sigma F5, sigma (theta F5 + G5 + 1e-6 H5)), scrambled: the oracle's
+    # P has singular values seven decades apart and more, which the
+    # certificate's Congruence refuses; the error names that step
+    rng = np.random.default_rng([5, 6, seed])
+    sigma, theta = rng.choice([-1.0, 1.0]), rng.standard_normal()
+    A0 = sigma * f_mat(5)
+    B0 = sigma * (theta * f_mat(5) + g_mat(5) + 1e-6 * h_mat(5))
+    pair = _scrambled_pair(A0, B0, random_congruence(rng, 5, 10.0))
+    with pytest.raises(errors.SingularCongruence,
+                       match=r"^off-diagonal certificate: P is not a congruence: "
+                             r"singular values span \["):
+        sdc_check(pair, seed)
 
 
 @pytest.mark.parametrize("size", [3, 4])

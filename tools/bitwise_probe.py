@@ -18,8 +18,10 @@ Jordan pencils; in full mode only, near-commuting triples and
 near-Jordan pairs through sdc_check, the latter also through
 pencil_canonical, and `perturb_pair` on nonsingular Jordan pairs of
 sizes 4 and 5, whose norm tests land near their bounds and so reach
-the SVD that decides them; `perturb_blocks` on random singular
-BlockSpecs (generator seeds 0-99 and 300-399);
+the SVD that decides them; sdc_check on zero-padded, orthogonally
+scrambled SDC families, which it lifts from their range (seeds 0-29);
+`perturb_blocks` on random singular BlockSpecs (generator seeds 0-99
+and 300-399);
 `generate_instance` with every reformulation and its verification;
 the polytope box of the tests' degenerate polytopes (cross-polytopes,
 duplicated rows, rows through vertices; in smoke mode the order-6
@@ -115,7 +117,7 @@ def _partitions(n: int, most: int | None = None):
 
 def _families(smoke: bool):
     """(key, call) for every probed output."""
-    from conftest import DEGENERATE_POLYTOPES, random_commutant_symmetric
+    from conftest import DEGENERATE_POLYTOPES, random_commutant_symmetric, random_sdc_family
     from workloads import SmallFamilies, _complex_pencil, _scramble, planted_pair
 
     from sdckit import asdc, matcore, qcqp, rsdc, sdc, triples
@@ -217,6 +219,20 @@ def _families(smoke: bool):
         for seed in range(15):
             for m in (4, 5):
                 yield f"jordan-pair/{seed}/{m}", functools.partial(nonsingular_jordan, seed, m)
+
+    def singular_sdc(seed):
+        # an SDC family of order n, zero-padded by z and scrambled by an
+        # orthogonal Q: sdc_check decides it on its range and lifts the
+        # congruence back
+        rng = np.random.default_rng([seed, 28])
+        n, m, z = 2 + seed % 5, 2 + seed % 2, 1 + seed % 3
+        family, _ = random_sdc_family(rng, n, m)
+        Q, _ = np.linalg.qr(rng.standard_normal((n + z, n + z)))
+        padded = [Q.T @ matcore.direct_sum(A, np.zeros((z, z))) @ Q for A in family]
+        return sdc.sdc_check([0.5 * (M + M.T) for M in padded], seed)
+
+    for seed in range(3 if smoke else 30):
+        yield f"singular-sdc/{seed}", functools.partial(singular_sdc, seed)
 
     def block_spec(seed, eps):
         # one or two type 1 or 2 blocks of size 1 or 2, then a type 3 or
