@@ -87,12 +87,12 @@ def norm2_exceeds(X, bound, *mats):
 
 
 def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
-                      error=errors.CertificationFailed, slack=1.0):
+                      error=errors.CertificationFailed):
     """The products L M_i R, each certified against its target.
 
     A target of None stands for the product's own diagonal.  Raises
     `error`, naming the first failing member, when
-    |L M_i R - target_i|_2 > coef * kappa^2 * max(1, |M_i|_2) * slack,
+    |L M_i R - target_i|_2 > coef * kappa^2 * max(1, |M_i|_2),
     decided by norm2_exceeds, so that the message holds the SVD norms.
     `norms`, when given, holds for each member its exact |M_i|_2 or None.
     """
@@ -101,7 +101,7 @@ def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
         D = L @ M @ R
         over = norm2_exceeds(
             D - (np.diag(np.diag(D)) if target is None else target),
-            lambda m: coef * kappa**2 * max(1.0, m) * slack,
+            lambda m: coef * kappa**2 * max(1.0, m),
             M if norms is None or norms[i] is None else norms[i],
         )
         if over is not None:
@@ -110,17 +110,15 @@ def certify_residuals(L, R, mats, targets, coef, kappa, what, norms=None,
     return products
 
 
-def noncommuting_pair(mats, factor: float = 1.0, norms=None):
+def noncommuting_pair(mats, factor: float = 1.0):
     """First pair (i, j, |[M_i, M_j]|_2), i < j in lexicographic order,
     whose commutator exceeds factor * RESID_TOL * max(1, |M_i|_2 |M_j|_2),
-    decided by norm2_exceeds; None when every pair commutes.  `norms`,
-    when given, holds for each member its exact |M_i|_2 or None."""
-    known = mats if norms is None else [M if nrm is None else nrm for M, nrm in zip(mats, norms)]
+    decided by norm2_exceeds; None when every pair commutes."""
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             over = norm2_exceeds(commutator(mats[i], mats[j]),
                                  lambda a, b: RESID_TOL * max(1.0, a * b) * factor,
-                                 known[i], known[j])
+                                 mats[i], mats[j])
             if over is not None:
                 return i, j, over[0]
     return None

@@ -228,7 +228,8 @@ def generate_instance(n: int, k: int, m: int, seed: int) -> QcqpInstance:
     An orthogonal V conjugates Diag(sigma, F_2, ..., F_2) and
     Diag(sigma mu, T_1, ..., T_k) with Rademacher signs, normal mu and
     normal 2x2 symmetric blocks; b1, b2, L are standard normal and the
-    instance is resampled until check_bounded finds the polytope bounded.
+    instance is resampled until check_bounded finds the polytope bounded
+    (m <= n rows never bound it, so such an m raises ValueError at once).
     """
     return _generate(n, k, m, seed)[0]
 
@@ -237,8 +238,8 @@ def _generate(n: int, k: int, m: int, seed: int):
     """generate_instance's instance, and the _box_lps output on its L."""
     if not 0 <= 2 * k <= n:
         raise ValueError("need 0 <= 2k <= n")
-    if m < 0:
-        raise ValueError("need m >= 0")
+    if m <= n:
+        raise ValueError("need m > n")
     rng = np.random.default_rng(seed)
     r = n - 2 * k
     for _ in range(RESAMPLE_LIMIT):
@@ -742,7 +743,8 @@ def bench(config: BenchConfig) -> dict:
     """Grid run: per-cell generation, reformulation and verification.
 
     Returns {"rows": [...], "medians": [...], "csv": text}; per-cell
-    failures are recorded in their rows and the run continues; rows are
+    failures are recorded in their rows and the run continues, but an m
+    <= n raises generate_instance's ValueError at the first cell; rows are
     ordered by (n, k, seed, method).  gen_ms includes the box LPs that
     the generator's boundedness check solves; the verification box is
     certified from them, not solved again.

@@ -56,7 +56,9 @@ class Witness:
 
     kind is one of "non-commuting", "non-real-eigenvalue",
     "not-diagonalizable", "range-violation"; i/j are indices into the
-    family and value carries the offending magnitude or eigenvalue.
+    family and value carries the offending magnitude or eigenvalue.  A
+    not-diagonalizable witness with i = -1 means that no single member
+    fails on its own.
     """
 
     kind: str
@@ -169,31 +171,22 @@ def simdiag_commuting(family) -> np.ndarray:
 
     Eigenspace refinement (see _refine): split along the first member
     with a non-scalar spectrum on the current subspace and refine each
-    eigenvalue cluster further.  Returns invertible V with V^{-1} M V
-    diagonal for every member.
+    eigenvalue cluster further.  Returns invertible V whose V^{-1} M V
+    is diagonal for every member up to an off-diagonal residual of
+    RESID_TOL * cond(V)^2 * max(1, |M|_2), else NotDiagonalizable.
     """
     mats = square_family(family)
     pair = noncommuting_pair(mats)
     if pair is not None:
         raise errors.NotCommuting(f"members {pair[0]} and {pair[1]} do not commute")
-    return _joint_eigenbasis(mats)[0]
+    V = _refine(mats, len(mats[0]), symmetric=False)
+    certify_residuals(np.linalg.inv(V), V, mats, [None] * len(mats), RESID_TOL,
+                      np.linalg.cond(V), "joint-diagonalization", error=errors.NotDiagonalizable)
+    return V
 
 
-def _joint_eigenbasis(mats, norms=None) -> tuple[np.ndarray, np.ndarray]:
-    """simdiag_commuting for a family already known to commute, with the
-    diagonal of V^{-1} M V for every member as the rows of the second
-    output; norms, when given, holds |mats[i]|_2 or None for each member."""
-    V = _refine(mats, symmetric=False)
-    # certify: every member diagonal in the joint basis
-    Ds = certify_residuals(
-        np.linalg.inv(V), V, mats, [None] * len(mats), RESID_TOL, np.linalg.cond(V),
-        "joint-diagonalization", norms=norms, error=errors.NotDiagonalizable, slack=10,
-    )
-    return V, np.array([np.diag(D) for D in Ds])
-
-
-def _refine(mats, symmetric: bool) -> np.ndarray:
-    """Columns of a shared eigenbasis of commuting matrices.
+def _refine(mats, n: int, symmetric: bool) -> np.ndarray:
+    """Columns of a shared eigenbasis of commuting matrices of order n.
 
     A depth-first worklist of (orthonormal basis, member) pairs: the
     member is compressed to the basis and decomposed once, by eigh when
@@ -203,7 +196,7 @@ def _refine(mats, symmetric: bool) -> np.ndarray:
     computed once and reordered per cluster.
     """
     out = []
-    todo = [(np.eye(mats[0].shape[0]), 0)]
+    todo = [(np.eye(n), 0)]
     while todo:
         basis, depth = todo.pop()
         d = basis.shape[1]
@@ -344,20 +337,21 @@ def _sorted_columns(P: np.ndarray, mats) -> np.ndarray:
 
 
 def _sdc_nonsingular(mats, S) -> SdcResult:
-    """SDC decision when S in the span is certified invertible."""
-    # a member that is S itself (a full-rank member) is exactly I
-    is_s = [np.array_equal(A, S) for A in mats]
-    Ms = [np.eye(len(S)) if same else np.linalg.solve(S, A) for A, same in zip(mats, is_s)]
+    """SDC decision when S in the span is certified invertible.
+
+    A member equal to S maps to exactly I and is left out of Ms; witness
+    indices are family positions.  Only _certified's certificate decides
+    "SDC": a congruence refused on the way answers not-diagonalizable."""
+    keep = [i for i, A in enumerate(mats) if not np.array_equal(A, S)]
+    Ms = [np.linalg.solve(S, mats[i]) for i in keep]
 
     # commuting first: the witness order is commutation, realness,
     # diagonalizability
-    norms = [1.0 if same else None for same in is_s]
-    pair = noncommuting_pair(Ms, norms=norms)
+    pair = noncommuting_pair(Ms)
     if pair is not None:
-        return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
-    for i, M in enumerate(Ms):
-        if is_s[i]:
-            continue  # the identity's spectrum is {1}
+        i, j, value = pair
+        return SdcResult("NotSDC", witness=Witness("non-commuting", keep[i], keep[j], value))
+    for i, M in zip(keep, Ms):
         w = np.linalg.eigvals(M)
         scale = spectral_scale(w)
         bad = np.abs(w.imag) > EIG_REAL_TOL * scale
@@ -367,23 +361,24 @@ def _sdc_nonsingular(mats, S) -> SdcResult:
                 "NotSDC", witness=Witness("non-real-eigenvalue", i, value=complex(lam))
             )
     try:
-        V, diags = _joint_eigenbasis(Ms, norms)
-    except errors.NotDiagonalizable:
-        # identify a defective member for the witness
-        for i, M in enumerate(Ms):
+        # group coordinates by joint eigenvalue (all in one when Ms is
+        # empty), then diagonalize each symmetric block of the
+        # transformed S by an orthogonal eigendecomposition
+        V = _refine(Ms, len(S), symmetric=False)
+        Vinv = np.linalg.inv(V)
+        groups = _joint_eigenvalue_groups(
+            np.array([np.diag(Vinv @ M @ V) for M in Ms]).reshape(len(Ms), len(S)))
+        V = V[:, np.concatenate(groups)]
+        P = _scaled_group_columns(V, V.T @ S @ V, [len(grp) for grp in groups])
+        return _certified(_sorted_columns(P, mats), mats)
+    except (errors.NotDiagonalizable, errors.CertificationFailed):
+        # identify a member not diagonalizable on its own for the witness
+        for i, M in zip(keep, Ms):
             try:
-                _joint_eigenbasis([M], norms[i : i + 1])
+                simdiag_commuting([M])
             except errors.NotDiagonalizable:
                 return SdcResult("NotSDC", witness=Witness("not-diagonalizable", i))
         return SdcResult("NotSDC", witness=Witness("not-diagonalizable"))
-
-    # group coordinates by joint eigenvalue, then diagonalize each
-    # symmetric block of the transformed S by an orthogonal
-    # eigendecomposition
-    groups = _joint_eigenvalue_groups(diags)
-    V = V[:, np.concatenate(groups)]
-    P = _scaled_group_columns(V, V.T @ S @ V, [len(grp) for grp in groups])
-    return _certified(_sorted_columns(P, mats), mats)
 
 
 def sdc_check(family, seed: int = 0) -> SdcResult:
@@ -394,7 +389,8 @@ def sdc_check(family, seed: int = 0) -> SdcResult:
     violations) and the nonsingular core is decided through commutation,
     realness and joint diagonalizability of S^{-1} A_i.  Every "SDC"
     verdict, singular and zero families included, passed the off-diagonal
-    certificate on its returned P, and diagonals are diag(P^T A_i P).
+    certificate on its returned P, and diagonals are diag(P^T A_i P); a
+    congruence that certificate refuses on the core is "NotSDC".
     """
     return _sdc_check(form_family(family), seed)
 
@@ -468,4 +464,4 @@ def sdc_check_pd(family, pd_coefficients) -> SdcResult:
     if pair is not None:
         return SdcResult("NotSDC", witness=Witness("non-commuting", *pair))
     # joint orthogonal eigenbasis of commuting symmetric matrices
-    return _certified(S_isqrt @ _refine(Ns, symmetric=True), mats)
+    return _certified(S_isqrt @ _refine(Ns, len(S), symmetric=True), mats)

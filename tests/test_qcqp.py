@@ -66,10 +66,11 @@ class TestBounded:
         generate_instance(6, 1, 30, 0)
         assert len(calls) == 1
         calls.clear()
-        # one halfspace never bounds the polytope: every draw is checked
+        # every draw is checked until the resample limit
         monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 25)
+        monkeypatch.setattr(qcqp, "_bounded", lambda *args: False)
         with pytest.raises(errors.ResampleLimitExceeded):
-            generate_instance(2, 0, 1, 0)
+            generate_instance(2, 0, 3, 0)
         assert len(calls) == 25
 
     def test_nearly_dependent_columns_bounded(self):
@@ -376,12 +377,13 @@ class TestBox:
             qcqp._polytope_box(np.array(L, dtype=float))
 
     def test_l_without_rows(self, monkeypatch):
-        # no rows bound nothing: unbounded, and no draw of the generator
-        # is ever bounded
+        # no rows bound nothing: unbounded, and the generator refuses
+        # m = 0 before it draws, and so before any run of the box kernel
         assert check_bounded(np.zeros((0, 3))) is False
-        monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 5)
-        with pytest.raises(errors.ResampleLimitExceeded):
+        calls = _counting(monkeypatch, "_box_lps")
+        with pytest.raises(ValueError, match=r"^need m > n$"):
             generate_instance(3, 0, 0, 0)
+        assert calls == []
 
     @pytest.mark.parametrize("L", [[1.0, 2.0], np.ones((2, 2, 2))], ids=["1-D", "3-D"])
     def test_non_matrix_l_is_refused(self, L):
@@ -744,8 +746,9 @@ class TestHomogenize:
         (lambda: homogenize_check([np.eye(2)], [np.zeros(2)], [[0.0, 1.0]]),
          errors.OrderMismatch, "c_0 2, expected 2 and 1$"),
         (lambda: generate_instance(4, -1, 10, 0), ValueError, r"^need 0 <= 2k <= n$"),
-        (lambda: generate_instance(4, 1, -1, 0), ValueError, r"^need m >= 0$"),
-    ], ids=["b-order", "c-not-scalar", "negative-k", "negative-m"])
+        (lambda: generate_instance(4, 1, -1, 0), ValueError, r"^need m > n$"),
+        (lambda: generate_instance(4, 1, 4, 0), ValueError, r"^need m > n$"),
+    ], ids=["b-order", "c-not-scalar", "negative-k", "negative-m", "m-at-most-n"])
     def test_misshaped_input_is_named(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -814,26 +817,29 @@ class TestBench:
         assert report["rows"][0]["error"].startswith("MethodInapplicable")
 
     def test_generation_failure_recorded_for_every_method(self, monkeypatch):
-        # one halfspace never bounds the polytope, so generation gives up
+        # no draw is bounded, so generation gives up
         monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 25)
-        rows = bench(BenchConfig((2,), (0,), 1, ("sdc", "eig"), m=1))["rows"]
+        monkeypatch.setattr(qcqp, "_bounded", lambda *args: False)
+        rows = bench(BenchConfig((2,), (0,), 1, ("sdc", "eig"), m=3))["rows"]
         assert [r["method"] for r in rows] == ["sdc", "eig"]
         for r in rows:
             assert r["error"] == "no bounded polytope within 25 draws"
             assert r["gen_ms"] is None and r["kappa"] is None
 
+    def test_rows_at_most_n_raise(self):
+        # m <= n is a misshaped request, not a per-cell failure
+        with pytest.raises(ValueError, match=r"^need m > n$"):
+            bench(BenchConfig((2,), (0,), 1, ("sdc", "eig"), m=2))
 
-def test_resample_limit_exceeded():
-    # a single halfspace can never bound the polytope
-    import sdckit.qcqp as q
 
-    old = q.RESAMPLE_LIMIT
-    q.RESAMPLE_LIMIT = 25
-    try:
-        with pytest.raises(errors.ResampleLimitExceeded):
-            generate_instance(2, 0, 1, seed=0)
-    finally:
-        q.RESAMPLE_LIMIT = old
+def test_resample_limit_exceeded(monkeypatch):
+    # a generator whose every draw is unbounded gives up at the limit
+    monkeypatch.setattr(qcqp, "RESAMPLE_LIMIT", 25)
+    monkeypatch.setattr(qcqp, "_bounded", lambda *args: False)
+    calls = _counting(monkeypatch, "_box_lps")
+    with pytest.raises(errors.ResampleLimitExceeded, match="^no bounded polytope within 25 draws$"):
+        generate_instance(2, 0, 3, seed=0)
+    assert len(calls) == 25
 
 
 def test_import_leaves_scipy_optimize_out():

@@ -12,7 +12,7 @@ from sdckit import _chains, asdc, errors, obstruct, rsdc
 from sdckit import sdc as sdc_module
 from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
 from sdckit.canonical import tmat
-from sdckit.matcore import CLUSTER_TOL, direct_sum, f_mat, g_mat, h_mat, numeric_rank
+from sdckit.matcore import CLUSTER_TOL, RESID_TOL, direct_sum, f_mat, g_mat, h_mat, numeric_rank
 from sdckit.sdc import (
     Witness,
     _joint_eigenvalue_groups,
@@ -196,7 +196,6 @@ def test_certify_residuals_none_means_diagonal():
     (D,) = certify_residuals(I, I, [np.diag([1.0, 2.0])], [None], 1e-8, 1.0, "test")
     assert np.array_equal(D, np.diag([1.0, 2.0]))
     # the off-diagonal 1e-3 is the residual against the own diagonal
-    certify_residuals(I, I, [near], [None], 1e-4, 1.0, "test", slack=10)
     with pytest.raises(errors.CertificationFailed, match="test residual 1.000e-03"):
         certify_residuals(I, I, [near], [None], 1e-4, 1.0, "test")
 
@@ -525,18 +524,73 @@ def test_lost_cluster_is_not_diagonalizable(monkeypatch, subspace, message):
     assert not res.is_sdc and res.witness.kind == "not-diagonalizable"
 
 
-def test_joint_failure_without_a_defective_member(monkeypatch):
-    # when only the joint basis fails, the witness names no member
-    joint = sdc_module._joint_eigenbasis
+def _near_commuting(k, seed):
+    # {I, D1, D2 + eta E} scrambled, eta = 10^(-k/4): E couples the two
+    # coordinates where D1's eigenvalues are 1e-3 apart, so the
+    # commutator, 1e-3 eta, passes the commutation test while the
+    # returned P's off-diagonal residual lands near its bound
+    rng = np.random.default_rng([seed, 11])
+    E = np.zeros((4, 4))
+    E[0, 1] = E[1, 0] = 10.0 ** (-k / 4)
+    family = [np.eye(4), np.diag([1.0, 1.001, 2.0, -1.5]), np.diag(rng.standard_normal(4)) + E]
+    Q = random_congruence(rng, 4, 10.0)
+    return [0.5 * (Q.T @ M @ Q + (Q.T @ M @ Q).T) for M in family]
 
-    def single_only(mats, norms):
-        if len(mats) > 1:
-            raise errors.NotDiagonalizable("joint-diagonalization residual")
-        return joint(mats, norms)
 
-    monkeypatch.setattr(sdc_module, "_joint_eigenbasis", single_only)
-    res = sdc_check([np.eye(2), np.diag([1.0, 2.0]), np.diag([3.0, 5.0])])
+def test_joint_failure_without_a_defective_member():
+    # the off-diagonal certificate refuses the joint congruence while
+    # each member alone is diagonalizable: the witness names no member
+    res = sdc_check(_near_commuting(24, 0), 0)
     assert res.witness == Witness("not-diagonalizable")
+
+
+@pytest.mark.parametrize("k, seed", [(20, 1), (22, 2)])
+def test_refused_joint_congruence_is_not_sdc(k, seed):
+    # as for (24, 0) above: the joint basis' similarity residual passes,
+    # the congruence's off-diagonal residual does not, and the answer is
+    # a verdict, not CertificationFailed
+    res = sdc_check(_near_commuting(k, seed), seed)
+    assert res.verdict == "NotSDC" and res.witness == Witness("not-diagonalizable")
+
+
+def test_certified_congruence_decides_sdc():
+    # the joint basis' similarity residual exceeds its bound, but the
+    # returned P passes the off-diagonal certificate, the one that decides
+    family = _near_commuting(24, 4)
+    res = sdc_check(family, 4)
+    assert res.is_sdc
+    P = res.congruence.P
+    for A, d in zip(family, res.diagonals):
+        D = P.T @ A @ P
+        assert np.array_equal(np.diag(D), d)
+        off = D - np.diag(np.diag(D))
+        bound = RESID_TOL * res.congruence.kappa**2 * max(1.0, np.linalg.norm(A, 2))
+        assert np.linalg.norm(off, 2) <= bound
+
+
+def test_members_equal_to_s_leave_the_oracle(monkeypatch):
+    # the full-rank first member is S: no eig of its image I, and the
+    # witness indices stay positions in the family
+    calls = []
+    eig = np.linalg.eig
+
+    def counting(M):
+        calls.append(M.shape)
+        return eig(M)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    assert sdc_check([np.eye(2), np.diag([1.0, 2.0])]).is_sdc
+    assert calls == [(2, 2)]
+    # a family of copies of S is SDC through the eigendecomposition of S
+    res = sdc_check([np.diag([2.0, -3.0])] * 2)
+    assert res.is_sdc and calls == [(2, 2)]
+    res = sdc_check([np.eye(2), np.diag([1.0, -1.0]), f_mat(2)])
+    assert res.witness.kind == "non-commuting" and (res.witness.i, res.witness.j) == (1, 2)
+    res = sdc_check([np.eye(2), np.eye(2), np.diag([1.0, -1.0]), f_mat(2)])
+    assert res.witness.kind == "non-commuting" and (res.witness.i, res.witness.j) == (2, 3)
+    S = np.diag([1.0, -1.0])
+    assert sdc_check([S, S, f_mat(2)]).witness.i == 2  # S^-1 F2 has spectrum +-i
+    assert sdc_check([f_mat(2), f_mat(2), g_mat(2)]).witness == Witness("not-diagonalizable", 2)
 
 
 def test_near_jordan_family_gets_a_verdict():
@@ -607,7 +661,7 @@ def test_commutation_tested_once_per_check(rng, monkeypatch):
 
 
 def test_member_norms_computed_once_per_check(rng, monkeypatch):
-    # the commutation test and the joint-eigenbasis certificate decide
+    # the commutation test and the off-diagonal certificate decide
     # from O(n^2) bounds first (norm2_exceeds), so on a well-conditioned
     # SDC family no member of S^-1 A_i, and no residual, takes an SVD
     # 2-norm at all; zero matrices are left out of the count
@@ -767,7 +821,7 @@ def test_one_schur_form_per_construction(monkeypatch):
 
 
 def test_full_rank_member_is_the_identity(rng, monkeypatch):
-    # the member that is S itself enters as I: one solve, for B only
+    # the member that is S itself is left out: one solve, for B only
     calls = []
     solve = np.linalg.solve
 

@@ -21,8 +21,8 @@ def test_bitwise_probe_smoke(tmp_path):
     digests = json.loads(out.read_text())
     assert {key.split("/")[0] for key in digests} == {
         "small-families", "triple", "triple-case4", "triple-refused", "singular-complex",
-        "singular-jordan", "singular-sdc", "blocks", "qcqp", "box", "rsdc-n80", "non-finite",
-        "pivot",
+        "singular-jordan", "near-commuting", "singular-sdc", "blocks", "qcqp", "box", "rsdc-n80",
+        "non-finite", "pivot",
     }
     for key, value in digests.items():
         if key.startswith("non-finite/"):

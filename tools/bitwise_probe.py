@@ -14,8 +14,9 @@ The families: benchmark `small-families` rounds; the nilpotent triple
 sweep over every partition of n = 2..7, three seeded draws that reach
 its rarer steps, the single-block corner construction and triples
 outside the commutant; singular `perturb_pair` calls on complex and
-Jordan pencils; in full mode only, near-commuting triples and
-near-Jordan pairs through sdc_check, the latter also through
+Jordan pencils; near-commuting triples through sdc_check (in smoke
+mode the four whose verdict the off-diagonal certificate decides near
+its bound); in full mode only, near-Jordan pairs through sdc_check and
 pencil_canonical, and `perturb_pair` on nonsingular Jordan pairs of
 sizes 4 and 5, whose norm tests land near their bounds and so reach
 the SVD that decides them; sdc_check on zero-padded, orthogonally
@@ -198,18 +199,20 @@ def _families(smoke: bool):
     def near_commuting(k, seed):
         # {I, D1, D2 + eta E}: E couples the two coordinates where D1's
         # eigenvalues are 1e-3 apart, so the commutator, 1e-3 eta, passes
-        # the commutation test while eta = 10^(-k/4) sits near the
-        # joint-diagonalization and off-diagonal certificates' bounds
+        # the commutation test while eta = 10^(-k/4) puts the returned
+        # congruence's residual near the off-diagonal certificate's bound
         rng = np.random.default_rng([seed, 11])
         E = np.zeros((4, 4))
         E[0, 1] = E[1, 0] = 10.0 ** (-k / 4)
         family = [np.eye(4), np.diag([1.0, 1.001, 2.0, -1.5]), np.diag(rng.standard_normal(4)) + E]
         return sdc.sdc_check(_scramble(rng, family), seed)
 
+    # three refusals (not-diagonalizable) and one certified congruence
+    near = [(20, 1), (22, 2), (24, 0), (24, 4)] if smoke else [
+        (k, seed) for k in range(18, 29, 2) for seed in range(6)]
+    for k, seed in near:
+        yield f"near-commuting/{k}/{seed}", functools.partial(near_commuting, k, seed)
     if not smoke:
-        for k in range(18, 29, 2):
-            for seed in range(6):
-                yield f"near-commuting/{k}/{seed}", functools.partial(near_commuting, k, seed)
         for m in (2, 3, 4, 5):
             for e in (4, 8, 10, 12, 16):
                 for seed in range(3):
