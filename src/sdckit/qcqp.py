@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 
 import numpy as np
-import scipy.linalg
 
 from . import errors
 from .matcore import (
@@ -28,6 +27,7 @@ from .matcore import (
     RESID_TOL,
     Congruence,
     SymMat,
+    _dot2,
     direct_sum,
     f_mat,
     form_family,
@@ -117,6 +117,23 @@ class Reformulation:
     P: Congruence
     kappa: float
     aux: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # P's order, half of dim for eig, whose variables are (y, z)
+        width = self.dim // 2 if self.method == "eig" else self.dim
+        shapes = {"P": self.P.P.shape}
+        shapes.update((key, np.shape(getattr(self, key)))
+                      for key in ("quad_obj", "quad_con", "lin_obj", "lin_con"))
+        if self.method == "eig":
+            for key in ("P1", "P2"):
+                if key not in self.aux:
+                    raise errors.OrderMismatch(f"eig reformulation has no aux {key}")
+                shapes[f"aux {key}"] = np.shape(self.aux[key])
+        for key, shape in shapes.items():
+            want = (width,) if key.startswith(("quad", "lin")) else (width, width)
+            if shape != want:
+                raise errors.OrderMismatch(
+                    f"{key} has shape {shape}, expected {want} for {self.method} of dim {self.dim}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -583,47 +600,39 @@ def _sampling_box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_refined(P: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve P W = B with extended-precision iterative refinement.
+    """Solve P W = B with one sweep of iterative refinement.
 
-    B is a vector or a block of right-hand-side columns; P is factored
-    once for all of them.  The verification compares values that agree
-    exactly in exact arithmetic; an ill-conditioned congruence (1-RSDC
-    at larger k) would otherwise cost kappa^2 eps of spurious deviation.
+    B is a vector or a block of right-hand-side columns.  The residual
+    B - P W is taken from matcore._dot2's error-free split product, so the
+    correction leaves W within about an ulp of the exact solution, in
+    plain double on every platform.  The verification compares values
+    that agree exactly in exact arithmetic; an ill-conditioned congruence
+    (1-RSDC at larger k) would otherwise cost kappa^2 eps of spurious
+    deviation.
     """
-    lu = scipy.linalg.lu_factor(P)
-    Pl = P.astype(np.longdouble)
-    Bl = B.astype(np.longdouble)
-    W = scipy.linalg.lu_solve(lu, B).astype(np.longdouble)
-    for _ in range(3):
-        # np.dot sums like matmul but has a fast long-double kernel
-        R = Bl - np.dot(Pl, W)
-        W = W + scipy.linalg.lu_solve(lu, R.astype(float)).astype(np.longdouble)
-    return W
+    B2 = B.reshape(len(B), -1)
+    W = np.linalg.solve(P, B2)
+    hi, lo = _dot2(P, W)
+    return (W + np.linalg.solve(P, (B2 - hi) - lo)).reshape(B.shape)
 
 
 def _reformulated_values(inst, ref: Reformulation, X: np.ndarray):
-    """Reformulated objective and constraint values at the rows of X."""
-    n = inst.n
+    """Reformulated objective and constraint values at the rows of X.
+
+    Each row x is mapped to the reformulation's variables (y, z): y = P1^T x
+    and z = P2^T y for eig, and y = z = w with P w = (x, 0), solved by
+    _solve_refined, for sdc, rsdc1 and rsdc2.  The objective is then
+    y^T D_obj y + 2 c_obj^T y and the constraint z^T D_con z + 2 c_con^T y,
+    one (samples, N) block at a time.
+    """
     if ref.method == "eig":
-        # each row of X mapped to y = P1^T x and z = P2^T y
         Y = X @ np.asarray(ref.aux["P1"], dtype=float)
         Z = Y @ np.asarray(ref.aux["P2"], dtype=float)
-        return (np.sum(Y * (ref.quad_obj * Y), axis=1) + 2.0 * (Y @ ref.lin_obj),
-                np.sum(Z * (ref.quad_con * Z), axis=1) + 2.0 * (Y @ ref.lin_con))
-    d = ref.dim - n
-    # one column per point, stored row-major so that the sums along
-    # axis 0 add term by term in the order of a single column's dot
-    # product
-    W = np.ascontiguousarray(
-        _solve_refined(ref.P.P, np.vstack([X.T, np.zeros((d, len(X)))]))
-    )
-    qo = ref.quad_obj.astype(np.longdouble)[:, None]
-    qc = ref.quad_con.astype(np.longdouble)[:, None]
-    lo = ref.lin_obj.astype(np.longdouble)
-    lc = ref.lin_con.astype(np.longdouble)
-    obj = np.sum(W * (qo * W), axis=0) + np.dot(2.0 * lo, W)
-    con = np.sum(W * (qc * W), axis=0) + np.dot(2.0 * lc, W)
-    return obj.astype(float), con.astype(float)
+    else:
+        pad = np.zeros((ref.dim - inst.n, len(X)))
+        Y = Z = _solve_refined(ref.P.P, np.vstack([X.T, pad])).T
+    return (np.sum(Y * (ref.quad_obj * Y), axis=1) + 2.0 * (Y @ ref.lin_obj),
+            np.sum(Z * (ref.quad_con * Z), axis=1) + 2.0 * (Y @ ref.lin_con))
 
 
 def verify_reformulation(
@@ -635,14 +644,17 @@ def verify_reformulation(
     Points are drawn uniformly in the polytope's bounding box, as one
     (samples, n) block from the seeded generator, and mapped into the
     reformulation's variables respecting its equalities; the congruence
-    is solved for all of them at once.  The returned value is the
-    largest absolute difference of objective and constraint values
-    relative to the sampled value scale, and NaN when a value is NaN.
+    is solved for all of them at once, in double precision refined by
+    one error-free residual sweep, so every platform computes the same
+    values.  The returned value is the largest absolute difference of
+    objective and constraint values relative to the sampled value scale,
+    and NaN when a value is NaN.
     A precomputed (lo, hi) box can be passed to amortize the bound LPs
     across repeated verifications of one instance; it must be finite,
     of length n, with lo <= hi.  A reformulation whose dim does not fit
     the instance's order (n for sdc, n + 1 and n + 2 for rsdc1 and rsdc2,
-    2n for eig) raises OrderMismatch, and samples < 1 ValueError.
+    2n for eig) raises OrderMismatch, and samples < 1 ValueError; a
+    Reformulation whose arrays do not fit its dim cannot be built.
     """
     n = inst.n
     if ref.dim != {"sdc": n, "rsdc1": n + 1, "rsdc2": n + 2, "eig": 2 * n}.get(ref.method):

@@ -134,6 +134,13 @@ def test_verify_refuses_another_order_and_no_samples(tmp_path, capsys):
     assert "OrderMismatch" in capsys.readouterr().err
     assert run(["verify", "-i", str(inst6), "-r", str(ref), "--samples", "0"]) == 1
     assert "ValueError: need samples >= 1" in capsys.readouterr().err
+    # a file whose quad_obj is one entry short once exited 1 on a bare
+    # ValueError
+    data = json.loads(ref.read_text())
+    data["quad_obj"].pop()
+    ref.write_text(json.dumps(data))
+    assert run(["verify", "-i", str(inst6), "-r", str(ref), "--samples", "30"]) == 2
+    assert "OrderMismatch: quad_obj has shape (6,), expected (7,)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, index, value", [

@@ -6,9 +6,9 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from conftest import DEGENERATE_POLYTOPES
@@ -569,6 +569,23 @@ class TestVerificationInput:
         with pytest.raises(errors.OrderMismatch, match=f"^{method} reformulation of dim "):
             verify_reformulation(other, ref, 20)
 
+    @pytest.mark.parametrize("method, key, bad, message", [
+        ("rsdc1", "P", lambda r: Congruence(np.eye(8)), "^P has shape"),
+        ("rsdc1", "quad_obj", lambda r: r.quad_obj[:-1], "^quad_obj has shape"),
+        ("rsdc1", "lin_con", lambda r: np.append(r.lin_con, 1.0), "^lin_con has shape"),
+        ("rsdc1", "quad_obj", lambda r: r.quad_obj[:, None], "^quad_obj has shape"),
+        ("eig", "aux", lambda r: {**r.aux, "P2": np.eye(5).tolist()}, "^aux P2 has shape"),
+        ("eig", "aux", lambda r: {}, "^eig reformulation has no aux P1$"),
+    ], ids=["order-8-P", "short-quad_obj", "long-lin_con", "column-quad_obj", "small-P2",
+            "no-aux"])
+    def test_misshaped_reformulation_is_named(self, method, key, bad, message):
+        # each once reached verification, which raised numpy's bare
+        # ValueError, or KeyError without aux
+        inst = generate_instance(6, 1, 30, 0)
+        ref = reformulate(inst, method)
+        with pytest.raises(errors.OrderMismatch, match=message):
+            verify_reformulation(inst, replace(ref, **{key: bad(ref)}), 20)
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_is_refused(self, inst, samples):
         # samples = 0 once returned a deviation of 0
@@ -610,6 +627,21 @@ class TestVerificationInput:
         assert verify_reformulation(inst, ref, 10, 0, (lo, lo)) < 1e-9
 
 
+def exact_solve(P, B):
+    """The solution of P W = B in exact rational arithmetic, rounded to
+    double: Gauss-Jordan elimination on Fractions."""
+    n = P.shape[0]
+    rows = [[Fraction(v) for v in row] for row in np.hstack([P, B])]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return np.array([[float(v / rows[i][i]) for v in rows[i][n:]] for i in range(n)])
+
+
 class TestBlockVerification:
     def test_block_solve_matches_columns(self, inst):
         P = reformulate(inst, "rsdc2").P.P
@@ -617,25 +649,26 @@ class TestBlockVerification:
         W = _solve_refined(P, B)
         for j in range(B.shape[1]):
             w = _solve_refined(P, B[:, j])
-            # both are refined in long double, so they agree to well
-            # within a few double-precision ulps
+            # each is refined on an error-free residual to within about
+            # an ulp of the exact solve, so the two agree to a few ulps
             assert np.max(np.abs(W[:, j] - w)) <= 1e-15 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("method", ["rsdc1", "rsdc2"])
-    def test_solve_refined_matches_matmul_form(self, inst, method):
-        # the long-double residual is formed with np.dot, which sums in
-        # the order of matmul's generic loop, so the two agree bitwise
-        P = reformulate(inst, method).P.P
-        lu = scipy.linalg.lu_factor(P)
-        Pl = P.astype(np.longdouble)
-        block = np.random.default_rng(6).uniform(size=(P.shape[0], 25))
-        for B in (block, block[:, 0]):
-            Bl = B.astype(np.longdouble)
-            W = scipy.linalg.lu_solve(lu, B).astype(np.longdouble)
-            for _ in range(3):
-                R = Bl - Pl @ W
-                W = W + scipy.linalg.lu_solve(lu, R.astype(float)).astype(np.longdouble)
-            assert np.array_equal(_solve_refined(P, B), W)
+    @pytest.mark.parametrize("args, method", [
+        ((6, 1, 30, 0), "rsdc1"),
+        ((6, 1, 30, 0), "rsdc2"),
+        ((8, 3, 40, 38), "rsdc1"),
+    ], ids=["rsdc1", "rsdc2", "rsdc1-ill-conditioned"])
+    def test_solve_refined_is_the_exact_solve_to_an_ulp(self, args, method):
+        # the order-9 rsdc1 P has kappa 1.9e5: long-double refinement
+        # left W 74 ulp from the exact solve there, and a plain solve
+        # 217,105 ulp
+        P = reformulate(generate_instance(*args), method).P.P
+        block = np.random.default_rng(6).uniform(size=(P.shape[0], 10))
+        exact = exact_solve(P, block)
+        for B, want in ((block, exact), (block[:, 0], exact[:, 0])):
+            W = _solve_refined(P, B)
+            assert W.shape == B.shape
+            assert np.all(np.abs(W - want) <= np.spacing(np.abs(want)))
 
     def test_points_are_the_sequential_draws(self, inst, monkeypatch):
         seen = []
@@ -670,10 +703,8 @@ class TestBlockVerification:
                 c1 = float(z @ (ref.quad_con * z) + 2.0 * ref.lin_con @ y)
             else:
                 w = _solve_refined(ref.P.P, np.concatenate([x, np.zeros(ref.dim - inst.n)]))
-                qo, qc, lo_, lc = (v.astype(np.longdouble) for v in (
-                    ref.quad_obj, ref.quad_con, ref.lin_obj, ref.lin_con))
-                o1 = float(w @ (qo * w) + 2.0 * lo_ @ w)
-                c1 = float(w @ (qc * w) + 2.0 * lc @ w)
+                o1 = float(w @ (ref.quad_obj * w) + 2.0 * ref.lin_obj @ w)
+                c1 = float(w @ (ref.quad_con * w) + 2.0 * ref.lin_con @ w)
             o0, c0 = inst.objective(x), inst.constraint(x)
             worst = max(worst, abs(o0 - o1), abs(c0 - c1))
             scale = max(scale, abs(o0), abs(c0))
