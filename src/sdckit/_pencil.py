@@ -6,7 +6,12 @@ congruence-residual certificate, the pairwise commutation test, the
 subspace extraction and the column-sign convention.
 Invariant subspaces come from one real Schur form per matrix, reordered
 by LAPACK's trsen for each eigenvalue cluster, as a sorted Schur form
-would be without refactoring the matrix for every cluster.
+would be without refactoring the matrix for every cluster.  real_schur
+and invariant_subspace are sdckit's only users of scipy and import it
+when first called: only the SDC oracle's repeated joint-eigenvalue
+clusters, the Jordan-chain code and the triples need a Schur form, so
+`import sdckit` and the RSDC, canonical-form and rsdc/eig QCQP paths
+load numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import errors
 from .matcore import RESID_TOL, commutator
@@ -148,6 +152,7 @@ def real_schur(M: np.ndarray):
     """Real Schur form M = Z T Z^T as (T, Z, wr, wi), with the eigenvalues
     read off T's standardized blocks as LAPACK reports them: wr = diag T
     and wi = +-sqrt|T[i,i+1]| sqrt|T[i+1,i]| on a 2x2 block."""
+    import scipy.linalg  # here, not at the top: most paths need no Schur form
     try:
         T, Z = scipy.linalg.schur(M, output="real")
     except np.linalg.LinAlgError as exc:
@@ -164,6 +169,7 @@ def invariant_subspace(form, center: float, radius: float) -> np.ndarray:
     """Orthonormal basis of the invariant subspace for eigenvalues within
     radius of center, by reordering the real Schur form `form` (from
     real_schur) so that they lead."""
+    import scipy.linalg  # here, not at the top: most paths need no Schur form
     T, Z, wr, wi = form
     select = [abs(complex(re, im) - center) <= radius for re, im in zip(wr, wi)]
     _, Zs, _, _, m, _, _, info = scipy.linalg.lapack.dtrsen(select, T, Z, job="N")

@@ -119,9 +119,21 @@ class Reformulation:
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
         # P's order, half of dim for eig, whose variables are (y, z)
         width = self.dim // 2 if self.method == "eig" else self.dim
+        # the polytope acts on P's variables; the equalities, the d pinned
+        # coordinates or eig's couplings y = P2 z, act on all dim
+        pinned = {"sdc": 0, "rsdc1": 1, "rsdc2": 2, "eig": width}[self.method]
+        if np.ndim(self.poly) != 2 or np.shape(self.poly)[1] != width:
+            raise errors.OrderMismatch(f"poly has shape {np.shape(self.poly)}, expected "
+                                       f"(m, {width}) for {self.method} of dim {self.dim}")
+        if len(self.equalities) != pinned:
+            raise errors.OrderMismatch(f"{len(self.equalities)} equalities, expected {pinned} "
+                                       f"for {self.method} of dim {self.dim}")
         shapes = {"P": self.P.P.shape}
+        shapes.update((f"equality {i}", np.shape(eq)) for i, eq in enumerate(self.equalities))
         shapes.update((key, np.shape(getattr(self, key)))
                       for key in ("quad_obj", "quad_con", "lin_obj", "lin_con"))
         if self.method == "eig":
@@ -130,7 +142,8 @@ class Reformulation:
                     raise errors.OrderMismatch(f"eig reformulation has no aux {key}")
                 shapes[f"aux {key}"] = np.shape(self.aux[key])
         for key, shape in shapes.items():
-            want = (width,) if key.startswith(("quad", "lin")) else (width, width)
+            want = ((self.dim,) if key.startswith("equality") else
+                    (width,) if key.startswith(("quad", "lin")) else (width, width))
             if shape != want:
                 raise errors.OrderMismatch(
                     f"{key} has shape {shape}, expected {want} for {self.method} of dim {self.dim}")
@@ -161,8 +174,6 @@ class Reformulation:
         back; verification does not use it.
         """
         d = json.loads(text)
-        if d["method"] not in METHODS:
-            raise ValueError(f"unknown method {d['method']!r}")
 
         def vec(value, key):
             a = np.asarray(value, dtype=float)

@@ -339,10 +339,12 @@ def _sorted_columns(P: np.ndarray, mats) -> np.ndarray:
 def _sdc_nonsingular(mats, S) -> SdcResult:
     """SDC decision when S in the span is certified invertible.
 
-    A member equal to S maps to exactly I and is left out of Ms; witness
-    indices are family positions.  Only _certified's certificate decides
-    "SDC": a congruence refused on the way answers not-diagonalizable."""
-    keep = [i for i, A in enumerate(mats) if not np.array_equal(A, S)]
+    A member whose symmetric part, formed as pivot forms S, equals S maps
+    to I up to its asymmetry and is left out of Ms; the certificate still
+    runs on every raw member.  Witness indices are family positions.  Only
+    _certified's certificate decides "SDC": a congruence refused on the
+    way answers not-diagonalizable."""
+    keep = [i for i, A in enumerate(mats) if not np.array_equal(0.5 * A + 0.5 * A.T, S)]
     Ms = [np.linalg.solve(S, mats[i]) for i in keep]
 
     # commuting first: the witness order is commutation, realness,

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,15 @@ DEGENERATE_POLYTOPES = {
     "rows-through-vertices": lambda: np.vstack(
         [_CUBE, np.array(list(itertools.product((1.0, -1.0), repeat=5))) / 5.0]),
 }
+
+
+def fresh_python(code: str) -> str:
+    """The standard output of code run in a fresh interpreter that imports
+    sdckit from the tree under test."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    return out.stdout
 
 
 @pytest.fixture

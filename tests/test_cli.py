@@ -141,6 +141,13 @@ def test_verify_refuses_another_order_and_no_samples(tmp_path, capsys):
     ref.write_text(json.dumps(data))
     assert run(["verify", "-i", str(inst6), "-r", str(ref), "--samples", "30"]) == 2
     assert "OrderMismatch: quad_obj has shape (6,), expected (7,)" in capsys.readouterr().err
+    # a poly of one entry and no equalities once verified and exited 0
+    assert run(["reformulate", "-i", str(inst6), "--method", "rsdc1", "-o", str(ref)]) == 0
+    data = json.loads(ref.read_text())
+    data.update(poly=[[1.0]], equalities=[])
+    ref.write_text(json.dumps(data))
+    assert run(["verify", "-i", str(inst6), "-r", str(ref), "--samples", "30"]) == 2
+    assert "OrderMismatch: poly has shape (1, 1), expected (m, 7)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, index, value", [

@@ -1,17 +1,13 @@
 import json
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
-from conftest import DEGENERATE_POLYTOPES
+from conftest import DEGENERATE_POLYTOPES, fresh_python
 from sdckit import errors, qcqp
 from sdckit.matcore import Congruence, SymMat, numeric_rank
 from sdckit.qcqp import (
@@ -576,15 +572,27 @@ class TestVerificationInput:
         ("rsdc1", "quad_obj", lambda r: r.quad_obj[:, None], "^quad_obj has shape"),
         ("eig", "aux", lambda r: {**r.aux, "P2": np.eye(5).tolist()}, "^aux P2 has shape"),
         ("eig", "aux", lambda r: {}, "^eig reformulation has no aux P1$"),
+        ("rsdc1", "poly", lambda r: r.poly[0], r"^poly has shape \(7,\), expected \(m, 7\)"),
+        ("rsdc2", "equalities", lambda r: r.equalities[:1], "^1 equalities, expected 2 "),
+        ("eig", "equalities", lambda r: (), "^0 equalities, expected 6 "),
+        ("rsdc1", "equalities", lambda r: (np.zeros(9),), r"^equality 0 has shape \(9,\)"),
     ], ids=["order-8-P", "short-quad_obj", "long-lin_con", "column-quad_obj", "small-P2",
-            "no-aux"])
+            "no-aux", "row-poly", "one-equality-short", "no-couplings", "long-equality"])
     def test_misshaped_reformulation_is_named(self, method, key, bad, message):
         # each once reached verification, which raised numpy's bare
-        # ValueError, or KeyError without aux
+        # ValueError, or KeyError without aux; it reads neither poly nor
+        # the equalities, and returned a deviation for those
         inst = generate_instance(6, 1, 30, 0)
         ref = reformulate(inst, method)
         with pytest.raises(errors.OrderMismatch, match=message):
             verify_reformulation(inst, replace(ref, **{key: bad(ref)}), 20)
+
+    def test_misshaped_linear_part_is_named(self):
+        # verification reads neither poly nor the equalities, and this
+        # pair of them once verified as if it were right
+        ref = reformulate(generate_instance(6, 1, 30, 0), "rsdc1")
+        with pytest.raises(errors.OrderMismatch, match=r"^poly has shape \(3, 2\), expected"):
+            replace(ref, poly=np.zeros((3, 2)), equalities=(np.zeros(4), np.zeros(9)))
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_is_refused(self, inst, samples):
@@ -873,10 +881,21 @@ def test_resample_limit_exceeded(monkeypatch):
     assert len(calls) == 25
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize is the slowest import of scipy, and sdckit needs none of it
-    code = "import sys, sdckit; print('scipy.optimize' in sys.modules)"
-    src = Path(qcqp.__file__).resolve().parents[1]  # the tree under test
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.strip() == "False"
+def test_qcqp_rsdc_and_canonical_paths_load_no_scipy():
+    # only a real Schur form needs scipy, and it imports scipy.linalg when
+    # first called; the CLI, the QCQP pipeline, the RSDC constructions and
+    # the canonical form never reach one
+    code = """if True:
+        import sys
+        import sdckit, sdckit.cli
+        from sdckit import qcqp, rsdc
+        from sdckit.canonical import pencil_canonical
+        inst = qcqp.generate_instance(10, 2, 100, 7)
+        for method in ("rsdc1", "rsdc2", "eig"):
+            qcqp.verify_reformulation(inst, qcqp.reformulate(inst, method), 20)
+        qcqp.bench(qcqp.BenchConfig((10,), (2,), 1))
+        pencil_canonical(inst.A1, inst.A2)
+        rsdc.rsdc1_construct(inst.A1, inst.A2)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+    assert fresh_python(code).strip() == "[]"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_congruence, random_sdc_family
+from conftest import fresh_python, random_congruence, random_sdc_family
 from sdckit import _chains, asdc, errors, obstruct, rsdc
 from sdckit import sdc as sdc_module
 from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
@@ -432,11 +432,38 @@ def test_simple_spectrum_needs_no_schur(rng, monkeypatch):
     assert sdc_check(fam).is_sdc
     assert len(calls) == 0
     # a joint eigenvalue of multiplicity 3 is one repeated cluster
-    P0 = random_congruence(rng, 6, 10.0)
-    Pi = np.linalg.inv(P0)
-    fam = [Pi.T @ np.diag(d) @ Pi for d in (np.ones(6), [1.0, 1.0, 1.0, 2.0, 3.0, 4.0])]
-    assert sdc_check([0.5 * (A + A.T) for A in fam]).is_sdc
+    assert sdc_check(_triple_cluster_family(rng)).is_sdc
     assert len(calls) >= 1
+
+
+def _triple_cluster_family(rng):
+    # an SDC pair whose pencil has one eigenvalue of multiplicity 3
+    Pi = np.linalg.inv(random_congruence(rng, 6, 10.0))
+    fam = [Pi.T @ np.diag(d) @ Pi for d in (np.ones(6), [1.0, 1.0, 1.0, 2.0, 3.0, 4.0])]
+    return [0.5 * (A + A.T) for A in fam]
+
+
+def test_schur_loads_scipy_on_first_use_with_the_same_result(rng, tmp_path):
+    # a fresh interpreter imports scipy.linalg at the first real Schur
+    # form, and the verdict and P are those of this process, which loaded
+    # scipy first
+    fam = _triple_cluster_family(rng)
+    np.save(tmp_path / "fam.npy", fam)
+    code = f"""if True:
+        import sys
+        import numpy as np
+        from sdckit.sdc import sdc_check
+        fam = list(np.load({str(tmp_path / "fam.npy")!r}))
+        print("scipy" in sys.modules)
+        res = sdc_check(fam)
+        print("scipy.linalg" in sys.modules, res.verdict)
+        np.save({str(tmp_path / "P.npy")!r}, res.congruence.P)
+    """
+    assert fresh_python(code).split() == ["False", "True", "SDC"]
+    res = sdc_check(fam)
+    assert res.is_sdc
+    P = np.load(tmp_path / "P.npy")
+    assert P.dtype == res.congruence.P.dtype and P.tobytes() == res.congruence.P.tobytes()
 
 
 def _greedy_groups_reference(diags):
@@ -833,6 +860,22 @@ def test_full_rank_member_is_the_identity(rng, monkeypatch):
     (A, B), _ = random_sdc_family(rng, 12, 2)
     assert sdc_check([A, B]).is_sdc
     assert len(calls) == 1
+
+
+def test_unsymmetrized_member_equal_to_s_leaves_the_oracle(rng, monkeypatch):
+    # Q^T D Q formed in floating point is symmetric only within roundoff;
+    # its symmetric part is S, so B alone is solved, its spectrum read
+    # and its eigenvectors taken
+    calls = []
+    for name in ("solve", "eigvals", "eig"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _fn=fn, _name=name, **kwargs:
+                            calls.append(_name) or _fn(*args, **kwargs))
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    fam = [Q.T @ np.diag(d) @ Q for d in (rng.uniform(1.0, 2.0, 20), rng.standard_normal(20))]
+    assert not np.array_equal(fam[0], fam[0].T)
+    assert sdc_check(fam).is_sdc
+    assert sorted(calls) == ["eig", "eigvals", "solve"]
 
 
 def _per_group_eigh_reference(V, Sbar, sizes):

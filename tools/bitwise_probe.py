@@ -21,6 +21,9 @@ pencil_canonical, and `perturb_pair` on nonsingular Jordan pairs of
 sizes 4 and 5, whose norm tests land near their bounds and so reach
 the SVD that decides them; sdc_check on zero-padded, orthogonally
 scrambled SDC families, which it lifts from their range (seeds 0-29);
+sdc_check on the pair Q^T D1 Q, Q^T D2 Q left unsymmetrized, whose
+first member's symmetric part is the pivot (n in {5, 10, 20}, seeds
+0-9);
 `perturb_blocks` on random singular BlockSpecs (generator seeds 0-99
 and 300-399);
 `generate_instance` with every reformulation and its verification;
@@ -236,6 +239,19 @@ def _families(smoke: bool):
 
     for seed in range(3 if smoke else 30):
         yield f"singular-sdc/{seed}", functools.partial(singular_sdc, seed)
+
+    def raw_congruence(n, seed):
+        # Q^T D1 Q and Q^T D2 Q for an orthogonal Q, left as formed: the
+        # first is symmetric only within roundoff, and its symmetric part
+        # is the pivot S, which the oracle leaves out
+        rng = np.random.default_rng([seed, n, 31])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return sdc.sdc_check([Q.T @ np.diag(rng.uniform(1.0, 2.0, n)) @ Q,
+                              Q.T @ np.diag(rng.standard_normal(n)) @ Q], seed)
+
+    for n, seed in [(5, 0), (20, 1)] if smoke else [
+            (n, seed) for n in (5, 10, 20) for seed in range(10)]:
+        yield f"raw-congruence/{n}/{seed}", functools.partial(raw_congruence, n, seed)
 
     def block_spec(seed, eps):
         # one or two type 1 or 2 blocks of size 1 or 2, then a type 3 or
