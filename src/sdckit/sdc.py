@@ -8,7 +8,6 @@ carries either the congruence and diagonals or a named witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .matcore import (
     Congruence,
     SymMat,
     _numeric_ranks,
+    _singular_values,
     form_family,
     numeric_rank,
     square_family,
@@ -108,9 +108,11 @@ def find_max_rank_element(family, seed: int = 0):
 
     Tries each family member plus MAX_RANK_TRIALS random combinations;
     generic coefficients attain the true maximum rank.  The members are
-    ranked one at a time and the random combinations in stacked SVDs
-    (see pivot).  Returns (coefficients, S).  A family of zero matrices
-    yields rank 0, which is not an error; an empty family is.
+    ranked one at a time; a random combination is ranked only when a
+    rank bound cannot rule out that it beats the best so far, and then
+    in a stacked SVD (see pivot).  Returns (coefficients, S).  A family
+    of zero matrices yields rank 0, which is not an error; an empty
+    family is.
     """
     coeffs, S, _, _ = pivot(form_family(family), seed)
     return coeffs, SymMat(S)
@@ -120,50 +122,98 @@ def find_max_rank_element(family, seed: int = 0):
 # (128 KB): all 64 candidates at n <= 16 and few at large n, where a stack
 # buys nothing.  On one Xeon core with one BLAS thread, 64 SVDs of order
 # 10 took 1.00 ms looped and 0.61 ms stacked, of order 80 31 ms either way.
+# Only the candidates pivot's rank bound leaves open reach the stacked SVD.
 _STACK_ENTRIES = 2**14
+
+# pivot's rank bound skips a candidate's SVD when it puts sigma_{b+1}(S)
+# below this fraction of the candidate's rank cutoff RANK_TOL sigma_1(S).
+#
+# S = sum c_i A_i = (c^T kron I) M for the stacked members M = [A_1; ...;
+# A_m], so sigma_{b+1}(S) <= |c|_2 sigma_{b+1}(M) (Horn & Johnson,
+# Topics in Matrix Analysis, 3.3), and sigma_1(S) >= |S|_F / sqrt(n).
+# Three errors lie between that bound and the ranks LAPACK would report:
+#  - the SVD of M: the computed s are the singular values of M + G with
+#    |G|_2 a modest multiple of n u |M|_2 (u = eps / 2 the unit roundoff);
+#    64 n u s[0] covers it;
+#  - the stacked sum 0 + c_1 A_1 + ... + c_m A_m, formed in floating point:
+#    entrywise |fl(S) - S| <= gamma_m sum |c_i| |A_i|, so |fl(S) - S|_2 <=
+#    gamma_m |c|_1 max_i |A_i|_F <= gamma_m sqrt(m) |c|_2 sqrt(n) |M|_2,
+#    about m^(3/2) sqrt(n) u |c|_2 s[0], which outgrows any fixed multiple
+#    of n u s[0] as m grows; twice that covers gamma_m's and s[0]'s own
+#    rounding.  A product that underflows errs absolutely, by at most half
+#    the smallest subnormal, so m n smallest subnormals bound its share
+#    of |fl(S) - S|_F;
+#  - the candidate's own SVD, whose singular values are exact for fl(S) + F
+#    with |F|_2 a modest multiple of n u |S|_2, and the rounding of |S|_F:
+#    while n u is far below RANK_TOL, the remaining 1 - _SCREEN of the
+#    cutoff absorbs both.
+# So a skipped candidate has sigma_{b+1} <= RANK_TOL sigma_1 as computed,
+# a numeric rank of at most b, and pivot would never have chosen it.
+_SCREEN = 0.25
 
 
 def pivot(mats, seed: int = 0) -> Pivot:
     """find_max_rank_element of checked forms, run once per call and shared
-    by its consumers: the first span candidate of maximal numeric rank,
-    the walk stopping at a full-rank one.
+    by its consumers: the first candidate of span_candidates(m, seed) of
+    maximal numeric rank, the walk stopping at a full-rank one.
 
-    Each member costs one SVD, so an invertible first member costs one;
-    the MAX_RANK_TRIALS random combinations are summed as the members
-    are, 0 + c0*A0 + c1*A1 + ..., and ranked by one batched SVD per chunk
-    of at most _STACK_ENTRIES entries.  A combination that overflows
-    raises NonFiniteEntry unless a full-rank candidate precedes it.
+    Each member costs one SVD, so an invertible first member costs one.
+    When the members end below full rank, the MAX_RANK_TRIALS random
+    combinations are drawn a chunk of at most _STACK_ENTRIES entries at a
+    time and summed as the members are, 0 + c0*A0 + c1*A1 + ...; one SVD
+    of the stacked members M then bounds every candidate's rank (see
+    _SCREEN), and only the candidates that bound leaves open are ranked,
+    by one batched SVD per chunk.  The bound rules out candidates of rank
+    at most the best so far, which the walk never chooses: it is exact
+    for this "strictly higher rank" rule only, and a rule that also weighs
+    conditioning must skip only candidates provably below the best rank.
+    A combination that overflows raises NonFiniteEntry unless a full-rank
+    candidate precedes it.
     """
     n = mats[0].shape[0]
     m = len(mats)
-    cands = span_candidates(m, seed)
     best_rank = -1
-    for c in islice(cands, m):
+    for c in np.eye(m):
         S = sum(ci * Ai for ci, Ai in zip(c, mats))
         r = numeric_rank(S)
         if r > best_rank:
             best_rank, best_c, best_S = r, c, S
         if best_rank == n:
             break
+    if best_rank < n:
+        rng = np.random.default_rng(seed)  # span_candidates' stream, a chunk per draw
+        s = _singular_values(np.concatenate(mats))
+        room = (32 * n + m * np.sqrt(m * n)) * np.finfo(float).eps * s[0]
+        underflow = m * n * np.finfo(float).smallest_subnormal
+        cutoff = _SCREEN * RANK_TOL / np.sqrt(n)
     left = MAX_RANK_TRIALS
     while best_rank < n and left:
-        rows = list(islice(cands, min(left, max(1, _STACK_ENTRIES // n**2))))
-        left -= len(rows)
-        C = np.array(rows)
+        C = rng.standard_normal((min(left, max(1, _STACK_ENTRIES // n**2)), m))
+        left -= len(C)
         with np.errstate(over="ignore", invalid="ignore"):
             stack = sum(C[:, i, None, None] * Ai for i, Ai in enumerate(mats))
-        # the walk ranks candidates up to the first non-finite one
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        stop = len(rows) if finite.all() else int(np.argmin(finite))
-        ranks, _ = _numeric_ranks(stack[:stop])
-        if stop and ranks.max() > best_rank:
-            k = int(np.argmax(ranks))
-            best_rank, best_c, best_S = int(ranks[k]), rows[k], stack[k]
-        if stop < len(rows) and best_rank < n:
+            # the walk ranks candidates up to the first non-finite one, and
+            # max|S| is finite exactly when S is
+            big = np.max(np.abs(stack), axis=(1, 2))
+            finite = np.isfinite(big)
+            stop = len(C) if finite.all() else int(np.argmin(finite))
+            big = big[:stop]
+            # |S|_F = max|S| |S / max|S||_F, multiplied last so that it cannot
+            # overflow; a bound that does (or is NaN) leaves its candidate open
+            rel = np.linalg.norm(stack[:stop] / np.where(big > 0, big, 1.0)[:, None, None],
+                                 axis=(1, 2))
+            bound = np.linalg.norm(C[:stop], axis=1) * (s[best_rank] + room) + underflow
+            open_ = np.flatnonzero(~(bound <= cutoff * big * rel))
+        if open_.size:
+            ranks, _ = _numeric_ranks(stack[open_])
+            j = int(np.argmax(ranks))
+            if ranks[j] > best_rank:
+                best_rank, best_c, best_S = int(ranks[j]), C[open_[j]], stack[open_[j]]
+        if stop < len(C) and best_rank < n:
             raise errors.NonFiniteEntry("matrix has a non-finite entry")
     S = 0.5 * best_S + 0.5 * best_S.T
     S.flags.writeable = False
-    return Pivot(best_c, S, numeric_rank(S), int(np.argmax(np.abs(best_c))))
+    return Pivot(best_c.copy(), S, numeric_rank(S), int(np.argmax(np.abs(best_c))))
 
 
 def simdiag_commuting(family) -> np.ndarray:

@@ -33,6 +33,17 @@ def random_sdc_family(rng, n, m, kappa_max=100.0):
     return fam, P
 
 
+def common_null_family(rng, n, m, noise=0.0):
+    """m forms Q^T (D_i ⊕ noise z_i) Q, D_i and z_i standard normal and Q
+    a random congruence: with noise 0 they share the null vector
+    Q^{-1} e_n, else that direction keeps a kernel entry of size about
+    noise relative to the others."""
+    Q = random_congruence(rng, n, 10.0)
+    diags = [rng.standard_normal(n - 1) for _ in range(m)]
+    fam = [Q.T @ np.diag([*d, z]) @ Q for d, z in zip(diags, noise * rng.standard_normal(m))]
+    return [0.5 * (M + M.T) for M in fam]
+
+
 def random_commutant_symmetric(sizes, sigmas, rng, nilpotent=True):
     """Symmetric C with A^{-1}C in the commutant of the Jordan pencil.
 

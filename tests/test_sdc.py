@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import fresh_python, random_congruence, random_sdc_family
+from conftest import common_null_family, fresh_python, random_congruence, random_sdc_family
 from sdckit import _chains, asdc, errors, obstruct, rsdc
 from sdckit import sdc as sdc_module
 from sdckit._pencil import certify_residuals, invariant_subspace, real_schur
@@ -100,26 +100,18 @@ def _walk_reference(mats, seed):
     return best_c, S, numeric_rank(S), int(np.argmax(np.abs(best_c)))
 
 
-def _common_null_family(rng, n, m):
-    # m forms Q^T (D_i ⊕ 0) Q sharing the null vector Q^{-1} e_n
-    Q = random_congruence(rng, n, 10.0)
-    fam = [Q.T @ direct_sum(np.diag(rng.standard_normal(n - 1)), np.zeros((1, 1))) @ Q
-           for _ in range(m)]
-    return [0.5 * (M + M.T) for M in fam]
-
-
 def _seven_tuple():
     return obstruct.builtin_counterexamples()["seven_tuple"]["matrices"]
 
 
 _PIVOT_FAMILIES = {
     # (members, rank the walk reaches)
-    "singular-pair-2": (lambda rng: _common_null_family(rng, 2, 2), 1),
-    "singular-pair-6": (lambda rng: _common_null_family(rng, 6, 2), 5),
+    "singular-pair-2": (lambda rng: common_null_family(rng, 2, 2), 1),
+    "singular-pair-6": (lambda rng: common_null_family(rng, 6, 2), 5),
     # 40 and 10 candidates per stacked SVD: the tail spans chunks
-    "singular-pair-20": (lambda rng: _common_null_family(rng, 20, 2), 19),
-    "singular-pair-40": (lambda rng: _common_null_family(rng, 40, 2), 39),
-    "singular-triple": (lambda rng: _common_null_family(rng, 5, 3), 4),
+    "singular-pair-20": (lambda rng: common_null_family(rng, 20, 2), 19),
+    "singular-pair-40": (lambda rng: common_null_family(rng, 40, 2), 39),
+    "singular-triple": (lambda rng: common_null_family(rng, 5, 3), 4),
     "nonsingular-pair": (lambda rng: random_sdc_family(rng, 5, 2)[0], 5),
     # singular members, full-rank first random candidate
     "split-diagonal": (lambda rng: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2),
@@ -128,7 +120,25 @@ _PIVOT_FAMILIES = {
     "zero": (lambda rng: [np.zeros((3, 3)), np.zeros((3, 3))], 0),
     # an invertible first member stops the walk at once
     "seven-tuple": (lambda rng: [M.a for M in _seven_tuple()], 6),
+    # entries near 1e200, whose squares overflow: |S|_F is formed scaled,
+    # and the tail's first candidate beats the rank-one members
+    "rank-one-1e200": (lambda rng: [1e200 * np.outer(q, q)
+                                    for q in rng.standard_normal((3, 3))], 3),
 }
+
+
+def _near_kernel(noise, m, e):
+    return lambda rng: [2.0**e * M for M in common_null_family(rng, 6, m, noise)]
+
+
+# kernel noise straddling RANK_TOL, where the tail's rank bound rules out
+# all, some or none of the candidates; 20 members weigh the m-dependent
+# rounding term of the stacked sum, and 2^±900 the extremes of the range
+_PIVOT_FAMILIES.update({
+    f"near-kernel-{noise:g}-{m}-members-2^{e}": (_near_kernel(noise, m, e),
+                                                 6 if noise > 1e-10 else 5)
+    for noise in (0.0, 1e-12, 1e-11, 1e-10, 1e-9) for m in (2, 3, 20) for e in (-900, 0, 900)
+})
 
 
 @pytest.mark.parametrize("name", sorted(_PIVOT_FAMILIES))
@@ -136,17 +146,21 @@ def test_pivot_matches_the_candidate_walk(rng, name):
     build, rank = _PIVOT_FAMILIES[name]
     mats = build(rng)
     for seed in (0, 7):
-        p = sdc_module.pivot(mats, seed)
-        c, S, r, drop = _walk_reference(mats, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = sdc_module.pivot(mats, seed)
+            c, S, r, drop = _walk_reference(mats, seed)
         assert p.coeffs.tobytes() == c.tobytes() and p.S.tobytes() == S.tobytes()
         assert (p.rank, p.drop) == (r, drop)
         assert p.rank == rank
 
 
-def test_singular_pair_ranks_its_random_tail_in_one_svd(rng, monkeypatch):
+def test_singular_pair_rules_out_its_random_tail_without_svds(rng, monkeypatch):
     # a pair with a common null vector has no invertible candidate, so the
-    # walk reaches all 64 random combinations: one stacked SVD ranks them,
-    # beside one per member, the chosen S and the range reduction
+    # walk reaches all 64 random combinations; the rank bound from one SVD
+    # of the stacked members rules out each of them, so no stacked SVD
+    # runs beside one per member, the stacked members', the chosen S's
+    # and the range reduction's
     sigma = np.array([1.0, -1.0, 1.0])
     A = direct_sum(f_mat(2), np.diag(sigma), np.zeros((1, 1)))
     B = direct_sum(tmat(0.3 + 1.2j), np.diag(sigma * rng.standard_normal(3)), np.zeros((1, 1)))
@@ -155,13 +169,14 @@ def test_singular_pair_ranks_its_random_tail_in_one_svd(rng, monkeypatch):
     calls = []
     svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(np.prod(np.shape(a)[:-2], dtype=int))  # matrices in the call
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert asdc.asdc_pair_check(A, B).status == "ASDC_not_SDC"
     assert len(calls) <= 5
+    assert calls == [1] * len(calls)
 
 
 def test_overflowing_span_candidate():

@@ -33,7 +33,10 @@ cross-polytope only) and, in full mode only, of grid polytopes scaled
 by 10^e, e in {-6, 3, 5, 6};
 order-80 RSDC constructions; numeric_rank / cond_number on non-finite
 input; and the span search sdc.pivot on seeded families of 2, 3 and 7
-members, singular and not, and on a mis-scaled pair.  Inputs come from the benchmark's and the tests'
+members, singular and not, on a mis-scaled pair, and on near-kernel
+families: 2, 3 or 20 members sharing a null direction blurred by noise
+0 or 10^-12..10^-9, scaled by 2^-900, 1 or 2^900 (seeds 0-5; two items
+in smoke mode).  Inputs come from the benchmark's and the tests'
 generators of this checkout, so two trees see the same inputs.
 
 tools/linetrace.py runs the full probe after tier-1, in one traced
@@ -121,7 +124,8 @@ def _partitions(n: int, most: int | None = None):
 
 def _families(smoke: bool):
     """(key, call) for every probed output."""
-    from conftest import DEGENERATE_POLYTOPES, random_commutant_symmetric, random_sdc_family
+    from conftest import (DEGENERATE_POLYTOPES, common_null_family, random_commutant_symmetric,
+                          random_sdc_family)
     from workloads import SmallFamilies, _complex_pencil, _scramble, planted_pair
 
     from sdckit import asdc, matcore, qcqp, rsdc, sdc, triples
@@ -362,6 +366,21 @@ def _families(smoke: bool):
                 yield f"pivot/{kind}/{m}/{seed}", functools.partial(span_family, kind, m, seed)
     mis_scaled = [np.diag([1.0, 1.0, 0.0]), 1e-11 * np.eye(3)]
     yield "pivot/mis-scaled", functools.partial(sdc.pivot, mis_scaled)
+
+    def near_kernel(noise, scale, m, seed):
+        # a common null direction blurred by kernel noise that straddles
+        # RANK_TOL, scaled by 2^scale: the random tail's rank bound rules
+        # out all, some or none of the candidates
+        rng = np.random.default_rng([m, seed, 32])
+        fam = common_null_family(rng, (3, 5, 8)[seed % 3], m, noise)
+        return sdc.pivot([2.0**scale * M for M in fam], seed)
+
+    # in smoke mode one with some candidates ruled out and one with all
+    kernel = [(1e-11, 900, 20, 1), (1e-12, -900, 2, 1)] if smoke else [
+        (noise, scale, m, seed) for noise in (0.0, 1e-12, 1e-11, 1e-10, 1e-9)
+        for scale in (-900, 0, 900) for m in (2, 3, 20) for seed in range(6)]
+    for args in kernel:
+        yield "pivot/near-kernel/{:g}/{}/{}/{}".format(*args), functools.partial(near_kernel, *args)
 
 
 def main(argv=None) -> int:
